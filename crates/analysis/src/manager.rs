@@ -21,7 +21,14 @@
 //! fighting the borrow checker; hit/miss counters and a peak-bytes
 //! high-water mark make cache behaviour observable per phase (see
 //! `fcc_bench::PipelineReport`).
+//!
+//! One more slot memoises a whole-function dataflow result
+//! ([`AnalysisManager::dataflow`]) for a crate downstream of this one
+//! (`fcc_dataflow::FunctionAnalysis`, which this crate cannot name).
+//! Its facts depend on every instruction, so it is valid for exactly
+//! one epoch: no [`PreservedAnalyses`] mask carries it across an edit.
 
+use std::any::Any;
 use std::rc::Rc;
 
 use fcc_ir::{ControlFlowGraph, Function};
@@ -119,6 +126,8 @@ pub struct AnalysisCounters {
     pub liveness_ssa: HitMiss,
     pub loops: HitMiss,
     pub pressure: HitMiss,
+    /// The whole-function dataflow memo ([`AnalysisManager::dataflow`]).
+    pub dataflow: HitMiss,
 }
 
 impl AnalysisCounters {
@@ -130,6 +139,7 @@ impl AnalysisCounters {
             + self.liveness_ssa.hits
             + self.loops.hits
             + self.pressure.hits
+            + self.dataflow.hits
     }
 
     /// Total cache misses (= full recomputations) across all kinds.
@@ -140,10 +150,11 @@ impl AnalysisCounters {
             + self.liveness_ssa.misses
             + self.loops.misses
             + self.pressure.misses
+            + self.dataflow.misses
     }
 
     /// `(label, hits, misses)` per analysis kind, for table printers.
-    pub fn rows(&self) -> [(&'static str, u64, u64); 6] {
+    pub fn rows(&self) -> [(&'static str, u64, u64); 7] {
         [
             ("cfg", self.cfg.hits, self.cfg.misses),
             ("domtree", self.domtree.hits, self.domtree.misses),
@@ -151,6 +162,7 @@ impl AnalysisCounters {
             ("live-ssa", self.liveness_ssa.hits, self.liveness_ssa.misses),
             ("loops", self.loops.hits, self.loops.misses),
             ("pressure", self.pressure.hits, self.pressure.misses),
+            ("dataflow", self.dataflow.hits, self.dataflow.misses),
         ]
     }
 }
@@ -165,6 +177,7 @@ impl std::ops::Sub for AnalysisCounters {
             liveness_ssa: self.liveness_ssa - rhs.liveness_ssa,
             loops: self.loops - rhs.loops,
             pressure: self.pressure - rhs.pressure,
+            dataflow: self.dataflow - rhs.dataflow,
         }
     }
 }
@@ -177,6 +190,7 @@ impl std::ops::AddAssign for AnalysisCounters {
         self.liveness_ssa += rhs.liveness_ssa;
         self.loops += rhs.loops;
         self.pressure += rhs.pressure;
+        self.dataflow += rhs.dataflow;
     }
 }
 
@@ -242,6 +256,8 @@ pub struct AnalysisManager {
     liveness_ssa: Slot<Liveness>,
     loops: Slot<LoopNesting>,
     pressure: Slot<Pressure>,
+    /// The dataflow memo: the epoch it was computed at, type-erased.
+    dataflow: Option<(u64, Rc<dyn Any>)>,
     counters: AnalysisCounters,
     peak_bytes: usize,
 }
@@ -345,6 +361,36 @@ impl AnalysisManager {
         rc
     }
 
+    /// The whole-function dataflow result of `func` at its current
+    /// epoch: `compute` runs on a miss and its result is kept until the
+    /// function changes. There is one slot, so a request for another
+    /// type `T` replaces the entry.
+    ///
+    /// The entry holds the same solver state a client would otherwise
+    /// allocate and free per request, so it is not tracked in
+    /// [`Self::current_bytes`] or [`Self::peak_bytes`]; clients that
+    /// memoise (the pass manager) drop it when they finish with
+    /// [`Self::clear_dataflow`].
+    pub fn dataflow<T: Any>(
+        &mut self,
+        func: &Function,
+        compute: impl FnOnce(&Function, &mut AnalysisManager) -> T,
+    ) -> Rc<T> {
+        if let Some(hit) = self.cached_dataflow(func) {
+            self.counters.dataflow.hits += 1;
+            return hit;
+        }
+        self.counters.dataflow.misses += 1;
+        let rc = Rc::new(compute(func, self));
+        self.dataflow = Some((func.epoch(), Rc::clone(&rc) as Rc<dyn Any>));
+        rc
+    }
+
+    /// Drop the dataflow memo.
+    pub fn clear_dataflow(&mut self) {
+        self.dataflow = None;
+    }
+
     /// Apply a pass's preservation promise after it mutated `func`:
     /// preserved analyses are re-stamped to the new epoch, the rest are
     /// dropped. Call with the *post-pass* function; `valid_at` is the
@@ -353,8 +399,14 @@ impl AnalysisManager {
     /// were stale before the pass started and are dropped even when
     /// nominally preserved — re-stamping them would present an analysis
     /// of some older function state as current.
+    ///
+    /// The dataflow memo survives only if the function did not change at
+    /// all: it depends on every instruction, so no mask preserves it.
     pub fn invalidate(&mut self, func: &Function, valid_at: u64, preserved: PreservedAnalyses) {
         let epoch = func.epoch();
+        if matches!(self.dataflow, Some((e, _)) if e != epoch) {
+            self.dataflow = None;
+        }
         if preserved.has(PreservedAnalyses::CFG) {
             self.cfg.restamp(valid_at, epoch);
         } else {
@@ -389,6 +441,7 @@ impl AnalysisManager {
 
     /// Drop every cached analysis (counters and peak survive).
     pub fn clear(&mut self) {
+        self.dataflow = None;
         self.cfg.clear();
         self.domtree.clear();
         self.liveness.clear();
@@ -407,7 +460,8 @@ impl AnalysisManager {
         self.peak_bytes
     }
 
-    /// Current heap footprint of all cached analyses, in bytes.
+    /// Current heap footprint of all cached analyses, in bytes. The
+    /// dataflow memo is not counted (see [`Self::dataflow`]).
     pub fn current_bytes(&self) -> usize {
         let mut total = 0;
         if let Some((_, c)) = &self.cfg.entry {
@@ -461,6 +515,15 @@ impl AnalysisManager {
     /// The cached pressure, if valid for `func`'s current epoch.
     pub fn cached_pressure(&self, func: &Function) -> Option<Rc<Pressure>> {
         self.pressure.get(func.epoch())
+    }
+
+    /// The memoised dataflow result, if one of type `T` is valid for
+    /// `func`'s current epoch.
+    pub fn cached_dataflow<T: Any>(&self, func: &Function) -> Option<Rc<T>> {
+        match &self.dataflow {
+            Some((e, rc)) if *e == func.epoch() => Rc::clone(rc).downcast().ok(),
+            _ => None,
+        }
     }
 
     fn note_bytes(&mut self) {
@@ -595,6 +658,59 @@ mod tests {
         am.liveness(&f);
         assert!(am.peak_bytes() >= after_cfg);
         assert!(am.current_bytes() <= am.peak_bytes());
+    }
+
+    /// A stand-in for a dataflow result: what it saw, and a compute
+    /// count so the tests can tell a hit from a recompute.
+    fn insts_memo(f: &Function, am: &mut AnalysisManager, computes: &mut u32) -> Rc<usize> {
+        am.dataflow(f, |f, _| {
+            *computes += 1;
+            f.live_inst_count()
+        })
+    }
+
+    #[test]
+    fn dataflow_memo_is_shared_within_an_epoch() {
+        let f = diamond();
+        let mut am = AnalysisManager::new();
+        let mut computes = 0;
+        let a = insts_memo(&f, &mut am, &mut computes);
+        let b = insts_memo(&f, &mut am, &mut computes);
+        assert!(Rc::ptr_eq(&a, &b));
+        assert_eq!(computes, 1);
+        assert_eq!(am.counters().dataflow, HitMiss { hits: 1, misses: 1 });
+        // Untracked: the memo is outside the Table 3 byte figures.
+        assert_eq!(am.current_bytes(), 0);
+        assert_eq!(am.peak_bytes(), 0);
+    }
+
+    #[test]
+    fn no_mask_restamps_the_dataflow_memo() {
+        let mut f = diamond();
+        let mut am = AnalysisManager::new();
+        let mut computes = 0;
+        insts_memo(&f, &mut am, &mut computes);
+        am.domtree(&f);
+
+        // An edit that keeps every edge: the domtree is carried over,
+        // the memo is not, even under `all()`.
+        for preserved in [PreservedAnalyses::cfg_core(), PreservedAnalyses::all()] {
+            let before = f.epoch();
+            let v = f.new_value();
+            f.insert_before_terminator(f.entry(), InstKind::Const { imm: 7 }, Some(v));
+            am.invalidate(&f, before, preserved);
+            assert!(am.cached_domtree(&f).is_some());
+            assert!(am.cached_dataflow::<usize>(&f).is_none());
+        }
+        assert_eq!(*insts_memo(&f, &mut am, &mut computes), f.live_inst_count());
+        assert_eq!(computes, 2);
+
+        // An unchanged function keeps its entry through invalidate.
+        let before = f.epoch();
+        am.invalidate(&f, before, PreservedAnalyses::none());
+        assert!(am.cached_dataflow::<usize>(&f).is_some());
+        am.clear_dataflow();
+        assert!(am.cached_dataflow::<usize>(&f).is_none());
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! intersection of the three solutions — each is a sound
 //! over-approximation, so their intersection is too), and the safety
 //! report behind `fcc analyze` and the `range-*` lint rules.
+//!
+//! [`FunctionAnalysis::of`] is the shared entry point: one fixpoint per
+//! function state, memoised in the [`AnalysisManager`] and handed to
+//! every client until the function changes.
+
+use std::rc::Rc;
 
 use fcc_analysis::AnalysisManager;
 use fcc_ir::diagnostic::json_escape;
@@ -15,7 +21,7 @@ use fcc_ir::{Block, Diagnostic, Function, InstKind, Value};
 use crate::bits::{BitsAnalysis, KnownBits};
 use crate::consts::{ConstAnalysis, ConstLattice};
 use crate::interval::{Interval, RangeAnalysis};
-use crate::solver::{solve, Solution};
+use crate::solver::{solve_on, Solution, SparseGraph};
 
 /// A `div`/`rem` whose divisor is provably zero (the IR's total
 /// division makes the result 0, but the source almost surely did not
@@ -40,13 +46,23 @@ pub struct FunctionAnalysis {
 }
 
 impl FunctionAnalysis {
-    /// Run all three analyses over a strict-SSA `func`.
+    /// Run all three analyses over a strict-SSA `func`, sharing one
+    /// def–use graph between them. Prefer [`Self::of`], which solves
+    /// once per function state.
     pub fn compute(func: &Function, am: &mut AnalysisManager) -> FunctionAnalysis {
+        let g = SparseGraph::build(func, am);
         FunctionAnalysis {
-            consts: solve(func, am, &ConstAnalysis),
-            ranges: solve(func, am, &RangeAnalysis),
-            bits: solve(func, am, &BitsAnalysis),
+            consts: solve_on(func, &g, &ConstAnalysis),
+            ranges: solve_on(func, &g, &RangeAnalysis),
+            bits: solve_on(func, &g, &BitsAnalysis),
         }
+    }
+
+    /// The analysis of `func` as it is now: computed on the first
+    /// request, then shared through `am`'s dataflow memo until `func`
+    /// changes (see [`AnalysisManager::dataflow`]).
+    pub fn of(func: &Function, am: &mut AnalysisManager) -> Rc<FunctionAnalysis> {
+        am.dataflow(func, FunctionAnalysis::compute)
     }
 
     /// The constant `v` is proven to hold, by any of the three domains.

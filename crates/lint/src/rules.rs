@@ -6,9 +6,7 @@
 //! unified [`Diagnostic`] model; DESIGN.md maps every rule id to the
 //! theorem or figure it enforces.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 
 use fcc_analysis::{AnalysisManager, BitSet, UnionFind};
 use fcc_core::dforest::DominanceForest;
@@ -39,12 +37,10 @@ pub trait LintRule {
     fn check(&self, func: &Function, am: &mut AnalysisManager, out: &mut Vec<Diagnostic>);
 }
 
-/// The default rule suite, in execution order. The four `range-*` rules
-/// share one cached `fcc-dataflow` fixpoint per function, and the four
-/// `mem-*` rules share one cached `fcc-alias` sweep.
+/// The default rule suite, in execution order. The four `range-*` and
+/// four `mem-*` rules share one `fcc-dataflow` fixpoint per function
+/// through the manager's memo ([`FunctionAnalysis::of`]).
 pub fn default_rules() -> Vec<Box<dyn LintRule>> {
-    let cache = RangeFactsCache::new();
-    let mem_cache = MemFactsCache::new();
     vec![
         Box::new(StructureRule),
         Box::new(PhiFreeRule),
@@ -55,14 +51,14 @@ pub fn default_rules() -> Vec<Box<dyn LintRule>> {
         Box::new(ParallelCopyRule),
         Box::new(DominanceForestRule),
         Box::new(DefiniteInitRule),
-        Box::new(RangeSafetyRule::div_by_zero(&cache)),
-        Box::new(RangeSafetyRule::shift_bounds(&cache)),
-        Box::new(RangeSafetyRule::unreachable_branch(&cache)),
-        Box::new(RangeSafetyRule::dead_phi_input(&cache)),
-        Box::new(MemSafetyRule::oob_access(&mem_cache)),
-        Box::new(MemSafetyRule::uninit_load(&mem_cache)),
-        Box::new(MemSafetyRule::dead_store(&mem_cache)),
-        Box::new(MemSafetyRule::overlapping_store(&mem_cache)),
+        Box::new(RangeSafetyRule::div_by_zero()),
+        Box::new(RangeSafetyRule::shift_bounds()),
+        Box::new(RangeSafetyRule::unreachable_branch()),
+        Box::new(RangeSafetyRule::dead_phi_input()),
+        Box::new(MemSafetyRule::oob_access()),
+        Box::new(MemSafetyRule::uninit_load()),
+        Box::new(MemSafetyRule::dead_store()),
+        Box::new(MemSafetyRule::overlapping_store()),
     ]
 }
 
@@ -796,35 +792,6 @@ impl LintRule for DefiniteInitRule {
 // range-* (fcc-dataflow safety checkers)
 // ---------------------------------------------------------------------
 
-/// One sparse-dataflow fixpoint per linted function, shared by the four
-/// `range-*` rules: [`FunctionAnalysis::compute`] runs three solvers, so
-/// recomputing it per rule would quadruple the suite's dominant cost.
-/// Keyed on the function's name and mutation epoch; lint rules never
-/// mutate, so one key survives a whole suite run.
-type RangeFactsKey = (String, u64);
-
-struct RangeFactsCache(RefCell<Option<(RangeFactsKey, Rc<Vec<Diagnostic>>)>>);
-
-impl RangeFactsCache {
-    fn new() -> Rc<RangeFactsCache> {
-        Rc::new(RangeFactsCache(RefCell::new(None)))
-    }
-
-    /// The function's safety findings, computed once per (name, epoch).
-    fn diagnostics(&self, func: &Function, am: &mut AnalysisManager) -> Rc<Vec<Diagnostic>> {
-        let key = (func.name.clone(), func.epoch());
-        if let Some((k, diags)) = &*self.0.borrow() {
-            if *k == key {
-                return Rc::clone(diags);
-            }
-        }
-        let fa = FunctionAnalysis::compute(func, am);
-        let diags = Rc::new(fa.safety_diagnostics(func));
-        *self.0.borrow_mut() = Some((key, Rc::clone(&diags)));
-        diags
-    }
-}
-
 /// Rules `range-div-by-zero`, `range-shift-bounds`,
 /// `range-unreachable-branch` and `range-dead-phi-input`: the
 /// `fcc-dataflow` safety checkers (SCCP + value ranges + known bits)
@@ -835,36 +802,31 @@ impl RangeFactsCache {
 pub struct RangeSafetyRule {
     id: &'static str,
     description: &'static str,
-    cache: Rc<RangeFactsCache>,
 }
 
 impl RangeSafetyRule {
-    fn div_by_zero(cache: &Rc<RangeFactsCache>) -> RangeSafetyRule {
+    fn div_by_zero() -> RangeSafetyRule {
         RangeSafetyRule {
             id: fcc_dataflow::RULE_DIV_BY_ZERO,
             description: "no division or remainder has a provably-zero divisor",
-            cache: Rc::clone(cache),
         }
     }
-    fn shift_bounds(cache: &Rc<RangeFactsCache>) -> RangeSafetyRule {
+    fn shift_bounds() -> RangeSafetyRule {
         RangeSafetyRule {
             id: fcc_dataflow::RULE_SHIFT_RANGE,
             description: "no shift amount is provably outside [0, 63]",
-            cache: Rc::clone(cache),
         }
     }
-    fn unreachable_branch(cache: &Rc<RangeFactsCache>) -> RangeSafetyRule {
+    fn unreachable_branch() -> RangeSafetyRule {
         RangeSafetyRule {
             id: fcc_dataflow::RULE_UNREACHABLE_BRANCH,
             description: "no conditional branch has a provably-dead successor edge",
-            cache: Rc::clone(cache),
         }
     }
-    fn dead_phi_input(cache: &Rc<RangeFactsCache>) -> RangeSafetyRule {
+    fn dead_phi_input() -> RangeSafetyRule {
         RangeSafetyRule {
             id: fcc_dataflow::RULE_DEAD_PHI_INPUT,
             description: "no phi input arrives along a provably-dead edge from a live block",
-            cache: Rc::clone(cache),
         }
     }
 }
@@ -883,40 +845,15 @@ impl LintRule for RangeSafetyRule {
         stage == LintStage::Ssa
     }
     fn check(&self, func: &Function, am: &mut AnalysisManager, out: &mut Vec<Diagnostic>) {
-        let diags = self.cache.diagnostics(func, am);
-        out.extend(diags.iter().filter(|d| d.rule == self.id).cloned());
+        let fa = FunctionAnalysis::of(func, am);
+        let diags = fa.safety_diagnostics(func);
+        out.extend(diags.into_iter().filter(|d| d.rule == self.id));
     }
 }
 
 // ---------------------------------------------------------------------
 // mem-* (fcc-alias memory checkers)
 // ---------------------------------------------------------------------
-
-/// One `fcc-alias` sweep per linted function, shared by the four `mem-*`
-/// rules — same memoisation discipline as [`RangeFactsCache`]. The
-/// memory bound is unknown at lint time, so the findings are the
-/// size-independent subset (`mem-oob-access` still proves negative
-/// addresses; `fcc analyze --memory-words` adds the upper bound).
-struct MemFactsCache(RefCell<Option<(RangeFactsKey, Rc<Vec<Diagnostic>>)>>);
-
-impl MemFactsCache {
-    fn new() -> Rc<MemFactsCache> {
-        Rc::new(MemFactsCache(RefCell::new(None)))
-    }
-
-    fn diagnostics(&self, func: &Function, am: &mut AnalysisManager) -> Rc<Vec<Diagnostic>> {
-        let key = (func.name.clone(), func.epoch());
-        if let Some((k, diags)) = &*self.0.borrow() {
-            if *k == key {
-                return Rc::clone(diags);
-            }
-        }
-        let fa = FunctionAnalysis::compute(func, am);
-        let diags = Rc::new(fcc_alias::memory_diagnostics(func, &fa, None));
-        *self.0.borrow_mut() = Some((key, Rc::clone(&diags)));
-        diags
-    }
-}
 
 /// Rules `mem-oob-access`, `mem-uninit-load`, `mem-dead-store` and
 /// `mem-overlapping-store`: the `fcc-alias` memory checkers surfaced as
@@ -927,39 +864,34 @@ impl MemFactsCache {
 pub struct MemSafetyRule {
     id: &'static str,
     description: &'static str,
-    cache: Rc<MemFactsCache>,
 }
 
 impl MemSafetyRule {
-    fn oob_access(cache: &Rc<MemFactsCache>) -> MemSafetyRule {
+    fn oob_access() -> MemSafetyRule {
         MemSafetyRule {
             id: fcc_alias::RULE_MEM_OOB,
             description: "no load or store address is provably outside memory (every \
                           execution would trap)",
-            cache: Rc::clone(cache),
         }
     }
-    fn uninit_load(cache: &Rc<MemFactsCache>) -> MemSafetyRule {
+    fn uninit_load() -> MemSafetyRule {
         MemSafetyRule {
             id: fcc_alias::RULE_MEM_UNINIT,
             description: "no load reads a fixed word that no reachable store may write",
-            cache: Rc::clone(cache),
         }
     }
-    fn dead_store(cache: &Rc<MemFactsCache>) -> MemSafetyRule {
+    fn dead_store() -> MemSafetyRule {
         MemSafetyRule {
             id: fcc_alias::RULE_MEM_DEAD_STORE,
             description: "no store is overwritten by a must-alias store before any \
                           possible read",
-            cache: Rc::clone(cache),
         }
     }
-    fn overlapping_store(cache: &Rc<MemFactsCache>) -> MemSafetyRule {
+    fn overlapping_store() -> MemSafetyRule {
         MemSafetyRule {
             id: fcc_alias::RULE_MEM_OVERLAP,
             description: "no two adjacent stores write partially-overlapping small \
                           address windows without being provably equal",
-            cache: Rc::clone(cache),
         }
     }
 }
@@ -977,8 +909,13 @@ impl LintRule for MemSafetyRule {
         stage == LintStage::Ssa
     }
     fn check(&self, func: &Function, am: &mut AnalysisManager, out: &mut Vec<Diagnostic>) {
-        let diags = self.cache.diagnostics(func, am);
-        out.extend(diags.iter().filter(|d| d.rule == self.id).cloned());
+        // The memory bound is unknown at lint time, so the findings are
+        // the size-independent subset (`mem-oob-access` still proves
+        // negative addresses; `fcc analyze --memory-words` adds the
+        // upper bound).
+        let fa = FunctionAnalysis::of(func, am);
+        let diags = fcc_alias::memory_diagnostics(func, &fa, None);
+        out.extend(diags.into_iter().filter(|d| d.rule == self.id));
     }
 }
 

@@ -364,9 +364,45 @@ impl PassManager {
 
     /// Run to fixpoint against a shared analysis cache. After each pass
     /// the cache is invalidated according to the pass's [`PassEffect`].
+    /// The passes share one dataflow fixpoint per function state through
+    /// the manager's memo, which is empty again on return.
     pub fn run(&self, func: &mut Function, am: &mut AnalysisManager) -> RunSummary {
+        self.drive(func, am, |_, _, _| Ok::<(), std::convert::Infallible>(()))
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Self::run`] with a private, throwaway analysis cache — for
+    /// callers that have no manager of their own.
+    pub fn run_standalone(&self, func: &mut Function) -> RunSummary {
+        let mut am = AnalysisManager::new();
+        self.run(func, &mut am)
+    }
+
+    fn fresh_stats(&self) -> Vec<PassStat> {
+        self.passes
+            .iter()
+            .map(|p| PassStat {
+                name: p.name(),
+                applications: 0,
+                insts_removed: 0,
+            })
+            .collect()
+    }
+
+    /// The fixpoint loop behind [`Self::run`] and [`Self::run_verified`]:
+    /// `check(func, pass, round)` runs after every pass that changed the
+    /// function, and its first error ends the run. Either way the
+    /// dataflow memo is dropped before it returns.
+    fn drive<E>(
+        &self,
+        func: &mut Function,
+        am: &mut AnalysisManager,
+        mut check: impl FnMut(&Function, &'static str, usize) -> Result<(), E>,
+    ) -> Result<RunSummary, E> {
         let mut passes = self.fresh_stats();
-        for round in 1..=self.max_rounds {
+        let mut rounds = self.max_rounds;
+        let mut outcome = Ok(());
+        'rounds: for round in 1..=self.max_rounds {
             let mut changed = false;
             for (i, p) in self.passes.iter().enumerate() {
                 let before = func.epoch();
@@ -390,37 +426,19 @@ impl PassManager {
                     passes[i].applications += 1;
                     passes[i].insts_removed += live_before - func.live_inst_count() as i64;
                     changed = true;
+                    outcome = check(func, p.name(), round);
+                    if outcome.is_err() {
+                        break 'rounds;
+                    }
                 }
             }
             if !changed {
-                return RunSummary {
-                    rounds: round,
-                    passes,
-                };
+                rounds = round;
+                break;
             }
         }
-        RunSummary {
-            rounds: self.max_rounds,
-            passes,
-        }
-    }
-
-    /// [`Self::run`] with a private, throwaway analysis cache — for
-    /// callers that have no manager of their own.
-    pub fn run_standalone(&self, func: &mut Function) -> RunSummary {
-        let mut am = AnalysisManager::new();
-        self.run(func, &mut am)
-    }
-
-    fn fresh_stats(&self) -> Vec<PassStat> {
-        self.passes
-            .iter()
-            .map(|p| PassStat {
-                name: p.name(),
-                applications: 0,
-                insts_removed: 0,
-            })
-            .collect()
+        am.clear_dataflow();
+        outcome.map(|()| RunSummary { rounds, passes })
     }
 
     /// [`Self::run`] in `--verify-each` mode: the `fcc-lint` rule suite
@@ -452,46 +470,11 @@ impl PassManager {
             }
         };
         fcc_analysis::fuel::set_pass("<input>");
-        lint(func, "<input>", 0)?;
-        let mut passes = self.fresh_stats();
-        for round in 1..=self.max_rounds {
-            let mut changed = false;
-            for (i, p) in self.passes.iter().enumerate() {
-                let before = func.epoch();
-                let live_before = func.live_inst_count() as i64;
-                fcc_analysis::fuel::set_pass(p.name());
-                fcc_analysis::fault::maybe_panic(p.name());
-                let effect = p.run(func, am);
-                fcc_analysis::fuel::checkpoint(1);
-                let mut pass_changed = effect.changed;
-                let mut preserved = if pass_changed {
-                    effect.preserved
-                } else {
-                    PreservedAnalyses::all()
-                };
-                if fault::maybe_corrupt(p.name(), func) {
-                    pass_changed = true;
-                    preserved = PreservedAnalyses::none();
-                }
-                am.invalidate(func, before, preserved);
-                if pass_changed {
-                    passes[i].applications += 1;
-                    passes[i].insts_removed += live_before - func.live_inst_count() as i64;
-                    changed = true;
-                    lint(func, p.name(), round)?;
-                }
-            }
-            if !changed {
-                return Ok(RunSummary {
-                    rounds: round,
-                    passes,
-                });
-            }
+        if let Err(v) = lint(func, "<input>", 0) {
+            am.clear_dataflow();
+            return Err(v);
         }
-        Ok(RunSummary {
-            rounds: self.max_rounds,
-            passes,
-        })
+        self.drive(func, am, lint)
     }
 }
 

@@ -99,7 +99,7 @@ fn store_forward_filtered(func: &mut Function, am: &mut AnalysisManager, web_saf
         Default::default()
     };
     let forwardable = |v: Value| !web_safe || !phi_involved.contains(&v);
-    let fa = FunctionAnalysis::compute(func, am);
+    let fa = FunctionAnalysis::of(func, am);
     let mem = solve_memory(func, &fa);
     let mut rewrites: Vec<(Inst, Value)> = Vec::new();
     for b in func.blocks() {
@@ -157,7 +157,7 @@ pub fn redundant_load_elim(func: &mut Function) -> usize {
 /// with no intervening store that may clobber the word — by a `copy` of
 /// the first load's result. Returns the number of loads eliminated.
 pub fn redundant_load_elim_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
-    let fa = FunctionAnalysis::compute(func, am);
+    let fa = FunctionAnalysis::of(func, am);
     let mut rewrites: Vec<(Inst, Value)> = Vec::new();
     for b in func.blocks() {
         if !fa.block_live(b) {
@@ -213,7 +213,7 @@ pub fn dead_store_elim(func: &mut Function) -> usize {
 /// `OutOfBounds` payload instead (`param` barriers keep any other trap
 /// from firing first).
 pub fn dead_store_elim_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
-    let fa = FunctionAnalysis::compute(func, am);
+    let fa = FunctionAnalysis::of(func, am);
     let mut removals = Vec::new();
     for b in func.blocks() {
         if !fa.block_live(b) {

@@ -46,7 +46,7 @@ pub fn range_fold_with(func: &mut Function, am: &mut AnalysisManager) -> RangeFo
 }
 
 fn fold_once(func: &mut Function, am: &mut AnalysisManager, stats: &mut RangeFoldStats) -> bool {
-    let fa = FunctionAnalysis::compute(func, am);
+    let fa = FunctionAnalysis::of(func, am);
     let mut changed = false;
 
     // Replace every proven-constant definition. Copies stay (φ-web

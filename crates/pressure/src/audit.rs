@@ -7,8 +7,11 @@
 //! is feasible — no trust in the allocator's own interference graph,
 //! worklists, or bookkeeping:
 //!
-//! * [`RULE_ALLOC_PRESSURE`]: no program point may have more than `k`
-//!   values live (pressure itself proves infeasibility for `k`);
+//! * [`RULE_ALLOC_PRESSURE`]: no program point may need more than `k`
+//!   registers (pressure itself proves infeasibility for `k`). A point
+//!   needs one register per class of live values [`CopyEquality`]
+//!   proves equal — the copy rule below, applied to counting — which
+//!   is its raw live count whenever no copy pair is available there;
 //! * [`RULE_ALLOC_CLASH`]: no two values live at the same point may
 //!   share a register — the per-point form of "no interfering values
 //!   share a color", which covers def-vs-live-after because a
@@ -46,9 +49,11 @@ use std::collections::{HashMap, HashSet};
 
 use fcc_analysis::liveness::Liveness;
 use fcc_analysis::pressure::{for_each_point, Point};
+use fcc_analysis::UnionFind;
 use fcc_ir::{ControlFlowGraph, Diagnostic, Function, InstKind, Value};
 
-/// A program point holds more than `k` live values.
+/// A program point needs more than `k` registers: more than `k` live
+/// values, counting values proven equal by a copy once.
 pub const RULE_ALLOC_PRESSURE: &str = "alloc-pressure-exceeds-k";
 /// Two values live at the same point share a register.
 pub const RULE_ALLOC_CLASH: &str = "alloc-register-clash";
@@ -90,16 +95,26 @@ pub fn audit_allocation(
     for_each_point(func, &cfg, &live, |point, set| {
         let b = point.block();
         let count = set.count() as u32;
-        if count > k && over_blocks.insert(b.index()) {
-            let mut d = Diagnostic::error(
-                RULE_ALLOC_PRESSURE,
-                format!("{count} values live at one point but only {k} registers"),
-            )
-            .in_block(b);
-            if let Point::Before(_, i) | Point::DeadDef(_, i) = point {
-                d = d.at_inst(i);
+        // The class count costs a pairwise pass, so only points over k
+        // by raw count pay for it.
+        if count > k && !over_blocks.contains(&b.index()) {
+            let live: Vec<Value> = set.iter().map(Value::new).collect();
+            let regs = equal.classes(func, point, &live);
+            if regs > k {
+                over_blocks.insert(b.index());
+                let mut d = Diagnostic::error(
+                    RULE_ALLOC_PRESSURE,
+                    format!(
+                        "{count} values live at one point need {regs} registers \
+                         but only {k} exist"
+                    ),
+                )
+                .in_block(b);
+                if let Point::Before(_, i) | Point::DeadDef(_, i) = point {
+                    d = d.at_inst(i);
+                }
+                diags.push(d);
             }
-            diags.push(d);
         }
         by_color.clear();
         for vi in set.iter() {
@@ -290,6 +305,22 @@ impl CopyEquality {
                 }
             }
         }
+    }
+
+    /// How many registers the values `live` need at `point`: one per
+    /// class of values provably equal there.
+    fn classes(&self, func: &Function, point: Point, live: &[Value]) -> u32 {
+        let mut uf = UnionFind::new(live.len());
+        let mut classes = live.len() as u32;
+        for (i, &a) in live.iter().enumerate() {
+            for (j, &b) in live.iter().enumerate().skip(i + 1) {
+                if uf.find(i) != uf.find(j) && self.equal_at(func, point, a, b) {
+                    uf.union(i, j);
+                    classes -= 1;
+                }
+            }
+        }
+        classes
     }
 
     /// Whether `a == b` provably holds at `point`.

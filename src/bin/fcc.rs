@@ -657,7 +657,7 @@ fn analyze_main(args: Vec<String>) -> Result<bool, String> {
             standard_pipeline().run(&mut func, &mut am);
         }
         verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
-        let fa = FunctionAnalysis::compute(&func, &mut am);
+        let fa = FunctionAnalysis::of(&func, &mut am);
         let mut diags = fa.safety_diagnostics(&func);
         diags.extend(fcc::alias::memory_diagnostics(&func, &fa, memory_words));
         let rendered = if json {

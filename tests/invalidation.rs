@@ -9,17 +9,31 @@
 //! stale-cache and missing-epoch-bump bugs.
 
 use fcc::analysis::{DomTree, Liveness, LoopNesting};
+use fcc::dataflow::{Lattice, Solution};
 use fcc::ir::ControlFlowGraph;
 use fcc::opt::{
-    aggressive_pipeline, standard_pipeline, ConstFold, CopyProp, Dce, Gvn, Pass, SimplifyCfg,
+    aggressive_pipeline, standard_pipeline, ConstFold, CopyProp, Dce, DeadStoreElim, Gvn, Pass,
+    RangeFold, RedundantLoadElim, SimplifyCfg, StoreForward,
 };
 use fcc::prelude::*;
 use fcc::workloads::{compile_kernel, kernels};
 
+fn assert_same_solution<F: Lattice>(func: &Function, got: &Solution<F>, want: &Solution<F>) {
+    for v in (0..func.num_values()).map(Value::new) {
+        assert_eq!(got.fact(v), want.fact(v), "stale dataflow fact for {v}");
+    }
+    for b in func.blocks() {
+        assert_eq!(got.block_executable(b), want.block_executable(b), "{b}");
+        for s in func.successors(b) {
+            assert_eq!(got.edge_executable(b, s), want.edge_executable(b, s));
+        }
+    }
+}
+
 /// Prime every analysis through the manager and compare each against a
 /// from-scratch computation. `check_ssa_liveness` additionally checks
-/// the SSA-sparse liveness (only meaningful while the function is in
-/// SSA form).
+/// the SSA-only analyses, the sparse liveness and the dataflow memo
+/// (only meaningful while the function is in SSA form).
 fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_ssa_liveness: bool) {
     let cfg = am.cfg(func);
     assert_eq!(*cfg, ControlFlowGraph::compute(func), "stale CFG in cache");
@@ -42,6 +56,13 @@ fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_ssa_liven
             Liveness::compute_ssa(func, &cfg),
             "stale SSA liveness in cache"
         );
+        // The dataflow memo: whatever survived the last step must be the
+        // fixpoint of the function as it is now.
+        let fa = FunctionAnalysis::of(func, am);
+        let fresh = FunctionAnalysis::compute(func, &mut AnalysisManager::new());
+        assert_same_solution(func, &fa.consts, &fresh.consts);
+        assert_same_solution(func, &fa.ranges, &fresh.ranges);
+        assert_same_solution(func, &fa.bits, &fresh.bits);
     }
     let loops = am.loops(func);
     assert_eq!(
@@ -62,6 +83,11 @@ fn each_pass_leaves_cache_consistent() {
         Box::new(ConstFold),
         Box::new(CopyProp),
         Box::new(Gvn),
+        Box::new(RangeFold),
+        Box::new(StoreForward::default()),
+        Box::new(StoreForward::web_safe()),
+        Box::new(RedundantLoadElim),
+        Box::new(DeadStoreElim),
         Box::new(SimplifyCfg),
     ];
     for base in suite() {

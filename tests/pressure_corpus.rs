@@ -392,3 +392,77 @@ fn report_tables_carry_the_maxlive_column() {
     assert!(json.contains("\"maxlive\": 6"), "json: {json}");
     assert!(!json.contains("\"maxlive\": null"), "json: {json}");
 }
+
+/// Generated seed 43 at the `spill-k8` benchmark's large shape, through
+/// `--pipeline standard --opt --k-registers 4`. At one point five values
+/// are live, but two of them hold one value on every incoming path
+/// (`d = copy s` reaches the point on both) and share a register, as
+/// Chaitin's copy rule lets them: four registers suffice. The pressure
+/// rule once counted raw live values and rejected this allocation.
+#[test]
+fn copy_equal_values_share_a_register_in_the_pressure_rule() {
+    use fcc::workloads::{generate, GenConfig};
+    let shape = GenConfig {
+        stmts: 50,
+        max_depth: 4,
+        vars: 9,
+        max_loop: 4,
+        params: 2,
+        memory_ops: true,
+    };
+    let func = fcc::frontend::lower_program(&generate(43, &shape)).expect("lowers");
+    let args = [5, -3];
+    let run = |f: &Function| {
+        let out = run_with_memory(f, &args, vec![0; 256], 5_000_000).expect("seed 43 runs");
+        (out.ret, out.memory)
+    };
+    let reference = run(&func);
+    let req = CompileRequest::new()
+        .pipeline(PipelineSpec::Standard)
+        .opt(true)
+        .k_registers(Some(4));
+    let out = compile_function(func, &req).expect("the audit certifies k = 4");
+    assert!(!out.func.has_phis());
+    assert_eq!(
+        run(&out.func),
+        reference,
+        "output differs from the reference"
+    );
+}
+
+/// The copy rule only merges what the auditor proves equal: k + 1
+/// pairwise-distinct values live at once still exceed k.
+#[test]
+fn distinct_live_values_beyond_k_still_fire_the_pressure_rule() {
+    use fcc::ir::parse::parse_function;
+    use std::collections::HashMap;
+
+    // v1..v3 are copies of v0 but v0 is redefined in between, so no two
+    // of the four live values are provably equal at the `add` chain.
+    let func = parse_function(
+        "function @distinct(1) {
+         b0:
+             v0 = param 0
+             v1 = copy v0
+             v0 = const 1
+             v2 = copy v0
+             v0 = const 2
+             v3 = copy v0
+             v0 = const 3
+             v4 = add v0, v1
+             v5 = add v4, v2
+             v6 = add v5, v3
+             return v6
+         }",
+    )
+    .unwrap();
+    let coloring: HashMap<Value, u32> = [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 1), (6, 0)]
+        .into_iter()
+        .map(|(v, c)| (Value::new(v), c))
+        .collect();
+    let diags = audit_allocation(&func, &coloring, 3, 0);
+    assert!(
+        diags.iter().any(|d| d.rule == RULE_ALLOC_PRESSURE),
+        "four distinct live values fit in three registers: {diags:#?}"
+    );
+}

@@ -3,10 +3,11 @@
 //! (`Daemon::handle_line` / `serve_loop`), covering the error taxonomy,
 //! cache determinism, fault degradation, and eviction.
 //!
-//! The fault-injection switches are process-global, so the test that
-//! arms them serializes on a mutex and clears them on drop (cargo runs
-//! separate test binaries one after another, so cross-binary races
-//! cannot happen).
+//! The fault-injection switches are process-global, so every test
+//! holds one mutex while it runs and the test that arms them clears them
+//! on drop: a compile in another test must never run while they are
+//! armed (cargo runs separate test binaries one after another, so
+//! cross-binary races cannot happen).
 
 use fcc::serve::{serve_loop, Daemon, ServeOptions, PROTOCOL_VERSION};
 use fcc::workloads::{generate, GenConfig};
@@ -47,6 +48,7 @@ fn module_64() -> String {
 
 #[test]
 fn malformed_and_unversioned_requests_get_400_and_the_daemon_lives() {
+    let _quiet = quiet();
     let mut d = daemon();
     for (line, kind) in [
         ("{nope", "malformed-json"),
@@ -75,6 +77,7 @@ fn malformed_and_unversioned_requests_get_400_and_the_daemon_lives() {
 
 #[test]
 fn briggs_with_folding_is_a_422_typed_rejection() {
+    let _quiet = quiet();
     let mut d = daemon();
     let line = compile_line(
         "fn f(x) { return x; }",
@@ -110,6 +113,7 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
 
 #[test]
 fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
+    let _quiet = quiet();
     let src = module_64();
     // Byte-identical across jobs widths AND across cold/warm cache.
     let mut responses = Vec::new();
@@ -159,6 +163,7 @@ fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
 
 #[test]
 fn editing_one_function_recompiles_only_that_function() {
+    let _quiet = quiet();
     let mut d = daemon();
     let src = module_64();
     let (_, _) = d.handle_line(&compile_line(&src, ""));
@@ -186,6 +191,11 @@ fn arm() -> Armed {
     let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fcc::opt::fault::clear_injections();
     Armed(guard)
+}
+
+/// The lock with nothing armed, for every test that does not inject.
+fn quiet() -> Armed {
+    arm()
 }
 
 #[test]
@@ -245,6 +255,7 @@ fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
 
 #[test]
 fn a_tiny_byte_budget_forces_eviction_but_not_wrong_answers() {
+    let _quiet = quiet();
     // Big enough for a handful of the 64 entries, far too small for all
     // of them — every pass must insert and evict.
     let budget = 64 << 10;
@@ -275,6 +286,7 @@ fn a_tiny_byte_budget_forces_eviction_but_not_wrong_answers() {
 
 #[test]
 fn the_stats_verb_shape_is_pinned() {
+    let _quiet = quiet();
     // The CI durability harness scrapes these fields; adding is fine,
     // renaming or dropping any of them is a breaking change.
     let mut d = daemon();
@@ -316,6 +328,7 @@ fn the_stats_verb_shape_is_pinned() {
 
 #[test]
 fn an_expired_deadline_is_a_deterministic_504() {
+    let _quiet = quiet();
     let mut d = daemon();
     let line = compile_line(
         "fn f(x) { return x + 1; }\nfn g(y) { return y; }",
@@ -356,6 +369,7 @@ fn an_expired_deadline_is_a_deterministic_504() {
 
 #[test]
 fn a_full_admission_queue_sheds_with_a_typed_503() {
+    let _quiet = quiet();
     let mut d = Daemon::new(ServeOptions {
         max_queue: 0,
         ..ServeOptions::default()
@@ -382,6 +396,7 @@ fn a_full_admission_queue_sheds_with_a_typed_503() {
 
 #[test]
 fn oversized_lines_get_400_without_buffering_the_flood() {
+    let _quiet = quiet();
     let opts = ServeOptions {
         max_line_bytes: 256,
         ..ServeOptions::default()
@@ -418,6 +433,7 @@ fn oversized_lines_get_400_without_buffering_the_flood() {
 
 #[test]
 fn serve_loop_replays_the_kernel_suite_deterministically() {
+    let _quiet = quiet();
     // The CI serve job does this through the real binary; here the same
     // double replay runs in-process over the loop transport.
     let suite: Vec<&str> = fcc::workloads::kernels().iter().map(|k| k.source).collect();
