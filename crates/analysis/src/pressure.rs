@@ -62,17 +62,20 @@ impl Point {
 }
 
 /// Enumerate every program point of `func` (reachable blocks only) with
-/// its live set, walking each block backward from `live.live_out`.
+/// its live set and that set's size, walking each block backward from
+/// `live.live_out`.
 ///
 /// `live` may be either liveness flavour: `compute_ssa` for strict SSA
 /// input, or the dataflow `compute` for arbitrary (e.g. post-destruction)
 /// code. The set passed to `visit` is reused between calls — copy out
-/// what must be kept.
+/// what must be kept. The count is kept up to date through every insert
+/// and remove, so a visitor that only needs the pressure never scans the
+/// set.
 pub fn for_each_point(
     func: &Function,
     cfg: &ControlFlowGraph,
     live: &Liveness,
-    mut visit: impl FnMut(Point, &BitSet),
+    mut visit: impl FnMut(Point, &BitSet, usize),
 ) {
     let mut set = BitSet::new(func.num_values());
     for b in func.blocks() {
@@ -81,7 +84,8 @@ pub fn for_each_point(
         }
         set.clear();
         set.union_with(live.live_out(b));
-        visit(Point::Exit(b), &set);
+        let mut count = set.count();
+        visit(Point::Exit(b), &set, count);
 
         let insts = func.block_insts(b);
         let mut phi_end = 0;
@@ -91,31 +95,32 @@ pub fn for_each_point(
         for &i in insts[phi_end..].iter().rev() {
             let data = func.inst(i);
             if let Some(d) = data.dst {
-                if !set.contains(d.index()) {
+                if set.insert(d.index()) {
                     // Dead definition: it still occupies a register at
                     // the instant it is written.
-                    set.insert(d.index());
-                    visit(Point::DeadDef(b, i), &set);
+                    count += 1;
+                    visit(Point::DeadDef(b, i), &set, count);
                 }
                 set.remove(d.index());
+                count -= 1;
             }
             data.kind.for_each_use(|u| {
-                set.insert(u.index());
+                count += usize::from(set.insert(u.index()));
             });
-            visit(Point::Before(b, i), &set);
+            visit(Point::Before(b, i), &set, count);
         }
         if phi_end > 0 {
             // φ-destinations are parallel definitions at the block's
             // top. Dead ones are absent from the set here but still
             // occupy registers at the definition point.
-            let mut any_dead = false;
+            let before = count;
             for &i in &insts[..phi_end] {
                 if let Some(d) = func.inst(i).dst {
-                    any_dead |= set.insert(d.index());
+                    count += usize::from(set.insert(d.index()));
                 }
             }
-            if any_dead {
-                visit(Point::PhiDefs(b), &set);
+            if count > before {
+                visit(Point::PhiDefs(b), &set, count);
             }
         }
     }
@@ -138,9 +143,9 @@ impl Pressure {
     pub fn compute(func: &Function, cfg: &ControlFlowGraph, live: &Liveness) -> Pressure {
         let mut block_max = vec![0u32; func.num_blocks()];
         let mut points = 0usize;
-        for_each_point(func, cfg, live, |p, set| {
+        for_each_point(func, cfg, live, |p, _, count| {
             points += 1;
-            let c = set.count() as u32;
+            let c = count as u32;
             let slot = &mut block_max[p.block().index()];
             if c > *slot {
                 *slot = c;

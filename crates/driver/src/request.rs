@@ -93,8 +93,9 @@ pub enum RequestError {
     /// The briggs pipelines destruct by φ-web unioning, which requires
     /// copies kept un-folded (webs must be interference-free).
     BriggsNeedsNoFold(PipelineSpec),
-    /// `--alloc 0` can never colour anything.
-    ZeroRegisters,
+    /// `--alloc` below 2: a binary instruction needs two operand
+    /// registers at once even after maximal spilling.
+    AllocTooFew(usize),
     /// `--k-registers` below 2: a binary instruction needs two operand
     /// registers at once even after maximal spilling.
     KRegistersTooFew(u32),
@@ -112,7 +113,7 @@ impl RequestError {
             RequestError::UnknownFailMode(_) => "unknown-fail-mode",
             RequestError::UnknownFormat(_) => "unknown-format",
             RequestError::BriggsNeedsNoFold(_) => "briggs-needs-no-fold",
-            RequestError::ZeroRegisters => "zero-registers",
+            RequestError::AllocTooFew(_) => "alloc-too-few",
             RequestError::KRegistersTooFew(_) => "k-registers-too-few",
             RequestError::KRegistersWithAlloc => "k-registers-with-alloc",
         }
@@ -137,7 +138,11 @@ impl fmt::Display for RequestError {
                 f,
                 "the {p} pipeline needs --no-fold (phi webs must be interference-free)"
             ),
-            RequestError::ZeroRegisters => write!(f, "--alloc needs at least one register"),
+            RequestError::AllocTooFew(k) => write!(
+                f,
+                "--alloc {k} is too few: a binary op needs two operand registers \
+                 even after maximal spilling"
+            ),
             RequestError::KRegistersTooFew(k) => write!(
                 f,
                 "--k-registers {k} is too few: a binary op needs two operand registers \
@@ -328,8 +333,8 @@ impl CompileRequest {
         if self.pipeline.needs_no_fold() && self.fold {
             return Err(RequestError::BriggsNeedsNoFold(self.pipeline));
         }
-        if self.alloc == Some(0) {
-            return Err(RequestError::ZeroRegisters);
+        if let Some(k) = self.alloc.filter(|&k| k < 2) {
+            return Err(RequestError::AllocTooFew(k));
         }
         if let Some(k) = self.k_registers {
             if k < 2 {
@@ -436,9 +441,13 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_registers() {
-        let err = CompileRequest::new().alloc(Some(0)).validate().unwrap_err();
-        assert_eq!(err, RequestError::ZeroRegisters);
+    fn validate_rejects_too_few_alloc_registers() {
+        for k in [0, 1] {
+            let err = CompileRequest::new().alloc(Some(k)).validate().unwrap_err();
+            assert_eq!(err, RequestError::AllocTooFew(k));
+            assert_eq!(err.kind(), "alloc-too-few");
+        }
+        assert!(CompileRequest::new().alloc(Some(2)).validate().is_ok());
     }
 
     #[test]

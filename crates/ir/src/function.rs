@@ -268,6 +268,21 @@ impl Function {
         inst
     }
 
+    /// Allocate an instruction without linking it into any block. It takes
+    /// the next instruction id, exactly as the inserting methods would;
+    /// link it with [`Function::set_block_insts`]. Used by rewrites that
+    /// place many instructions in one pass over a block.
+    pub fn create_inst(&mut self, kind: InstKind, dst: Option<Value>) -> Inst {
+        self.bump_epoch();
+        self.insts.push(InstData { kind, dst })
+    }
+
+    /// Replace `block`'s instruction list, in program order.
+    pub fn set_block_insts(&mut self, block: Block, insts: Vec<Inst>) {
+        self.bump_epoch();
+        self.blocks[block].insts = insts;
+    }
+
     /// Insert a φ-node at the head of `block`.
     pub fn prepend_phi(&mut self, block: Block, args: Vec<PhiArg>, dst: Value) -> Inst {
         self.bump_epoch();

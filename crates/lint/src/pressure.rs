@@ -133,8 +133,8 @@ impl LintRule for CoalesceRaisesMaxlive {
         // interferes with one of them extends, after the merge, to a
         // (pressure + 1)-clique containing the merged node.
         let mut bound: Vec<u32> = candidates.iter().map(|_| 0).collect();
-        for_each_point(func, &cfg, &live, |_, set| {
-            let count = set.count() as u32;
+        for_each_point(func, &cfg, &live, |_, set, count| {
+            let count = count as u32;
             for (ci, &(_, d, s)) in candidates.iter().enumerate() {
                 if count < bound[ci] || set.contains(d.index()) || set.contains(s.index()) {
                     continue;

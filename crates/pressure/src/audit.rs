@@ -92,9 +92,9 @@ pub fn audit_allocation(
     let mut out_of_range: HashSet<usize> = HashSet::new();
     let mut by_color: HashMap<u32, Value> = HashMap::new();
 
-    for_each_point(func, &cfg, &live, |point, set| {
+    for_each_point(func, &cfg, &live, |point, set, count| {
         let b = point.block();
-        let count = set.count() as u32;
+        let count = count as u32;
         // The class count costs a pairwise pass, so only points over k
         // by raw count pay for it.
         if count > k && !over_blocks.contains(&b.index()) {

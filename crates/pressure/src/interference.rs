@@ -31,7 +31,7 @@ impl InterferenceRelation {
         let n = func.num_values();
         let mut adj = vec![BitSet::new(n); n];
         let mut occurs = BitSet::new(n);
-        for_each_point(func, cfg, live, |_, set| {
+        for_each_point(func, cfg, live, |_, set, _| {
             for v in set.iter() {
                 occurs.insert(v);
                 adj[v].union_with(set);

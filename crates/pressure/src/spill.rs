@@ -1,7 +1,8 @@
 //! Loop-depth-weighted spill-cost estimates per live range.
 //!
-//! The classic Chaitin/Briggs cost model, matching the in-allocator
-//! estimate in `fcc-regalloc`: every definition or use site of a value
+//! The classic Chaitin/Briggs cost model, shared by both spillers in
+//! `fcc-regalloc` (the SSA-level `spill_to_k` and the colourer's
+//! iterated spilling): every definition or use site of a value
 //! contributes `10^min(depth, 6)` where `depth` is the loop-nesting
 //! depth of the site's block. φ-arguments are uses *on the incoming
 //! edge* and are charged at the predecessor's depth; φ-destinations are

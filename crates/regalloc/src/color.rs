@@ -19,12 +19,13 @@
 //!   continues past any slots an earlier SSA-level spilling pass used.
 //!
 //! Spill costs follow the classical `(defs + uses) · 10^depth / degree`
-//! estimate.
+//! estimate, with the numerator from [`fcc_pressure::SpillCosts`].
 
 use std::collections::{HashMap, HashSet};
 
 use fcc_analysis::AnalysisManager;
 use fcc_ir::{Block, Function, Inst, InstKind, Value};
+use fcc_pressure::SpillCosts;
 
 use crate::igraph::InterferenceGraph;
 
@@ -173,36 +174,18 @@ pub fn allocate_managed(
         let loops = am.loops(func);
         let ig = InterferenceGraph::build(func, &cfg, &live, None);
 
-        // Occurrence counts and spill costs.
+        // Spill costs. A value is a node iff it has a def or use site in
+        // reachable code, i.e. iff its cost is positive.
+        let costs = SpillCosts::compute(func, &cfg, &loops);
+        let cost = |v: Value| costs.cost(v);
+        let is_node = |v: Value| cost(v) > 0.0;
         let n = func.num_values();
-        let mut occurs = vec![false; n];
-        let mut cost = vec![0f64; n];
-        for b in func.blocks() {
-            if !cfg.is_reachable(b) {
-                continue;
-            }
-            let w = 10f64.powi(loops.depth(b).min(6) as i32);
-            for &inst in func.block_insts(b) {
-                let data = func.inst(inst);
-                if let Some(d) = data.dst {
-                    occurs[d.index()] = true;
-                    cost[d.index()] += w;
-                }
-                data.kind.for_each_use(|u| {
-                    occurs[u.index()] = true;
-                    cost[u.index()] += w;
-                });
-            }
-        }
-        let nodes: Vec<Value> = (0..n)
-            .map(Value::new)
-            .filter(|v| occurs[v.index()])
-            .collect();
+        let nodes: Vec<Value> = (0..n).map(Value::new).filter(|&v| is_node(v)).collect();
 
         // ---- simplify ----
-        let mut degree: HashMap<Value, usize> = nodes.iter().map(|&v| (v, ig.degree(v))).collect();
-        let mut removed: HashMap<Value, bool> = nodes.iter().map(|&v| (v, false)).collect();
-        let mut stack: Vec<(Value, bool)> = Vec::with_capacity(nodes.len()); // (value, optimistic)
+        let mut degree: Vec<usize> = (0..n).map(|v| ig.degree(Value::new(v))).collect();
+        let mut removed = vec![false; n];
+        let mut stack: Vec<Value> = Vec::with_capacity(nodes.len());
         let mut remaining = nodes.len();
         while remaining > 0 {
             // Peel all trivially colourable nodes.
@@ -210,13 +193,13 @@ pub fn allocate_managed(
             while progressed {
                 progressed = false;
                 for &v in &nodes {
-                    if !removed[&v] && degree[&v] < opts.registers {
-                        removed.insert(v, true);
+                    if !removed[v.index()] && degree[v.index()] < opts.registers {
+                        removed[v.index()] = true;
                         remaining -= 1;
-                        stack.push((v, false));
+                        stack.push(v);
                         for nb in ig.neighbors(v) {
-                            if let Some(d) = degree.get_mut(&nb) {
-                                *d = d.saturating_sub(1);
+                            if is_node(nb) {
+                                degree[nb.index()] = degree[nb.index()].saturating_sub(1);
                             }
                         }
                         progressed = true;
@@ -230,42 +213,48 @@ pub fn allocate_managed(
             let v = nodes
                 .iter()
                 .copied()
-                .filter(|v| !removed[v])
+                .filter(|v| !removed[v.index()])
                 .min_by(|&a, &b| {
-                    let ca = cost[a.index()] / (degree[&a].max(1) as f64);
-                    let cb = cost[b.index()] / (degree[&b].max(1) as f64);
+                    let ca = cost(a) / (degree[a.index()].max(1) as f64);
+                    let cb = cost(b) / (degree[b.index()].max(1) as f64);
                     ca.partial_cmp(&cb).unwrap()
                 })
                 .expect("remaining > 0");
-            removed.insert(v, true);
+            removed[v.index()] = true;
             remaining -= 1;
-            stack.push((v, true));
+            stack.push(v);
             for nb in ig.neighbors(v) {
-                if let Some(d) = degree.get_mut(&nb) {
-                    *d = d.saturating_sub(1);
+                if is_node(nb) {
+                    degree[nb.index()] = degree[nb.index()].saturating_sub(1);
                 }
             }
         }
 
         // ---- select ----
-        let mut coloring: HashMap<Value, u32> = HashMap::new();
+        const UNCOLORED: u32 = u32::MAX;
+        let mut color = vec![UNCOLORED; n];
+        let mut used = vec![false; opts.registers];
         let mut to_spill: Vec<Value> = Vec::new();
-        while let Some((v, _optimistic)) = stack.pop() {
-            let mut used = vec![false; opts.registers];
+        while let Some(v) = stack.pop() {
+            used.fill(false);
             for nb in ig.neighbors(v) {
-                if let Some(&c) = coloring.get(&nb) {
+                let c = color[nb.index()];
+                if c != UNCOLORED {
                     used[c as usize] = true;
                 }
             }
             match used.iter().position(|&u| !u) {
-                Some(c) => {
-                    coloring.insert(v, c as u32);
-                }
+                Some(c) => color[v.index()] = c as u32,
                 None => to_spill.push(v),
             }
         }
 
         if to_spill.is_empty() {
+            let coloring = nodes
+                .iter()
+                .filter(|v| color[v.index()] != UNCOLORED)
+                .map(|&v| (v, color[v.index()]))
+                .collect();
             return Ok(Allocation {
                 coloring,
                 spilled: spilled_all,
@@ -292,8 +281,8 @@ pub fn allocate_managed(
                 .into_iter()
                 .filter(|nb| !no_respill.contains(nb) && !chosen.contains(nb))
                 .min_by(|&a, &b| {
-                    let ca = cost[a.index()] / (ig.degree(a).max(1) as f64);
-                    let cb = cost[b.index()] / (ig.degree(b).max(1) as f64);
+                    let ca = cost(a) / (ig.degree(a).max(1) as f64);
+                    let cb = cost(b) / (ig.degree(b).max(1) as f64);
                     ca.partial_cmp(&cb).unwrap().then(a.cmp(&b))
                 });
             if let Some(a) = alt {

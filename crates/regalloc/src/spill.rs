@@ -32,8 +32,14 @@
 //! (post-destruction, where φs have become sequenced copies) closes the
 //! remaining gap; `audit_allocation` certifies the final result either
 //! way.
-
-use std::collections::HashMap;
+//!
+//! Each round is linear in the function. Spilling inserts only
+//! straight-line instructions, so the CFG, dominator tree and loop
+//! nesting are computed once per [`spill_to_k`] call and shared by every
+//! round and both portfolio plans. A round is one SSA liveness, one
+//! point walk that yields both MaxLive and the round's victims, and one
+//! sweep that indexes the victims' def, use and φ-argument sites, after
+//! which each victim rewrites only its own sites.
 
 use fcc_analysis::liveness::Liveness;
 use fcc_analysis::loops::LoopNesting;
@@ -98,24 +104,24 @@ const MAX_ROUNDS: usize = 64;
 /// Panics if `k == 0`.
 pub fn spill_to_k(func: &mut Function, k: u32, strategy: SpillStrategy) -> SpillStats {
     assert!(k > 0, "cannot spill to zero registers");
+    let frame = Frame::compute(func);
     match strategy {
-        SpillStrategy::Everywhere => spill_once(func, k, strategy),
+        SpillStrategy::Everywhere => spill_once(func, k, strategy, &frame),
         SpillStrategy::CostGuided => {
-            let mut cg = func.clone();
-            let cg_stats = spill_once(&mut cg, k, SpillStrategy::CostGuided);
+            let input = func.clone();
+            let cg_stats = spill_once(func, k, SpillStrategy::CostGuided, &frame);
             if cg_stats.spills == 0 {
-                *func = cg;
                 return cg_stats;
             }
             // Portfolio step: price the baseline plan too and keep the
             // cheaper rewrite. Meeting the pressure target outranks
             // traffic; ties keep the cost-guided plan.
-            let mut ev = func.clone();
-            let ev_stats = spill_once(&mut ev, k, SpillStrategy::Everywhere);
-            let cg_key = (cg_stats.maxlive_after > k, weighted_spill_traffic(&cg));
-            let ev_key = (ev_stats.maxlive_after > k, weighted_spill_traffic(&ev));
+            let mut ev = input;
+            let ev_stats = spill_once(&mut ev, k, SpillStrategy::Everywhere, &frame);
+            let price = |f: &Function| traffic(f, &frame.cfg, &frame.loops);
+            let cg_key = (cg_stats.maxlive_after > k, price(func));
+            let ev_key = (ev_stats.maxlive_after > k, price(&ev));
             if cg_key <= ev_key {
-                *func = cg;
                 cg_stats
             } else {
                 *func = ev;
@@ -132,8 +138,11 @@ pub fn spill_to_k(func: &mut Function, k: u32, strategy: SpillStrategy) -> Spill
 /// rewrite never exceeds the everywhere rewrite.
 pub fn weighted_spill_traffic(func: &Function) -> f64 {
     let cfg = ControlFlowGraph::compute(func);
-    let dt = DomTree::compute(func, &cfg);
-    let loops = LoopNesting::compute(&cfg, &dt);
+    let loops = LoopNesting::compute(&cfg, &DomTree::compute(func, &cfg));
+    traffic(func, &cfg, &loops)
+}
+
+fn traffic(func: &Function, cfg: &ControlFlowGraph, loops: &LoopNesting) -> f64 {
     let mut total = 0f64;
     for b in func.blocks() {
         if !cfg.is_reachable(b) {
@@ -152,162 +161,161 @@ pub fn weighted_spill_traffic(func: &Function) -> f64 {
     total
 }
 
-fn spill_once(func: &mut Function, k: u32, strategy: SpillStrategy) -> SpillStats {
-    let mut stats = SpillStats {
-        maxlive_before: maxlive_of(func),
-        ..SpillStats::default()
-    };
-    stats.maxlive_after = stats.maxlive_before;
-    if stats.maxlive_before <= k {
-        return stats;
-    }
+/// What one [`spill_to_k`] call computes once from its input and every
+/// round of both plans reuses. Rounds only insert straight-line code and
+/// rename victims' uses, so none of it goes stale: victims are always
+/// input values, and the facts below about a value that is still
+/// eligible never change.
+struct Frame {
+    cfg: ControlFlowGraph,
+    loops: LoopNesting,
+    /// Loop-weighted cost of each input value.
+    costs: SpillCosts,
+    /// Values that must never be victims: spilled by an earlier pass, or
+    /// defined by a reload.
+    no_spill: Vec<bool>,
+    /// Uses per value, φ-arguments included. Spilling a never-used value
+    /// only lengthens its range, so such values are never victims.
+    use_count: Vec<usize>,
+    /// φ-arguments on the edges out of each block, by block index. They
+    /// stay live at that block's Exit after spilling (the reload temp
+    /// takes their place), so they are pinned there.
+    exit_pinned: Vec<Vec<usize>>,
+}
 
-    // Loop-weighted costs for the original names. Victims are always
-    // original values (reload temporaries are never re-spilled), so the
-    // up-front estimate stays valid across rounds.
-    let costs = {
+impl Frame {
+    fn compute(func: &Function) -> Frame {
         let cfg = ControlFlowGraph::compute(func);
-        let dt = DomTree::compute(func, &cfg);
-        let loops = LoopNesting::compute(&cfg, &dt);
-        SpillCosts::compute(func, &cfg, &loops)
-    };
-
-    let mut next_slot = func.spill_slot_count();
-    // Values that must never be chosen as victims: already spilled, or
-    // minted by this pass (reload temporaries).
-    let mut no_spill: Vec<bool> = vec![false; func.num_values()];
-    for b in func.blocks() {
-        for &i in func.block_insts(b) {
-            match func.inst(i).kind {
-                InstKind::Spill { val, .. } => no_spill[val.index()] = true,
-                InstKind::Reload { .. } => {
-                    if let Some(d) = func.inst(i).dst {
-                        no_spill[d.index()] = true;
+        let loops = LoopNesting::compute(&cfg, &DomTree::compute(func, &cfg));
+        let costs = SpillCosts::compute(func, &cfg, &loops);
+        let n = func.num_values();
+        let mut no_spill = vec![false; n];
+        let mut use_count = vec![0usize; n];
+        let mut exit_pinned = vec![Vec::new(); func.num_blocks()];
+        for b in func.blocks() {
+            for &i in func.block_insts(b) {
+                let data = func.inst(i);
+                data.kind.for_each_use(|u| use_count[u.index()] += 1);
+                match &data.kind {
+                    InstKind::Phi { args } => {
+                        for a in args {
+                            use_count[a.value.index()] += 1;
+                            exit_pinned[a.pred.index()].push(a.value.index());
+                        }
                     }
+                    InstKind::Spill { val, .. } => no_spill[val.index()] = true,
+                    InstKind::Reload { .. } => {
+                        if let Some(d) = data.dst {
+                            no_spill[d.index()] = true;
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
+        Frame {
+            cfg,
+            loops,
+            costs,
+            no_spill,
+            use_count,
+            exit_pinned,
+        }
+    }
+}
+
+fn spill_once(func: &mut Function, k: u32, strategy: SpillStrategy, frame: &Frame) -> SpillStats {
+    // Values minted by this pass (reload temporaries) join `no_spill` as
+    // they appear.
+    let mut no_spill = frame.no_spill.clone();
+    let mut next_slot = func.spill_slot_count();
+    let (maxlive, mut victims) = walk(func, k, strategy, frame, &no_spill);
+    let mut stats = SpillStats {
+        maxlive_before: maxlive,
+        maxlive_after: maxlive,
+        ..SpillStats::default()
+    };
+    if maxlive <= k {
+        return stats;
     }
 
     while stats.rounds < MAX_ROUNDS {
         stats.rounds += 1;
-        let victims = select_victims(func, k, strategy, &costs, &no_spill);
         if victims.is_empty() {
             break; // converged, or residual pressure is irreducible
         }
+        stats.reloads += rewrite(func, &victims, next_slot);
+        next_slot += victims.len() as u32;
+        stats.spills += victims.len();
+        stats.slots += victims.len() as u32;
         for &v in &victims {
-            let slot = next_slot;
-            next_slot += 1;
-            let reloads = rewrite_value(func, v, slot);
-            stats.spills += 1;
-            stats.reloads += reloads;
-            stats.slots += 1;
-            stats.spilled.push(v);
-            if v.index() < no_spill.len() {
-                no_spill[v.index()] = true;
-            }
+            no_spill[v.index()] = true;
         }
-        // New values were minted; extend and re-mark the artefact set.
+        stats.spilled.extend_from_slice(&victims);
         no_spill.resize(func.num_values(), true);
-        stats.maxlive_after = maxlive_of(func);
+        (stats.maxlive_after, victims) = walk(func, k, strategy, frame, &no_spill);
         if stats.maxlive_after <= k {
             break;
         }
     }
     stats.spilled.sort();
-    stats.maxlive_after = maxlive_of(func);
     stats
 }
 
-fn maxlive_of(func: &Function) -> u32 {
-    let cfg = ControlFlowGraph::compute(func);
-    let live = Liveness::compute_ssa(func, &cfg);
-    fcc_analysis::pressure::Pressure::compute(func, &cfg, &live).maxlive()
-}
-
-/// Pick this round's victims, in ascending value order.
-fn select_victims(
+/// One round's analysis: an SSA liveness and one point walk, giving
+/// MaxLive and the round's victims in ascending order. Only points over
+/// k look at their live set; each picks victims as if the ones already
+/// picked this round were gone.
+fn walk(
     func: &Function,
     k: u32,
     strategy: SpillStrategy,
-    costs: &SpillCosts,
+    frame: &Frame,
     no_spill: &[bool],
-) -> Vec<Value> {
-    let cfg = ControlFlowGraph::compute(func);
-    let live = Liveness::compute_ssa(func, &cfg);
-
-    // A victim must actually lose its range when spilled: values whose
-    // presence at a point is pinned by an adjacent use stay ineligible
-    // *at that point*. `use_count` additionally drops never-used values
-    // (spilling a dead def only lengthens its range).
-    let mut use_count = vec![0usize; func.num_values()];
-    for b in func.blocks() {
-        for &i in func.block_insts(b) {
-            let data = func.inst(i);
-            data.kind.for_each_use(|u| use_count[u.index()] += 1);
-            if let InstKind::Phi { args } = &data.kind {
-                for a in args {
-                    use_count[a.value.index()] += 1;
-                }
-            }
-        }
-    }
-    // φ-arguments on the edge out of each block are live at that block's
-    // Exit even after spilling (the reload temp takes their place), so
-    // they are pinned at the Exit point.
-    let mut exit_pinned: HashMap<Block, Vec<usize>> = HashMap::new();
-    for b in func.blocks() {
-        for &i in func.block_insts(b) {
-            if let InstKind::Phi { args } = &func.inst(i).kind {
-                for a in args {
-                    exit_pinned.entry(a.pred).or_default().push(a.value.index());
-                }
-            }
-        }
-    }
-
-    let eligible = |v: usize, pinned: &[usize]| -> bool {
-        !no_spill[v] && use_count[v] > 0 && !pinned.contains(&v)
-    };
-
-    // (excess, point order, live set) per over-pressure point.
+) -> (u32, Vec<Value>) {
+    let live = Liveness::compute_ssa(func, &frame.cfg);
+    let k = k as usize;
+    let mut maxlive = 0usize;
     let mut chosen: Vec<bool> = vec![false; func.num_values()];
     let mut picks: Vec<Value> = Vec::new();
-    let empty: Vec<usize> = Vec::new();
-    for_each_point(func, &cfg, &live, |p, set| {
-        let mut pinned: Vec<usize> = Vec::new();
+    let mut pinned: Vec<usize> = Vec::new();
+    let mut cands: Vec<usize> = Vec::new();
+    for_each_point(func, &frame.cfg, &live, |p, set, count| {
+        maxlive = maxlive.max(count);
+        if count <= k {
+            return;
+        }
+        // A victim must actually lose its range when spilled: values
+        // whose presence at a point is pinned by an adjacent use stay
+        // ineligible *at that point*.
+        pinned.clear();
         match p {
             Point::Before(_, i) | Point::DeadDef(_, i) => {
-                func.inst(i).kind.for_each_use(|u| pinned.push(u.index()));
-                if let Some(d) = func.inst(i).dst {
+                let data = func.inst(i);
+                data.kind.for_each_use(|u| pinned.push(u.index()));
+                if let Some(d) = data.dst {
                     pinned.push(d.index());
                 }
             }
-            Point::Exit(b) => pinned.extend(exit_pinned.get(&b).unwrap_or(&empty)),
+            Point::Exit(b) => pinned.extend_from_slice(&frame.exit_pinned[b.index()]),
             Point::PhiDefs(_) => return, // φ-defs are parallel: irreducible here
         }
         // Count pressure as if already-picked victims were gone.
-        let residual: Vec<usize> = set.iter().filter(|&v| !chosen[v]).collect();
-        if (residual.len() as u32) <= k {
+        let mut residual = 0usize;
+        cands.clear();
+        for v in set.iter().filter(|&v| !chosen[v]) {
+            residual += 1;
+            if !no_spill[v] && frame.use_count[v] > 0 && !pinned.contains(&v) {
+                cands.push(v);
+            }
+        }
+        if residual <= k {
             return;
         }
-        let mut cands: Vec<usize> = residual
-            .iter()
-            .copied()
-            .filter(|&v| eligible(v, &pinned))
-            .collect();
-        match strategy {
-            SpillStrategy::Everywhere => {
-                for v in cands {
-                    if !chosen[v] {
-                        chosen[v] = true;
-                        picks.push(Value::new(v));
-                    }
-                }
-            }
+        let need = match strategy {
+            SpillStrategy::Everywhere => cands.len(),
             SpillStrategy::CostGuided => {
-                let need = residual.len() - k as usize;
+                let costs = &frame.costs;
                 cands.sort_by(|&a, &b| {
                     costs
                         .cost(Value::new(a))
@@ -315,138 +323,165 @@ fn select_victims(
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.cmp(&b))
                 });
-                for &v in cands.iter().take(need) {
-                    if !chosen[v] {
-                        chosen[v] = true;
-                        picks.push(Value::new(v));
-                    }
-                }
+                residual - k
             }
+        };
+        for &v in cands.iter().take(need) {
+            chosen[v] = true;
+            picks.push(Value::new(v));
         }
     });
     picks.sort();
-    picks
+    (maxlive as u32, picks)
 }
 
-/// Evict `v` to `slot`: one `spill` after its definition, one fresh-name
+/// Evict each of `victims` (ascending) to its own slot, numbered from
+/// `first_slot`: one `spill` after its definition, one fresh-name
 /// `reload` in front of every use. Returns the number of reloads.
-fn rewrite_value(func: &mut Function, v: Value, slot: u32) -> usize {
-    // Locate the definition site.
-    let mut def: Option<(Block, Inst)> = None;
-    for b in func.blocks() {
-        for &i in func.block_insts(b) {
-            if func.inst(i).dst == Some(v) {
-                def = Some((b, i));
-                break;
-            }
-        }
-        if def.is_some() {
-            break;
-        }
+///
+/// One sweep indexes every victim's sites; each victim then rewrites
+/// only its own, in the order one-victim-at-a-time insertion would, so
+/// values, instruction ids and positions come out the same. New
+/// instructions are linked in one pass per touched block.
+fn rewrite(func: &mut Function, victims: &[Value], first_slot: u32) -> usize {
+    const NONE: u32 = u32::MAX;
+    let mut victim_of = vec![NONE; func.num_values()];
+    for (j, &v) in victims.iter().enumerate() {
+        victim_of[v.index()] = j as u32;
     }
-    let (def_block, def_inst) = def.expect("spill victim must have a definition");
+    let victim = |v: Value| match victim_of[v.index()] {
+        NONE => None,
+        j => Some(j as usize),
+    };
 
-    // Collect use sites before mutating. φ-args reload in the predecessor.
-    let mut inst_uses: Vec<(Block, Inst)> = Vec::new();
-    let mut phi_args: Vec<(Inst, Block)> = Vec::new(); // (φ inst, pred)
+    // Sites are block-local positions in the round's starting layout.
+    // A def site is the gap its spill goes into: right after an ordinary
+    // definition, but after the whole group for a φ (φs are defined in
+    // parallel) or a param (params must stay a prefix of the entry).
+    let mut defs: Vec<Option<(Block, usize)>> = vec![None; victims.len()];
+    let mut uses: Vec<Vec<(Block, usize, Inst)>> = vec![Vec::new(); victims.len()];
+    let mut phi_uses: Vec<Vec<(Inst, Block)>> = vec![Vec::new(); victims.len()];
     for b in func.blocks() {
-        for &i in func.block_insts(b) {
+        let insts = func.block_insts(b);
+        for (pos, &i) in insts.iter().enumerate() {
             let data = func.inst(i);
-            let mut used = false;
-            data.kind.for_each_use(|u| used |= u == v);
-            if used {
-                inst_uses.push((b, i));
+            if let Some(j) = data.dst.and_then(victim) {
+                let gap = match data.kind {
+                    InstKind::Phi { .. } => group_end(func, insts, InstKind::is_phi),
+                    InstKind::Param { .. } => {
+                        group_end(func, insts, |k| matches!(k, InstKind::Param { .. }))
+                    }
+                    _ => pos + 1,
+                };
+                defs[j] = Some((b, gap));
             }
+            data.kind.for_each_use(|u| {
+                if let Some(j) = victim(u) {
+                    // `add v, v` is one site.
+                    if uses[j].last() != Some(&(b, pos, i)) {
+                        uses[j].push((b, pos, i));
+                    }
+                }
+            });
             if let InstKind::Phi { args } = &data.kind {
                 for a in args {
-                    if a.value == v {
-                        phi_args.push((i, a.pred));
+                    if let Some(j) = victim(a.value) {
+                        phi_uses[j].push((i, a.pred));
                     }
                 }
             }
         }
     }
 
-    // Insert the spill right after the definition. φ definitions sit in a
-    // parallel group and params must stay a prefix of the entry block, so
-    // the spill goes after the whole group in those cases.
-    let def_pos = pos_of(func, def_block, def_inst);
-    let insert_at = match &func.inst(def_inst).kind {
-        InstKind::Phi { .. } => first_non_phi(func, def_block),
-        InstKind::Param { .. } => first_non_param(func, def_block),
-        _ => def_pos + 1,
-    };
-    func.insert_inst_at(def_block, insert_at, InstKind::Spill { slot, val: v }, None);
-
+    // (block, gap, is-reload, inst) per new instruction.
+    let mut placed: Vec<(Block, usize, bool, Inst)> = Vec::new();
     let mut reloads = 0usize;
+    for (j, &v) in victims.iter().enumerate() {
+        let slot = first_slot + j as u32;
+        let (def_block, gap) = defs[j].expect("spill victim must have a definition");
+        let spill = func.create_inst(InstKind::Spill { slot, val: v }, None);
+        placed.push((def_block, gap, false, spill));
 
-    // Ordinary uses: fresh temp per using instruction (a double operand
-    // like `add v, v` shares the one temp).
-    for (b, i) in inst_uses {
-        let t = func.new_value();
-        let pos = pos_of(func, b, i);
-        func.insert_inst_at(b, pos, InstKind::Reload { slot }, Some(t));
-        reloads += 1;
-        func.inst_mut(i).kind.for_each_use_mut(|u| {
-            if *u == v {
-                *u = t;
-            }
-        });
-    }
+        // Ordinary uses: fresh temp per using instruction (a double
+        // operand like `add v, v` shares the one temp).
+        for &(b, pos, i) in &uses[j] {
+            let t = func.new_value();
+            let reload = func.create_inst(InstKind::Reload { slot }, Some(t));
+            placed.push((b, pos, true, reload));
+            reloads += 1;
+            func.inst_mut(i).kind.for_each_use_mut(|u| {
+                if *u == v {
+                    *u = t;
+                }
+            });
+        }
 
-    // φ-argument uses: reload at the bottom of the predecessor, one temp
-    // per (pred) edge shared across all φs consuming `v` on that edge.
-    let mut edge_temp: HashMap<Block, Value> = HashMap::new();
-    for (phi, pred) in phi_args {
-        let t = match edge_temp.get(&pred) {
-            Some(&t) => t,
-            None => {
-                let t = func.new_value();
-                let term = func
-                    .terminator(pred)
-                    .expect("predecessor must have a terminator");
-                let pos = pos_of(func, pred, term);
-                func.insert_inst_at(pred, pos, InstKind::Reload { slot }, Some(t));
-                reloads += 1;
-                edge_temp.insert(pred, t);
-                t
-            }
-        };
-        if let InstKind::Phi { args } = &mut func.inst_mut(phi).kind {
-            for a in args.iter_mut() {
-                if a.pred == pred && a.value == v {
-                    a.value = t;
+        // φ-argument uses: reload at the bottom of the predecessor, one
+        // temp per (pred) edge shared across all φs consuming `v` on that
+        // edge.
+        let mut edge_temp: Vec<(Block, Value)> = Vec::new();
+        for &(phi, pred) in &phi_uses[j] {
+            let t = match edge_temp.iter().find(|&&(p, _)| p == pred) {
+                Some(&(_, t)) => t,
+                None => {
+                    let t = func.new_value();
+                    assert!(
+                        func.terminator(pred).is_some(),
+                        "predecessor must have a terminator"
+                    );
+                    let term = func.block_insts(pred).len() - 1;
+                    let reload = func.create_inst(InstKind::Reload { slot }, Some(t));
+                    placed.push((pred, term, true, reload));
+                    reloads += 1;
+                    edge_temp.push((pred, t));
+                    t
+                }
+            };
+            if let InstKind::Phi { args } = &mut func.inst_mut(phi).kind {
+                for a in args.iter_mut() {
+                    if a.pred == pred && a.value == v {
+                        a.value = t;
+                    }
                 }
             }
         }
     }
 
+    // Inserting one instruction at a time puts each spill at the front
+    // of its gap and each reload at the back, so within a gap spills run
+    // newest first and reloads oldest first.
+    placed.sort_unstable_by_key(|&(b, gap, is_reload, i)| {
+        let age = if is_reload {
+            i.index()
+        } else {
+            usize::MAX - i.index()
+        };
+        (b.index(), gap, is_reload, age)
+    });
+    for here in placed.chunk_by(|x, y| x.0 == y.0) {
+        let b = here[0].0;
+        let old = func.block_insts(b);
+        let mut list = Vec::with_capacity(old.len() + here.len());
+        let mut new = here.iter().peekable();
+        for (pos, &i) in old.iter().enumerate() {
+            while let Some(e) = new.next_if(|e| e.1 == pos) {
+                list.push(e.3);
+            }
+            list.push(i);
+        }
+        list.extend(new.map(|e| e.3));
+        func.set_block_insts(b, list);
+    }
     reloads
 }
 
-fn pos_of(func: &Function, b: Block, i: Inst) -> usize {
-    func.block_insts(b)
+/// Position of the first instruction of `insts` outside the leading
+/// group `in_group` describes.
+fn group_end(func: &Function, insts: &[Inst], in_group: impl Fn(&InstKind) -> bool) -> usize {
+    insts
         .iter()
-        .position(|&x| x == i)
-        .expect("instruction must be in its block")
-}
-
-fn first_non_phi(func: &Function, b: Block) -> usize {
-    let insts = func.block_insts(b);
-    let mut p = 0;
-    while p < insts.len() && func.inst(insts[p]).kind.is_phi() {
-        p += 1;
-    }
-    p
-}
-
-fn first_non_param(func: &Function, b: Block) -> usize {
-    let insts = func.block_insts(b);
-    let mut p = 0;
-    while p < insts.len() && matches!(func.inst(insts[p]).kind, InstKind::Param { .. }) {
-        p += 1;
-    }
-    p
+        .position(|&i| !in_group(&func.inst(i).kind))
+        .unwrap_or(insts.len())
 }
 
 #[cfg(test)]

@@ -292,26 +292,9 @@ impl DiskCache {
 mod tests {
     use super::*;
     use crate::cache::cache_key;
+    use crate::fsio::tests::arm;
     use crate::fsio::DiskFault;
     use fcc_driver::{compile_function_report, CompileRequest};
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serialize fault-arming across this module's tests.
-    fn arm(fault: Option<DiskFault>) -> impl Drop {
-        static LOCK: Mutex<()> = Mutex::new(());
-        struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-        impl Drop for Armed {
-            fn drop(&mut self) {
-                crate::fsio::clear();
-            }
-        }
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::fsio::clear();
-        if let Some(f) = fault {
-            crate::fsio::inject(f);
-        }
-        Armed(guard)
-    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fcc-disk-{tag}-{}", std::process::id()));

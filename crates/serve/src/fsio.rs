@@ -189,12 +189,13 @@ pub fn is_temp_name(name: &str) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::MutexGuard;
 
-    /// Serialize fault-arming tests (the registry is process-global) and
-    /// guarantee disarming even on panic.
+    /// Serialize every unit test that touches the disk (the fault
+    /// registry is process-global, so an unlocked test can write while
+    /// another has a fault armed) and guarantee disarming even on panic.
     pub(crate) fn arm(fault: Option<DiskFault>) -> impl Drop {
         static LOCK: Mutex<()> = Mutex::new(());
         struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);

@@ -155,12 +155,14 @@ fn validate_is_the_single_precondition_gate() {
                 .is_ok());
         }
     }
-    assert_eq!(
-        CompileRequest::new()
-            .alloc(Some(0))
-            .validate()
-            .unwrap_err()
-            .kind(),
-        "zero-registers"
-    );
+    for k in [0, 1] {
+        assert_eq!(
+            CompileRequest::new()
+                .alloc(Some(k))
+                .validate()
+                .unwrap_err()
+                .kind(),
+            "alloc-too-few"
+        );
+    }
 }

@@ -112,6 +112,31 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
 }
 
 #[test]
+fn too_few_registers_is_a_422_typed_rejection_for_both_bounds() {
+    let _quiet = quiet();
+    let mut d = daemon();
+    for (request, kind) in [
+        ("{\"alloc\":1}", "alloc-too-few"),
+        ("{\"k_registers\":1}", "k-registers-too-few"),
+    ] {
+        let line = compile_line("fn f(x) { return x; }", &format!(",\"request\":{request}"));
+        let (resp, stop) = d.handle_line(&line);
+        assert!(!stop);
+        let err = parse(&resp).get("error").cloned().expect("a typed error");
+        assert_eq!(err.get("code").unwrap().as_u64(), Some(422), "{resp}");
+        assert_eq!(err.get("kind").unwrap().as_str(), Some(kind), "{resp}");
+    }
+    // Two registers is the floor, and it compiles.
+    let line = compile_line("fn f(x) { return x; }", ",\"request\":{\"alloc\":2}");
+    let (resp, _) = d.handle_line(&line);
+    assert_eq!(
+        parse(&resp).get("ok").unwrap().as_bool(),
+        Some(true),
+        "{resp}"
+    );
+}
+
+#[test]
 fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
     let _quiet = quiet();
     let src = module_64();
