@@ -35,6 +35,15 @@ impl BitSet {
         self.len
     }
 
+    /// Widen the universe to `0..len`; the new elements start absent. A
+    /// `len` at or below the current universe changes nothing.
+    pub fn grow(&mut self, len: usize) {
+        if len > self.len {
+            self.words.resize(len.div_ceil(64), 0);
+            self.len = len;
+        }
+    }
+
     /// Insert `i`. Returns `true` if it was not already present.
     ///
     /// # Panics
@@ -120,6 +129,19 @@ impl BitSet {
             .iter()
             .zip(&other.words)
             .any(|(&a, &b)| a & b != 0)
+    }
+
+    /// The smallest element at or above `from`, if any.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
     }
 
     /// Iterate over the elements in increasing order.
@@ -248,6 +270,38 @@ mod tests {
         let elems = [0usize, 1, 63, 64, 65, 127, 128];
         let s: BitSet = elems.into_iter().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), elems.to_vec());
+    }
+
+    #[test]
+    fn next_from_finds_the_next_element() {
+        let s: BitSet = [0usize, 5, 63, 64, 200].into_iter().collect();
+        assert_eq!(s.next_from(0), Some(0));
+        assert_eq!(s.next_from(1), Some(5));
+        assert_eq!(s.next_from(6), Some(63));
+        assert_eq!(s.next_from(64), Some(64));
+        assert_eq!(s.next_from(65), Some(200));
+        assert_eq!(s.next_from(201), None);
+        assert_eq!(s.next_from(10_000), None);
+        assert_eq!(BitSet::new(0).next_from(0), None);
+    }
+
+    #[test]
+    fn grow_keeps_elements_and_only_widens() {
+        let mut s: BitSet = [3, 63].into_iter().collect();
+        s.grow(130);
+        assert_eq!(s.universe(), 130);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 63]);
+        assert!(s.insert(129));
+        s.grow(10);
+        assert_eq!(s.universe(), 130, "grow never shrinks");
+        let mut fresh = BitSet::new(130);
+        fresh.insert(3);
+        fresh.insert(63);
+        fresh.insert(129);
+        assert_eq!(
+            s, fresh,
+            "a grown set equals one built at the wider universe"
+        );
     }
 
     #[test]

@@ -203,6 +203,52 @@ impl Liveness {
         }
     }
 
+    /// Bring the sets up to date after a spill rewrite instead of
+    /// recomputing them. The rewrite gives every `spilled` value a
+    /// `spill` right after each of its definitions and replaces each of
+    /// its uses by a fresh temporary reloaded right before that use.
+    /// Afterwards:
+    ///
+    /// * a spilled value lives only from a definition to the adjacent
+    ///   `spill`, inside one block, so it leaves every live-in and
+    ///   live-out set;
+    /// * a reload temporary lives only from its reload to the adjacent
+    ///   use, inside one block, except one that replaces a φ-argument:
+    ///   it is reloaded at the bottom of the predecessor and, as a
+    ///   φ-argument, is live-out of it. `edge_reloads` lists those as
+    ///   `(predecessor, temporary)`;
+    /// * no other value gains or loses a definition or a use, and blocks
+    ///   and edges are unchanged, so nothing else moves.
+    ///
+    /// The universe grows to `universe`, the function's new value count.
+    /// The result is exactly what [`compute`](Self::compute) (or
+    /// [`compute_ssa`](Self::compute_ssa), for strict SSA) gives on the
+    /// rewritten function, on every reachable block.
+    pub fn spill_rewritten(
+        &mut self,
+        cfg: &ControlFlowGraph,
+        universe: usize,
+        spilled: &[Value],
+        edge_reloads: &[(Block, Value)],
+    ) {
+        let mut gone = BitSet::new(universe);
+        for v in spilled {
+            gone.insert(v.index());
+        }
+        for &b in cfg.postorder() {
+            for set in [&mut self.live_in[b], &mut self.live_out[b]] {
+                set.grow(universe);
+                set.difference_with(&gone);
+            }
+        }
+        for &(pred, temp) in edge_reloads {
+            if cfg.is_reachable(pred) {
+                self.live_out[pred].insert(temp.index());
+            }
+        }
+        self.universe = universe;
+    }
+
     /// The live-in set of `block`.
     pub fn live_in(&self, block: Block) -> &BitSet {
         &self.live_in[block]
@@ -389,6 +435,61 @@ mod tests {
         for b in f.blocks() {
             assert!(!l.is_live_in(Value::new(0), b));
             assert!(!l.is_live_out(Value::new(0), b));
+        }
+    }
+
+    #[test]
+    fn spill_rewritten_matches_a_fresh_solve() {
+        // v0 and v1 are live across b0 → b1 and into the φ; the rewrite
+        // below spills both, reloading v1's φ-argument at the bottom of b1.
+        let before = "function @s(0) {
+             b0:
+                 v0 = const 1
+                 v1 = const 2
+                 jump b1
+             b1:
+                 v2 = add v0, v1
+                 branch v2, b1, b2
+             b2:
+                 v3 = phi [b1: v1]
+                 return v3
+             }";
+        let after = "function @s(0) {
+             b0:
+                 v0 = const 1
+                 spill 0, v0
+                 v1 = const 2
+                 spill 1, v1
+                 jump b1
+             b1:
+                 v4 = reload 0
+                 v5 = reload 1
+                 v2 = add v4, v5
+                 v6 = reload 1
+                 branch v2, b1, b2
+             b2:
+                 v3 = phi [b1: v6]
+                 return v3
+             }";
+        let f = parse_function(before).unwrap();
+        let cfg = ControlFlowGraph::compute(&f);
+        let g = parse_function(after).unwrap();
+        assert_eq!(cfg, ControlFlowGraph::compute(&g));
+        let spilled = [Value::new(0), Value::new(1)];
+        let edge = [(Block::new(1), Value::new(6))];
+        for (mut live, fresh) in [
+            (Liveness::compute(&f, &cfg), Liveness::compute(&g, &cfg)),
+            (
+                Liveness::compute_ssa(&f, &cfg),
+                Liveness::compute_ssa(&g, &cfg),
+            ),
+        ] {
+            live.spill_rewritten(&cfg, g.num_values(), &spilled, &edge);
+            assert_eq!(live.universe(), fresh.universe());
+            for b in g.blocks() {
+                assert_eq!(live.live_in(b), fresh.live_in(b), "live-in {b}");
+                assert_eq!(live.live_out(b), fresh.live_out(b), "live-out {b}");
+            }
         }
     }
 

@@ -44,13 +44,21 @@
 //!
 //! Each violation is reported once (deduplicated by value, pair, or
 //! slot), in deterministic program order.
+//!
+//! The audit is linear in the function plus its copy pairs. The
+//! colouring is indexed by value once; at each point the first value
+//! seen in each register sits in a k-wide row stamped with the point
+//! (registers at or above k, or above the function's value count, go in
+//! a short list), and `CopyEquality` keeps its sets in flat word arrays.
+//! The CFG and liveness are the auditor's own, computed from the text:
+//! nothing is shared with the allocator under audit.
 
 use std::collections::{HashMap, HashSet};
 
 use fcc_analysis::liveness::Liveness;
 use fcc_analysis::pressure::{for_each_point, Point};
-use fcc_analysis::UnionFind;
-use fcc_ir::{ControlFlowGraph, Diagnostic, Function, InstKind, Value};
+use fcc_analysis::{BitSet, UnionFind};
+use fcc_ir::{ControlFlowGraph, Diagnostic, Function, Inst, InstKind, Value};
 
 /// A program point needs more than `k` registers: more than `k` live
 /// values, counting values proven equal by a copy once.
@@ -84,24 +92,44 @@ pub fn audit_allocation(
     let cfg = ControlFlowGraph::compute(func);
     let live = Liveness::compute(func, &cfg);
     let equal = CopyEquality::compute(func, &cfg);
+    let n = func.num_values();
+
+    // The colouring by value index. Keys for values the function does
+    // not have are never live, so never consulted.
+    let mut reg: Vec<Option<u32>> = vec![None; n];
+    for (&v, &c) in coloring {
+        if let Some(r) = reg.get_mut(v.index()) {
+            *r = Some(c);
+        }
+    }
 
     let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut over_blocks: HashSet<usize> = HashSet::new();
+    let mut over_block = vec![false; func.num_blocks()];
     let mut clashes: HashSet<(usize, usize)> = HashSet::new();
-    let mut uncolored: HashSet<usize> = HashSet::new();
-    let mut out_of_range: HashSet<usize> = HashSet::new();
-    let mut by_color: HashMap<u32, Value> = HashMap::new();
+    // A value is either uncoloured or has one register, so one flag per
+    // value dedups both the uncoloured and the range rule.
+    let mut reported = vec![false; n];
+    // The first value seen in each register at the current point:
+    // `first[r] = (point, value)` counts only while `point` is current.
+    // The row is at most as wide as the function has values, so a huge k
+    // costs nothing; registers beyond it (out of range, or unusually
+    // high) go in `high`, emptied at every point.
+    let width = (k as usize).min(n);
+    let mut first: Vec<(usize, usize)> = vec![(0, 0); width];
+    let mut high: Vec<(u32, usize)> = Vec::new();
+    let mut point_no = 0usize;
 
     for_each_point(func, &cfg, &live, |point, set, count| {
+        point_no += 1;
+        high.clear();
         let b = point.block();
         let count = count as u32;
-        // The class count costs a pairwise pass, so only points over k
-        // by raw count pay for it.
-        if count > k && !over_blocks.contains(&b.index()) {
-            let live: Vec<Value> = set.iter().map(Value::new).collect();
-            let regs = equal.classes(func, point, &live);
+        // The class count costs a pass over the point's copy pairs, so
+        // only points over k by raw count pay for it.
+        if count > k && !over_block[b.index()] {
+            let regs = equal.classes(func, point, set);
             if regs > k {
-                over_blocks.insert(b.index());
+                over_block[b.index()] = true;
                 let mut d = Diagnostic::error(
                     RULE_ALLOC_PRESSURE,
                     format!(
@@ -116,52 +144,67 @@ pub fn audit_allocation(
                 diags.push(d);
             }
         }
-        by_color.clear();
         for vi in set.iter() {
             let v = Value::new(vi);
-            match coloring.get(&v) {
-                None => {
-                    if uncolored.insert(vi) {
-                        diags.push(
-                            Diagnostic::error(
-                                RULE_ALLOC_UNCOLORED,
-                                format!("{v} is live but has no register"),
-                            )
-                            .in_block(b)
-                            .on_value(v),
-                        );
+            let Some(c) = reg[vi] else {
+                if !reported[vi] {
+                    reported[vi] = true;
+                    diags.push(
+                        Diagnostic::error(
+                            RULE_ALLOC_UNCOLORED,
+                            format!("{v} is live but has no register"),
+                        )
+                        .in_block(b)
+                        .on_value(v),
+                    );
+                }
+                continue;
+            };
+            if c >= k && !reported[vi] {
+                reported[vi] = true;
+                diags.push(
+                    Diagnostic::error(
+                        RULE_ALLOC_RANGE,
+                        format!("{v} assigned r{c}, outside the {k}-register target"),
+                    )
+                    .in_block(b)
+                    .on_value(v),
+                );
+            }
+            let holder = if (c as usize) < width {
+                match first[c as usize] {
+                    (p, other) if p == point_no => Some(other),
+                    _ => {
+                        first[c as usize] = (point_no, vi);
+                        None
                     }
                 }
-                Some(&c) => {
-                    if c >= k && out_of_range.insert(vi) {
-                        diags.push(
-                            Diagnostic::error(
-                                RULE_ALLOC_RANGE,
-                                format!("{v} assigned r{c}, outside the {k}-register target"),
-                            )
-                            .in_block(b)
-                            .on_value(v),
-                        );
-                    }
-                    if let Some(&other) = by_color.get(&c) {
-                        if equal.equal_at(func, point, other, v) {
-                            continue;
-                        }
-                        let key = (other.index().min(vi), other.index().max(vi));
-                        if clashes.insert(key) {
-                            diags.push(
-                                Diagnostic::error(
-                                    RULE_ALLOC_CLASH,
-                                    format!("{other} and {v} are both live here but share r{c}"),
-                                )
-                                .in_block(b)
-                                .on_value(v),
-                            );
-                        }
-                    } else {
-                        by_color.insert(c, v);
+            } else {
+                match high.iter().find(|&&(r, _)| r == c) {
+                    Some(&(_, other)) => Some(other),
+                    None => {
+                        high.push((c, vi));
+                        None
                     }
                 }
+            };
+            let Some(other) = holder else {
+                continue;
+            };
+            if equal.equal_at(func, point, other, vi) {
+                continue;
+            }
+            let key = (other.min(vi), other.max(vi));
+            if clashes.insert(key) {
+                let other = Value::new(other);
+                diags.push(
+                    Diagnostic::error(
+                        RULE_ALLOC_CLASH,
+                        format!("{other} and {v} are both live here but share r{c}"),
+                    )
+                    .in_block(b)
+                    .on_value(v),
+                );
             }
         }
     });
@@ -181,26 +224,37 @@ pub fn audit_allocation(
 /// (no transitive closure) — strictly more conservative than true value
 /// equality, hence still sound: every exemption granted is a genuine
 /// equality.
+///
+/// Each distinct pair is one bit; every set is `words` words in a flat
+/// array indexed by instruction or block.
 struct CopyEquality {
-    /// Normalised `(low, high)` copy pair → bit index.
-    pair_idx: HashMap<(Value, Value), usize>,
-    /// Bit indices of the pairs each value participates in (kill sets).
-    by_value: HashMap<Value, Vec<usize>>,
-    /// Bitset width in 64-bit words (`0` means "no copies anywhere").
+    /// The two values of each pair, by bit index.
+    pairs: Vec<(usize, usize)>,
+    /// The pair each instruction's copy makes available, by instruction
+    /// index (`NO_PAIR` for anything but a non-self copy in reachable
+    /// code).
+    gen: Vec<u32>,
+    /// The pairs naming each value — its kill row — are
+    /// `kills[kill_start[v]..kill_start[v + 1]]`.
+    kill_start: Vec<u32>,
+    kills: Vec<u32>,
+    /// Set width in 64-bit words (`0` means "no copies anywhere").
     words: usize,
     /// Available pairs immediately before each instruction executes.
-    before: Vec<Vec<u64>>,
+    before: Vec<u64>,
     /// Available pairs at each block's exit (after the terminator).
-    out: Vec<Vec<u64>>,
+    out: Vec<u64>,
     /// Available pairs just after each block's φ-destinations are
     /// written (φs only kill — a φ is not a copy).
-    after_phis: Vec<Vec<u64>>,
+    after_phis: Vec<u64>,
 }
+
+const NO_PAIR: u32 = u32::MAX;
 
 impl CopyEquality {
     fn compute(func: &Function, cfg: &ControlFlowGraph) -> CopyEquality {
-        let mut pair_idx: HashMap<(Value, Value), usize> = HashMap::new();
-        let mut by_value: HashMap<Value, Vec<usize>> = HashMap::new();
+        // Every non-self copy in reachable code, as (low, high, inst).
+        let mut copies: Vec<(usize, usize, Inst)> = Vec::new();
         for b in func.blocks() {
             if !cfg.is_reachable(b) {
                 continue;
@@ -208,56 +262,94 @@ impl CopyEquality {
             for &i in func.block_insts(b) {
                 let data = func.inst(i);
                 if let (InstKind::Copy { src }, Some(d)) = (&data.kind, data.dst) {
-                    let src = *src;
-                    if d == src {
-                        continue;
-                    }
-                    let key = (d.min(src), d.max(src));
-                    let next = pair_idx.len();
-                    let idx = *pair_idx.entry(key).or_insert(next);
-                    if idx == next {
-                        by_value.entry(d).or_default().push(idx);
-                        by_value.entry(src).or_default().push(idx);
+                    if d != *src {
+                        let (d, s) = (d.index(), src.index());
+                        copies.push((d.min(s), d.max(s), i));
                     }
                 }
             }
         }
-        let words = pair_idx.len().div_ceil(64);
+        copies.sort_unstable_by_key(|&(lo, hi, _)| (lo, hi));
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut gen = vec![NO_PAIR; func.num_insts()];
+        for &(lo, hi, i) in &copies {
+            if pairs.last() != Some(&(lo, hi)) {
+                pairs.push((lo, hi));
+            }
+            gen[i.index()] = (pairs.len() - 1) as u32;
+        }
+        let n = func.num_values();
+        let mut kill_start = vec![0u32; n + 1];
+        for &(lo, hi) in &pairs {
+            kill_start[lo + 1] += 1;
+            kill_start[hi + 1] += 1;
+        }
+        for v in 0..n {
+            kill_start[v + 1] += kill_start[v];
+        }
+        let mut fill = kill_start.clone();
+        let mut kills = vec![0u32; 2 * pairs.len()];
+        for (pi, &(lo, hi)) in pairs.iter().enumerate() {
+            for v in [lo, hi] {
+                kills[fill[v] as usize] = pi as u32;
+                fill[v] += 1;
+            }
+        }
+
+        let words = pairs.len().div_ceil(64);
         let nb = func.num_blocks();
         let mut this = CopyEquality {
-            pair_idx,
-            by_value,
+            pairs,
+            gen,
+            kill_start,
+            kills,
             words,
-            before: vec![Vec::new(); func.num_insts()],
-            out: vec![vec![0; words]; nb],
-            after_phis: vec![vec![0; words]; nb],
+            before: vec![0; func.num_insts() * words],
+            out: vec![0; nb * words],
+            after_phis: vec![0; nb * words],
         };
         if words == 0 {
             return this;
         }
 
+        // Each block's transfer as one kill and one gen set: a pair
+        // survives the block unless some definition kills it, and leaves
+        // it available if its copy runs after the last such kill — which
+        // is what the block's steps make of the empty set.
+        let mut kill_b = vec![0u64; nb * words];
+        let mut gen_b = vec![0u64; nb * words];
+        for b in func.blocks().filter(|&b| cfg.is_reachable(b)) {
+            let at = b.index() * words;
+            for &i in func.block_insts(b) {
+                this.step(&mut gen_b[at..at + words], func, i);
+                if let Some(d) = func.inst(i).dst {
+                    for &pi in this.kill_row(d.index()) {
+                        kill_b[at + pi as usize / 64] |= 1u64 << (pi % 64);
+                    }
+                }
+            }
+        }
+
         // Fixpoint on block-entry sets: entry starts empty, everything
         // else starts full, meet is intersection.
-        let full = vec![u64::MAX; words];
-        let mut in_sets: Vec<Vec<u64>> = vec![full; nb];
-        in_sets[func.entry().index()] = vec![0u64; words];
+        let mut in_sets = vec![u64::MAX; nb * words];
+        let entry = func.entry().index();
+        in_sets[entry * words..(entry + 1) * words].fill(0);
+        let mut avail = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
-            for b in func.blocks() {
-                if !cfg.is_reachable(b) {
-                    continue;
+            for b in func.blocks().filter(|&b| cfg.is_reachable(b)) {
+                let at = b.index() * words;
+                for (w, a) in avail.iter_mut().enumerate() {
+                    *a = in_sets[at + w] & !kill_b[at + w] | gen_b[at + w];
                 }
-                let mut out = in_sets[b.index()].clone();
-                for &i in func.block_insts(b) {
-                    this.step(&mut out, func, i);
-                }
-                for s in func.successors(b) {
+                for &s in cfg.succs(b) {
                     let si = s.index();
-                    for w in 0..words {
-                        let next = in_sets[si][w] & out[w];
-                        if next != in_sets[si][w] {
-                            in_sets[si][w] = next;
+                    for (slot, &w) in in_sets[si * words..(si + 1) * words].iter_mut().zip(&avail) {
+                        let next = *slot & w;
+                        if next != *slot {
+                            *slot = next;
                             changed = true;
                         }
                     }
@@ -270,79 +362,99 @@ impl CopyEquality {
             if !cfg.is_reachable(b) {
                 continue;
             }
-            let mut avail = in_sets[b.index()].clone();
+            let bi = b.index();
+            avail.copy_from_slice(&in_sets[bi * words..(bi + 1) * words]);
             let mut in_phis = true;
             for &i in func.block_insts(b) {
                 if in_phis && !func.inst(i).kind.is_phi() {
-                    this.after_phis[b.index()] = avail.clone();
+                    this.after_phis[bi * words..(bi + 1) * words].copy_from_slice(&avail);
                     in_phis = false;
                 }
-                this.before[i.index()] = avail.clone();
+                let ii = i.index();
+                this.before[ii * words..(ii + 1) * words].copy_from_slice(&avail);
                 this.step(&mut avail, func, i);
             }
             if in_phis {
-                this.after_phis[b.index()] = avail.clone();
+                this.after_phis[bi * words..(bi + 1) * words].copy_from_slice(&avail);
             }
-            this.out[b.index()] = avail;
+            this.out[bi * words..(bi + 1) * words].copy_from_slice(&avail);
         }
         this
     }
 
+    /// The pairs naming value index `v`.
+    fn kill_row(&self, v: usize) -> &[u32] {
+        &self.kills[self.kill_start[v] as usize..self.kill_start[v + 1] as usize]
+    }
+
     /// Apply one instruction: a definition kills every pair naming its
     /// destination; a copy then makes its own pair available.
-    fn step(&self, set: &mut [u64], func: &Function, i: fcc_ir::Inst) {
-        let data = func.inst(i);
-        if let Some(d) = data.dst {
-            if let Some(killed) = self.by_value.get(&d) {
-                for &pi in killed {
-                    set[pi / 64] &= !(1u64 << (pi % 64));
-                }
+    fn step(&self, set: &mut [u64], func: &Function, i: Inst) {
+        if let Some(d) = func.inst(i).dst {
+            for &pi in self.kill_row(d.index()) {
+                set[pi as usize / 64] &= !(1u64 << (pi % 64));
             }
-            if let InstKind::Copy { src } = data.kind {
-                if d != src {
-                    let pi = self.pair_idx[&(d.min(src), d.max(src))];
-                    set[pi / 64] |= 1u64 << (pi % 64);
-                }
+            let pi = self.gen[i.index()];
+            if pi != NO_PAIR {
+                set[pi as usize / 64] |= 1u64 << (pi % 64);
             }
         }
     }
 
-    /// How many registers the values `live` need at `point`: one per
-    /// class of values provably equal there.
-    fn classes(&self, func: &Function, point: Point, live: &[Value]) -> u32 {
+    /// Whether pair `pi` is available at `point`.
+    fn holds(&self, func: &Function, point: Point, pi: u32) -> bool {
+        let w = self.words;
+        let pi = pi as usize;
+        let has = |sets: &[u64], at: usize| sets[at * w + pi / 64] >> (pi % 64) & 1 == 1;
+        match point {
+            Point::Exit(b) => has(&self.out, b.index()),
+            Point::Before(_, i) => has(&self.before, i.index()),
+            Point::DeadDef(_, i) => {
+                // The point sits just *after* `i` executes: `i`'s own
+                // copy holds, and any other pair naming its destination
+                // is dead.
+                if self.gen[i.index()] as usize == pi {
+                    return true;
+                }
+                let (lo, hi) = self.pairs[pi];
+                let d = func.inst(i).dst.map(Value::index);
+                d != Some(lo) && d != Some(hi) && has(&self.before, i.index())
+            }
+            Point::PhiDefs(b) => has(&self.after_phis, b.index()),
+        }
+    }
+
+    /// How many registers the values live at `point` need: one per class
+    /// of values provably equal there.
+    fn classes(&self, func: &Function, point: Point, set: &BitSet) -> u32 {
+        let live: Vec<usize> = set.iter().collect();
         let mut uf = UnionFind::new(live.len());
         let mut classes = live.len() as u32;
-        for (i, &a) in live.iter().enumerate() {
-            for (j, &b) in live.iter().enumerate().skip(i + 1) {
-                if uf.find(i) != uf.find(j) && self.equal_at(func, point, a, b) {
-                    uf.union(i, j);
-                    classes -= 1;
+        for (j, &a) in live.iter().enumerate() {
+            for &pi in self.kill_row(a) {
+                let (lo, hi) = self.pairs[pi as usize];
+                let b = if lo == a { hi } else { lo };
+                if b < a || !self.holds(func, point, pi) {
+                    continue;
+                }
+                if let Ok(jb) = live.binary_search(&b) {
+                    if uf.find(j) != uf.find(jb) {
+                        uf.union(j, jb);
+                        classes -= 1;
+                    }
                 }
             }
         }
         classes
     }
 
-    /// Whether `a == b` provably holds at `point`.
-    fn equal_at(&self, func: &Function, point: Point, a: Value, b: Value) -> bool {
-        if self.words == 0 {
-            return false;
-        }
-        let Some(&pi) = self.pair_idx.get(&(a.min(b), a.max(b))) else {
-            return false;
-        };
-        let has = |set: &[u64]| set[pi / 64] >> (pi % 64) & 1 == 1;
-        match point {
-            Point::Exit(b) => has(&self.out[b.index()]),
-            Point::Before(_, i) => has(&self.before[i.index()]),
-            Point::DeadDef(_, i) => {
-                // The point sits just *after* `i` executes.
-                let mut tmp = self.before[i.index()].clone();
-                self.step(&mut tmp, func, i);
-                has(&tmp)
-            }
-            Point::PhiDefs(b) => has(&self.after_phis[b.index()]),
-        }
+    /// Whether values `a == b` provably holds at `point`.
+    fn equal_at(&self, func: &Function, point: Point, a: usize, b: usize) -> bool {
+        let (lo, hi) = (a.min(b), a.max(b));
+        self.kill_row(a)
+            .iter()
+            .find(|&&pi| self.pairs[pi as usize] == (lo, hi))
+            .is_some_and(|&pi| self.holds(func, point, pi))
     }
 }
 
@@ -350,9 +462,10 @@ impl CopyEquality {
 /// must-initialisation. Text-only — no allocator metadata survives SSA
 /// destruction's renaming, so nothing here trusts any.
 fn audit_slots(func: &Function, cfg: &ControlFlowGraph, slots: u32, diags: &mut Vec<Diagnostic>) {
-    // The analysis universe must cover every slot actually named, even
-    // out-of-range ones, so the other rules still run on corrupt input.
-    let universe = slots.max(func.spill_slot_count()) as usize;
+    // The analysis universe covers every slot actually named, out-of-range
+    // ones included, so the other rules still run on corrupt input. A
+    // claimed budget beyond that names no slot the analysis could see.
+    let universe = func.spill_slot_count() as usize;
 
     let mut range_flagged: HashSet<u32> = HashSet::new();
     let mut clash_flagged: HashSet<u32> = HashSet::new();
@@ -412,46 +525,37 @@ fn audit_slots(func: &Function, cfg: &ControlFlowGraph, slots: u32, diags: &mut 
     }
 
     // Forward must-analysis: which slots are definitely spilled on entry
-    // to each block? Meet is intersection; the entry starts empty.
+    // to each block? Meet is intersection; the entry starts empty. Sets
+    // are `words` words, flat by block index.
     let words = universe.div_ceil(64);
-    let full = vec![u64::MAX; words];
     let nb = func.num_blocks();
-    let mut in_sets: Vec<Vec<u64>> = vec![full.clone(); nb];
-    in_sets[func.entry().index()] = vec![0u64; words];
-
-    let block_gen: Vec<Vec<u64>> = (0..nb)
-        .map(|bi| {
-            let mut g = vec![0u64; words];
-            let b = fcc_ir::Block::new(bi);
-            if cfg.is_reachable(b) {
-                for &i in func.block_insts(b) {
-                    if let InstKind::Spill { slot, .. } = func.inst(i).kind {
-                        g[slot as usize / 64] |= 1u64 << (slot % 64);
-                    }
-                }
+    let mut in_sets = vec![u64::MAX; nb * words];
+    let entry = func.entry().index();
+    in_sets[entry * words..(entry + 1) * words].fill(0);
+    let mut block_gen = vec![0u64; nb * words];
+    for b in func.blocks().filter(|&b| cfg.is_reachable(b)) {
+        for &i in func.block_insts(b) {
+            if let InstKind::Spill { slot, .. } = func.inst(i).kind {
+                block_gen[b.index() * words + slot as usize / 64] |= 1u64 << (slot % 64);
             }
-            g
-        })
-        .collect();
+        }
+    }
 
+    let mut out = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
-        for b in func.blocks() {
-            if !cfg.is_reachable(b) {
-                continue;
+        for b in func.blocks().filter(|&b| cfg.is_reachable(b)) {
+            let at = b.index() * words;
+            for (w, o) in out.iter_mut().enumerate() {
+                *o = in_sets[at + w] | block_gen[at + w];
             }
-            let bi = b.index();
-            let mut out = in_sets[bi].clone();
-            for w in 0..words {
-                out[w] |= block_gen[bi][w];
-            }
-            for s in func.successors(b) {
+            for &s in cfg.succs(b) {
                 let si = s.index();
-                for w in 0..words {
-                    let next = in_sets[si][w] & out[w];
-                    if next != in_sets[si][w] {
-                        in_sets[si][w] = next;
+                for (slot, &w) in in_sets[si * words..(si + 1) * words].iter_mut().zip(&out) {
+                    let next = *slot & w;
+                    if next != *slot {
+                        *slot = next;
                         changed = true;
                     }
                 }
@@ -463,7 +567,8 @@ fn audit_slots(func: &Function, cfg: &ControlFlowGraph, slots: u32, diags: &mut 
         if !cfg.is_reachable(b) {
             continue;
         }
-        let mut ready = in_sets[b.index()].clone();
+        let at = b.index() * words;
+        let ready = &mut in_sets[at..at + words];
         for &i in func.block_insts(b) {
             match func.inst(i).kind {
                 InstKind::Spill { slot, .. } => {
@@ -488,5 +593,41 @@ fn audit_slots(func: &Function, cfg: &ControlFlowGraph, slots: u32, diags: &mut 
                 _ => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fcc_ir::parse::parse_function;
+
+    #[test]
+    fn a_dead_redefinition_ends_a_copy_equality() {
+        // `v1 = copy v0` lets v0 and v1 share r0 while both are live. The
+        // dead `v1 = const 7` then writes r0 while v0 is still live: at
+        // that point the pair no longer holds, so the sharing clashes.
+        let f = parse_function(
+            "function @d(1) {
+             b0:
+                 v0 = param 0
+                 v1 = copy v0
+                 v2 = add v0, v1
+                 v1 = const 7
+                 v3 = add v0, v2
+                 return v3
+             }",
+        )
+        .unwrap();
+        let coloring: HashMap<Value, u32> = [(0, 0), (1, 0), (2, 1), (3, 0)]
+            .into_iter()
+            .map(|(v, c)| (Value::new(v), c))
+            .collect();
+        let diags = audit_allocation(&f, &coloring, 3, 0);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, RULE_ALLOC_CLASH);
+        assert_eq!(
+            diags[0].message,
+            "v0 and v1 are both live here but share r0"
+        );
     }
 }

@@ -20,14 +20,27 @@
 //!
 //! Spill costs follow the classical `(defs + uses) · 10^depth / degree`
 //! estimate, with the numerator from [`fcc_pressure::SpillCosts`].
+//!
+//! Every round is linear in the function. Colouring decisions depend
+//! only on each value's neighbour *set*, which nothing ever queries
+//! pairwise, so a round builds no Table 1 bit matrix: its graph is
+//! deduplicated compressed rows over value indices (`Graph`), from the
+//! same backward scan and copy rule as [`InterferenceGraph::build`].
+//! Spill code is straight-line, so the CFG and loop nesting are pulled
+//! once per call and the liveness is carried from round to round by
+//! [`Liveness::spill_rewritten`]. Residual victims are rewritten in one
+//! indexed sweep. [`InterferenceGraph`] stays the graph of the Briggs
+//! coalescers and of [`verify_coloring`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::rc::Rc;
 
-use fcc_analysis::AnalysisManager;
-use fcc_ir::{Block, Function, Inst, InstKind, Value};
+use fcc_analysis::{AnalysisManager, BitSet, Liveness};
+use fcc_ir::{Block, ControlFlowGraph, Function, Inst, InstKind, Value};
 use fcc_pressure::SpillCosts;
 
 use crate::igraph::InterferenceGraph;
+use crate::spill::{link_placed, Placed};
 
 /// Copy-coalescing policy inside the allocator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -138,19 +151,35 @@ pub fn allocate(func: &mut Function, opts: &AllocOptions) -> Result<Allocation, 
     allocate_managed(func, opts, &mut AnalysisManager::new())
 }
 
-/// [`allocate`], pulling the per-round analyses from a shared
-/// [`AnalysisManager`]: round one hits the cache when the caller's
-/// pipeline already analysed the unmodified function; spill rewrites bump
-/// the epoch, so later rounds recompute.
+/// [`allocate`], pulling the CFG, loop nesting and liveness from a
+/// shared [`AnalysisManager`] once: they hit the cache when the caller's
+/// pipeline already analysed the unmodified function. Later rounds carry
+/// the liveness across their spill rewrites instead of recomputing it.
 pub fn allocate_managed(
     func: &mut Function,
     opts: &AllocOptions,
     am: &mut AnalysisManager,
 ) -> Result<Allocation, AllocError> {
+    allocate_observed(func, opts, am, |_, _, _| {})
+}
+
+/// [`allocate_managed`], handing `observe` the function, its carried
+/// liveness and the round's graph at the start of every round. Public
+/// but undocumented so the test suite can check every round against
+/// fresh analyses; [`allocate_managed`] passes a closure that does
+/// nothing.
+#[doc(hidden)]
+pub fn allocate_observed(
+    func: &mut Function,
+    opts: &AllocOptions,
+    am: &mut AnalysisManager,
+    mut observe: impl FnMut(&Function, &Liveness, &Graph),
+) -> Result<Allocation, AllocError> {
     assert!(!func.has_phis(), "allocate expects phi-free code");
     if opts.registers < 2 {
         return Err(AllocError::TooFewRegisters);
     }
+    let k = opts.registers;
     let mut spilled_all: Vec<Value> = Vec::new();
     let mut spill_slots = 0usize;
     let mut slot_of: HashMap<Value, u32> = HashMap::new();
@@ -158,93 +187,97 @@ pub fn allocate_managed(
     // already claimed.
     let slot_base = func.spill_slot_count();
     let mut copies_coalesced = 0usize;
+
+    if opts.coalesce == AllocCoalesce::Conservative {
+        copies_coalesced = conservative_coalesce(func, k, am);
+    }
+
     // Values whose live range is already minimal — reload temporaries and
     // once-spilled originals (def → spill, reload → use). Spilling one
     // again reproduces the identical one-instruction range, so the
     // retry loop would livelock; select diverts their spills instead.
-    let mut no_respill: HashSet<Value> = HashSet::new();
-
-    if opts.coalesce == AllocCoalesce::Conservative {
-        copies_coalesced = conservative_coalesce(func, opts.registers, am);
-    }
+    let mut no_respill = vec![false; func.num_values()];
+    let cfg = am.cfg(func);
+    let loops = am.loops(func);
+    let mut live = Rc::unwrap_or_clone(am.liveness(func));
 
     for round in 1..=opts.max_rounds {
-        let cfg = am.cfg(func);
-        let live = am.liveness(func);
-        let loops = am.loops(func);
-        let ig = InterferenceGraph::build(func, &cfg, &live, None);
+        let graph = Graph::build(func, &cfg, &live);
+        observe(func, &live, &graph);
 
         // Spill costs. A value is a node iff it has a def or use site in
-        // reachable code, i.e. iff its cost is positive.
+        // reachable code, i.e. iff its cost is positive. Every endpoint
+        // of an edge is one: the scan only meets values defined or used
+        // in reachable code.
         let costs = SpillCosts::compute(func, &cfg, &loops);
-        let cost = |v: Value| costs.cost(v);
-        let is_node = |v: Value| cost(v) > 0.0;
+        let cost = |v: usize| costs.cost(Value::new(v));
         let n = func.num_values();
-        let nodes: Vec<Value> = (0..n).map(Value::new).filter(|&v| is_node(v)).collect();
+        let nodes: Vec<usize> = (0..n).filter(|&v| cost(v) > 0.0).collect();
 
         // ---- simplify ----
-        let mut degree: Vec<usize> = (0..n).map(|v| ig.degree(Value::new(v))).collect();
-        let mut removed = vec![false; n];
-        let mut stack: Vec<Value> = Vec::with_capacity(nodes.len());
-        let mut remaining = nodes.len();
-        while remaining > 0 {
-            // Peel all trivially colourable nodes.
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                for &v in &nodes {
-                    if !removed[v.index()] && degree[v.index()] < opts.registers {
-                        removed[v.index()] = true;
-                        remaining -= 1;
-                        stack.push(v);
-                        for nb in ig.neighbors(v) {
-                            if is_node(nb) {
-                                degree[nb.index()] = degree[nb.index()].saturating_sub(1);
-                            }
-                        }
-                        progressed = true;
+        // Peel nodes of degree < k in ascending sweeps over `nodes`, each
+        // sweep restarting from the lowest after any progress; when none
+        // is left, push the first cheapest node optimistically. `ready`
+        // holds the unremoved nodes of degree < k (degrees only fall, so
+        // a ready node stays ready), so a sweep is a cursor over it.
+        let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
+        let mut alive = BitSet::new(n);
+        let mut ready = BitSet::new(n);
+        for &v in &nodes {
+            alive.insert(v);
+            if degree[v] < k {
+                ready.insert(v);
+            }
+        }
+        let mut stack: Vec<usize> = Vec::with_capacity(nodes.len());
+        let mut take = |v: usize, degree: &mut [usize], alive: &mut BitSet, ready: &mut BitSet| {
+            alive.remove(v);
+            ready.remove(v);
+            stack.push(v);
+            for &nb in graph.row(v) {
+                let nb = nb as usize;
+                degree[nb] = degree[nb].saturating_sub(1);
+                if degree[nb] < k && alive.contains(nb) {
+                    ready.insert(nb);
+                }
+            }
+        };
+        loop {
+            while let Some(mut v) = ready.next_from(0) {
+                loop {
+                    take(v, &mut degree, &mut alive, &mut ready);
+                    match ready.next_from(v + 1) {
+                        Some(next) => v = next,
+                        None => break,
                     }
                 }
             }
-            if remaining == 0 {
-                break;
-            }
             // Optimistic push of the cheapest spill candidate.
-            let v = nodes
-                .iter()
-                .copied()
-                .filter(|v| !removed[v.index()])
-                .min_by(|&a, &b| {
-                    let ca = cost(a) / (degree[a.index()].max(1) as f64);
-                    let cb = cost(b) / (degree[b.index()].max(1) as f64);
-                    ca.partial_cmp(&cb).unwrap()
-                })
-                .expect("remaining > 0");
-            removed[v.index()] = true;
-            remaining -= 1;
-            stack.push(v);
-            for nb in ig.neighbors(v) {
-                if is_node(nb) {
-                    degree[nb.index()] = degree[nb.index()].saturating_sub(1);
-                }
-            }
+            let Some(v) = alive.iter().min_by(|&a, &b| {
+                let ca = cost(a) / (degree[a].max(1) as f64);
+                let cb = cost(b) / (degree[b].max(1) as f64);
+                ca.partial_cmp(&cb).unwrap()
+            }) else {
+                break;
+            };
+            take(v, &mut degree, &mut alive, &mut ready);
         }
 
         // ---- select ----
         const UNCOLORED: u32 = u32::MAX;
         let mut color = vec![UNCOLORED; n];
-        let mut used = vec![false; opts.registers];
-        let mut to_spill: Vec<Value> = Vec::new();
+        let mut used = vec![false; k];
+        let mut to_spill: Vec<usize> = Vec::new();
         while let Some(v) = stack.pop() {
             used.fill(false);
-            for nb in ig.neighbors(v) {
-                let c = color[nb.index()];
+            for &nb in graph.row(v) {
+                let c = color[nb as usize];
                 if c != UNCOLORED {
                     used[c as usize] = true;
                 }
             }
             match used.iter().position(|&u| !u) {
-                Some(c) => color[v.index()] = c as u32,
+                Some(c) => color[v] = c as u32,
                 None => to_spill.push(v),
             }
         }
@@ -252,8 +285,8 @@ pub fn allocate_managed(
         if to_spill.is_empty() {
             let coloring = nodes
                 .iter()
-                .filter(|v| color[v.index()] != UNCOLORED)
-                .map(|&v| (v, color[v.index()]))
+                .filter(|&&v| color[v] != UNCOLORED)
+                .map(|&v| (Value::new(v), color[v]))
                 .collect();
             return Ok(Allocation {
                 coloring,
@@ -269,25 +302,29 @@ pub fn allocate_managed(
         // is genuinely over k; the value actually worth spilling there is
         // a live-through neighbour whose range a spill can still break.
         // Divert to the cheapest such neighbour.
-        let mut chosen: HashSet<Value> = to_spill.iter().copied().collect();
+        let mut chosen = vec![false; n];
+        for &v in &to_spill {
+            chosen[v] = true;
+        }
         let mut final_spill: Vec<Value> = Vec::new();
         for v in to_spill {
-            if !no_respill.contains(&v) {
-                final_spill.push(v);
+            if !no_respill[v] {
+                final_spill.push(Value::new(v));
                 continue;
             }
-            let alt = ig
-                .neighbors(v)
-                .into_iter()
-                .filter(|nb| !no_respill.contains(nb) && !chosen.contains(nb))
+            let alt = graph
+                .row(v)
+                .iter()
+                .map(|&nb| nb as usize)
+                .filter(|&nb| !no_respill[nb] && !chosen[nb])
                 .min_by(|&a, &b| {
-                    let ca = cost(a) / (ig.degree(a).max(1) as f64);
-                    let cb = cost(b) / (ig.degree(b).max(1) as f64);
+                    let ca = cost(a) / (graph.degree(a).max(1) as f64);
+                    let cb = cost(b) / (graph.degree(b).max(1) as f64);
                     ca.partial_cmp(&cb).unwrap().then(a.cmp(&b))
                 });
             if let Some(a) = alt {
-                chosen.insert(a);
-                final_spill.push(a);
+                chosen[a] = true;
+                final_spill.push(Value::new(a));
             }
         }
         if final_spill.is_empty() {
@@ -298,16 +335,134 @@ pub fn allocate_managed(
 
         // ---- spill rewrite ----
         final_spill.sort();
-        for v in final_spill {
-            let slot = slot_base + spill_slots as u32;
-            spill_slots += 1;
+        let first_slot = slot_base + spill_slots as u32;
+        for (j, &v) in final_spill.iter().enumerate() {
             spilled_all.push(v);
-            slot_of.insert(v, slot);
-            no_respill.insert(v);
-            rewrite_spill(func, v, slot, &mut no_respill);
+            slot_of.insert(v, first_slot + j as u32);
+            no_respill[v.index()] = true;
         }
+        spill_slots += final_spill.len();
+        rewrite_residual(func, &final_spill, first_slot);
+        // Every value the rewrite minted is a reload temporary.
+        no_respill.resize(func.num_values(), true);
+        live.spill_rewritten(&cfg, func.num_values(), &final_spill, &[]);
     }
     Err(AllocError::DidNotConverge)
+}
+
+/// One colour round's interference graph over value indices, as
+/// deduplicated compressed rows: `v`'s neighbours are
+/// `adj[start[v]..start[v + 1]]`, in no particular order. It has exactly
+/// the edges of [`InterferenceGraph::build`] with every value tracked —
+/// the same backward scan from each reachable block's live-out, with
+/// Chaitin's copy rule — but stores each edge twice instead of keeping
+/// an `n²/2`-bit matrix to deduplicate.
+#[doc(hidden)]
+pub struct Graph {
+    start: Vec<u32>,
+    adj: Vec<u32>,
+}
+
+impl Graph {
+    fn build(func: &Function, cfg: &ControlFlowGraph, live: &Liveness) -> Graph {
+        const NONE: u32 = u32::MAX;
+        let n = func.num_values();
+        // Every (def, live) pair the scan meets, duplicates included.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        // The scan's live set, sparse: its members in any order, and each
+        // member's position among them, so a definition visits only what
+        // is live.
+        let mut members: Vec<u32> = Vec::new();
+        let mut at: Vec<u32> = vec![NONE; n];
+        let insert = |members: &mut Vec<u32>, at: &mut [u32], v: usize| {
+            if at[v] == NONE {
+                at[v] = members.len() as u32;
+                members.push(v as u32);
+            }
+        };
+        let remove = |members: &mut Vec<u32>, at: &mut [u32], v: usize| {
+            let p = std::mem::replace(&mut at[v], NONE);
+            if p != NONE {
+                let last = members.pop().expect("a member");
+                if last as usize != v {
+                    members[p as usize] = last;
+                    at[last as usize] = p;
+                }
+            }
+        };
+        for b in func.blocks() {
+            if !cfg.is_reachable(b) {
+                continue;
+            }
+            for v in members.drain(..) {
+                at[v as usize] = NONE;
+            }
+            for v in live.live_out(b) {
+                insert(&mut members, &mut at, v);
+            }
+            for &inst in func.block_insts(b).iter().rev() {
+                let data = func.inst(inst);
+                if let InstKind::Copy { src } = data.kind {
+                    remove(&mut members, &mut at, src.index());
+                }
+                if let Some(d) = data.dst {
+                    let d = d.index() as u32;
+                    pairs.extend(members.iter().filter(|&&z| z != d).map(|&z| (d, z)));
+                    remove(&mut members, &mut at, d as usize);
+                }
+                data.kind
+                    .for_each_use(|u| insert(&mut members, &mut at, u.index()));
+            }
+        }
+
+        // Bucket both directions of every pair by row, then drop repeats
+        // within each row while compacting. `start[v]` first counts row
+        // `v`, then marks its end, and after the fill its beginning.
+        let mut start = vec![0u32; n + 1];
+        for &(a, b) in &pairs {
+            start[a as usize] += 1;
+            start[b as usize] += 1;
+        }
+        let mut end = 0u32;
+        for s in &mut start {
+            end += *s;
+            *s = end;
+        }
+        let mut adj = vec![0u32; end as usize];
+        for (a, b) in pairs {
+            for (row, z) in [(a, b), (b, a)] {
+                start[row as usize] -= 1;
+                adj[start[row as usize] as usize] = z;
+            }
+        }
+        let mut seen_in = vec![NONE; n];
+        let mut out = 0u32;
+        for v in 0..n {
+            let row = start[v] as usize..start[v + 1] as usize;
+            start[v] = out;
+            for i in row {
+                let z = adj[i];
+                if seen_in[z as usize] != v as u32 {
+                    seen_in[z as usize] = v as u32;
+                    adj[out as usize] = z;
+                    out += 1;
+                }
+            }
+        }
+        start[n] = out;
+        adj.truncate(out as usize);
+        Graph { start, adj }
+    }
+
+    /// The neighbours of value index `v`.
+    pub fn row(&self, v: usize) -> &[u32] {
+        &self.adj[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// The number of neighbours of value index `v`.
+    pub fn degree(&self, v: usize) -> usize {
+        (self.start[v + 1] - self.start[v]) as usize
+    }
 }
 
 /// Briggs-conservative coalescing: iterate until no copy can be merged
@@ -391,52 +546,97 @@ fn conservative_coalesce(func: &mut Function, k: usize, am: &mut AnalysisManager
     }
 }
 
-/// Rewrite `v` through spill slot `slot`: a `spill` after each def, a
-/// `reload` into a fresh temporary before each use. Every temporary is
-/// recorded in `temps` — its range is one instruction, so a later round
-/// must never choose it as a spill victim.
-fn rewrite_spill(func: &mut Function, v: Value, slot: u32, temps: &mut HashSet<Value>) {
-    let blocks: Vec<Block> = func.blocks().collect();
-    for b in blocks {
-        let insts: Vec<Inst> = func.block_insts(b).to_vec();
-        for inst in insts {
-            // Replace uses first: reload into a fresh temp before the inst.
-            let mut uses_v = false;
-            func.inst(inst).kind.for_each_use(|u| uses_v |= u == v);
-            if uses_v {
-                let tmp = func.new_value();
-                temps.insert(tmp);
-                insert_before(func, b, inst, InstKind::Reload { slot }, Some(tmp));
-                func.inst_mut(inst).kind.for_each_use_mut(|u| {
-                    if *u == v {
-                        *u = tmp;
+/// An instruction that names a residual victim, at `pos` in `block`.
+#[derive(Clone, Copy)]
+struct Site {
+    block: Block,
+    pos: usize,
+    inst: Inst,
+    uses: bool,
+    defines: bool,
+}
+
+/// Rewrite each of `victims` (ascending) through its own slot, numbered
+/// from `first_slot`: a `spill` after every definition (post-destruction
+/// code can define a value more than once) and a `reload` into a fresh
+/// temporary before every instruction that uses it.
+///
+/// One sweep indexes every victim's sites; each victim then rewrites
+/// only its own, in program order, so values, instruction ids, slots and
+/// positions are those of rewriting one victim at a time with a scan of
+/// the whole function each. New instructions are linked by
+/// [`link_placed`].
+fn rewrite_residual(func: &mut Function, victims: &[Value], first_slot: u32) {
+    const NONE: u32 = u32::MAX;
+    let mut victim_of = vec![NONE; func.num_values()];
+    for (j, &v) in victims.iter().enumerate() {
+        victim_of[v.index()] = j as u32;
+    }
+    let victim = |v: Value| match victim_of[v.index()] {
+        NONE => None,
+        j => Some(j as usize),
+    };
+
+    // Per victim, its sites in program order. An instruction is one site
+    // however often it names the victim.
+    let mut sites: Vec<Vec<Site>> = vec![Vec::new(); victims.len()];
+    for b in func.blocks() {
+        for (pos, &i) in func.block_insts(b).iter().enumerate() {
+            let data = func.inst(i);
+            let site = Site {
+                block: b,
+                pos,
+                inst: i,
+                uses: false,
+                defines: false,
+            };
+            data.kind.for_each_use(|u| {
+                if let Some(j) = victim(u) {
+                    if sites[j].last().is_none_or(|s| s.inst != i) {
+                        sites[j].push(Site { uses: true, ..site });
                     }
-                });
-            }
-            if func.inst(inst).dst == Some(v) {
-                // Save right after the definition.
-                insert_after(func, b, inst, InstKind::Spill { slot, val: v }, None);
+                }
+            });
+            if let Some(j) = data.dst.and_then(victim) {
+                match sites[j].last_mut() {
+                    Some(s) if s.inst == i => s.defines = true,
+                    _ => sites[j].push(Site {
+                        defines: true,
+                        ..site
+                    }),
+                }
             }
         }
     }
-}
 
-fn insert_before(func: &mut Function, b: Block, before: Inst, kind: InstKind, dst: Option<Value>) {
-    let pos = func
-        .block_insts(b)
-        .iter()
-        .position(|&i| i == before)
-        .expect("inst in block");
-    func.insert_inst_at(b, pos, kind, dst);
-}
-
-fn insert_after(func: &mut Function, b: Block, after: Inst, kind: InstKind, dst: Option<Value>) {
-    let pos = func
-        .block_insts(b)
-        .iter()
-        .position(|&i| i == after)
-        .expect("inst in block");
-    func.insert_inst_at(b, pos + 1, kind, dst);
+    let mut placed: Vec<Placed> = Vec::new();
+    for (j, &v) in victims.iter().enumerate() {
+        let slot = first_slot + j as u32;
+        for &Site {
+            block: b,
+            pos,
+            inst: i,
+            uses,
+            defines,
+        } in &sites[j]
+        {
+            if uses {
+                let t = func.new_value();
+                let reload = func.create_inst(InstKind::Reload { slot }, Some(t));
+                placed.push((b, pos, true, reload));
+                func.inst_mut(i).kind.for_each_use_mut(|u| {
+                    if *u == v {
+                        *u = t;
+                    }
+                });
+            }
+            if defines {
+                let spill = func.create_inst(InstKind::Spill { slot, val: v }, None);
+                placed.push((b, pos + 1, false, spill));
+            }
+        }
+    }
+    link_placed(func, placed);
 }
 
 /// Check that `coloring` is a proper colouring of `func`'s interference

@@ -16,6 +16,15 @@
 //!   so the matrix is built over just those names via a compact mapping
 //!   array, shrinking memory by orders of magnitude with *identical*
 //!   coalescing results.
+//!
+//! The graph-colouring allocator does not build this graph: colouring
+//! only ever asks for a value's neighbours, never whether two given
+//! values interfere, so each colour round keeps deduplicated compressed
+//! rows from the same scan and no matrix (`color::Graph`;
+//! `tests/spill_pin.rs` checks it against `build(.., None)` every
+//! round). The full layout stays the Briggs baseline's graph, the
+//! Table 1 memory figure, and the independent oracle of
+//! [`crate::color::verify_coloring`].
 
 use fcc_analysis::{BitSet, Liveness, TriangularBitMatrix};
 use fcc_ir::{ControlFlowGraph, Function, InstKind, Value};

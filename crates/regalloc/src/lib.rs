@@ -7,13 +7,19 @@
 //!   unioning (sound on SSA built *without* copy folding);
 //! * [`igraph::InterferenceGraph`] — triangular-bit-matrix interference
 //!   graph with Chaitin's copy rule, in **full** or **restricted**
-//!   (copy-related-names-only) layout;
+//!   (copy-related-names-only) layout, for the coalescers below and for
+//!   [`color::verify_coloring`];
 //! * [`briggs::coalesce_copies`] — the iterated build/coalesce loop:
 //!   [`briggs::GraphMode::Full`] is the paper's **Briggs** baseline,
 //!   [`briggs::GraphMode::Restricted`] is the improved **Briggs\***
 //!   (Section 4.1) with identical results and a fraction of the memory;
 //! * [`color::allocate`] — a Chaitin/Briggs graph-colouring allocator
-//!   with optimistic colouring and iterated spilling.
+//!   with optimistic colouring and iterated spilling. It never builds the
+//!   Table 1 matrix: each round colours deduplicated compressed
+//!   neighbour rows, and liveness is carried across its spill rounds;
+//! * [`spill::spill_to_k`] — the SSA-level spiller that lowers MaxLive to
+//!   k before destruction, with one SSA liveness per call carried across
+//!   its rounds.
 //!
 //! ## Example: the Briggs* pipeline
 //!

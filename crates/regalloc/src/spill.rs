@@ -34,12 +34,14 @@
 //! way.
 //!
 //! Each round is linear in the function. Spilling inserts only
-//! straight-line instructions, so the CFG, dominator tree and loop
-//! nesting are computed once per [`spill_to_k`] call and shared by every
-//! round and both portfolio plans. A round is one SSA liveness, one
-//! point walk that yields both MaxLive and the round's victims, and one
-//! sweep that indexes the victims' def, use and φ-argument sites, after
-//! which each victim rewrites only its own sites.
+//! straight-line instructions, so the CFG, dominator tree, loop nesting
+//! and the input's SSA liveness are computed once per [`spill_to_k`]
+//! call and shared by both portfolio plans. A round is one point walk
+//! that yields both MaxLive and the round's victims, one sweep that
+//! indexes the victims' def, use and φ-argument sites, after which each
+//! victim rewrites only its own sites, and one
+//! [`Liveness::spill_rewritten`] that carries the liveness over to the
+//! rewritten function.
 
 use fcc_analysis::liveness::Liveness;
 use fcc_analysis::loops::LoopNesting;
@@ -103,13 +105,27 @@ const MAX_ROUNDS: usize = 64;
 /// # Panics
 /// Panics if `k == 0`.
 pub fn spill_to_k(func: &mut Function, k: u32, strategy: SpillStrategy) -> SpillStats {
+    spill_to_k_observed(func, k, strategy, |_, _| {})
+}
+
+/// [`spill_to_k`], handing `observe` the function and its carried
+/// liveness after every round's rewrite, in both portfolio plans. Public
+/// but undocumented so the test suite can check every round against a
+/// fresh solve; [`spill_to_k`] passes a closure that does nothing.
+#[doc(hidden)]
+pub fn spill_to_k_observed(
+    func: &mut Function,
+    k: u32,
+    strategy: SpillStrategy,
+    mut observe: impl FnMut(&Function, &Liveness),
+) -> SpillStats {
     assert!(k > 0, "cannot spill to zero registers");
     let frame = Frame::compute(func);
     match strategy {
-        SpillStrategy::Everywhere => spill_once(func, k, strategy, &frame),
+        SpillStrategy::Everywhere => spill_once(func, k, strategy, &frame, &mut observe),
         SpillStrategy::CostGuided => {
             let input = func.clone();
-            let cg_stats = spill_once(func, k, SpillStrategy::CostGuided, &frame);
+            let cg_stats = spill_once(func, k, SpillStrategy::CostGuided, &frame, &mut observe);
             if cg_stats.spills == 0 {
                 return cg_stats;
             }
@@ -117,7 +133,7 @@ pub fn spill_to_k(func: &mut Function, k: u32, strategy: SpillStrategy) -> Spill
             // cheaper rewrite. Meeting the pressure target outranks
             // traffic; ties keep the cost-guided plan.
             let mut ev = input;
-            let ev_stats = spill_once(&mut ev, k, SpillStrategy::Everywhere, &frame);
+            let ev_stats = spill_once(&mut ev, k, SpillStrategy::Everywhere, &frame, &mut observe);
             let price = |f: &Function| traffic(f, &frame.cfg, &frame.loops);
             let cg_key = (cg_stats.maxlive_after > k, price(func));
             let ev_key = (ev_stats.maxlive_after > k, price(&ev));
@@ -169,6 +185,9 @@ fn traffic(func: &Function, cfg: &ControlFlowGraph, loops: &LoopNesting) -> f64 
 struct Frame {
     cfg: ControlFlowGraph,
     loops: LoopNesting,
+    /// The input's SSA liveness: each plan starts from a copy and carries
+    /// it across its rounds with [`Liveness::spill_rewritten`].
+    live: Liveness,
     /// Loop-weighted cost of each input value.
     costs: SpillCosts,
     /// Values that must never be victims: spilled by an earlier pass, or
@@ -188,6 +207,7 @@ impl Frame {
         let cfg = ControlFlowGraph::compute(func);
         let loops = LoopNesting::compute(&cfg, &DomTree::compute(func, &cfg));
         let costs = SpillCosts::compute(func, &cfg, &loops);
+        let live = Liveness::compute_ssa(func, &cfg);
         let n = func.num_values();
         let mut no_spill = vec![false; n];
         let mut use_count = vec![0usize; n];
@@ -216,6 +236,7 @@ impl Frame {
         Frame {
             cfg,
             loops,
+            live,
             costs,
             no_spill,
             use_count,
@@ -224,12 +245,19 @@ impl Frame {
     }
 }
 
-fn spill_once(func: &mut Function, k: u32, strategy: SpillStrategy, frame: &Frame) -> SpillStats {
+fn spill_once(
+    func: &mut Function,
+    k: u32,
+    strategy: SpillStrategy,
+    frame: &Frame,
+    observe: &mut impl FnMut(&Function, &Liveness),
+) -> SpillStats {
     // Values minted by this pass (reload temporaries) join `no_spill` as
     // they appear.
     let mut no_spill = frame.no_spill.clone();
+    let mut live = frame.live.clone();
     let mut next_slot = func.spill_slot_count();
-    let (maxlive, mut victims) = walk(func, k, strategy, frame, &no_spill);
+    let (maxlive, mut victims) = walk(func, k, strategy, frame, &live, &no_spill);
     let mut stats = SpillStats {
         maxlive_before: maxlive,
         maxlive_after: maxlive,
@@ -244,7 +272,10 @@ fn spill_once(func: &mut Function, k: u32, strategy: SpillStrategy, frame: &Fram
         if victims.is_empty() {
             break; // converged, or residual pressure is irreducible
         }
-        stats.reloads += rewrite(func, &victims, next_slot);
+        let mut edge_reloads = Vec::new();
+        stats.reloads += rewrite(func, &victims, next_slot, &mut edge_reloads);
+        live.spill_rewritten(&frame.cfg, func.num_values(), &victims, &edge_reloads);
+        observe(func, &live);
         next_slot += victims.len() as u32;
         stats.spills += victims.len();
         stats.slots += victims.len() as u32;
@@ -253,7 +284,7 @@ fn spill_once(func: &mut Function, k: u32, strategy: SpillStrategy, frame: &Fram
         }
         stats.spilled.extend_from_slice(&victims);
         no_spill.resize(func.num_values(), true);
-        (stats.maxlive_after, victims) = walk(func, k, strategy, frame, &no_spill);
+        (stats.maxlive_after, victims) = walk(func, k, strategy, frame, &live, &no_spill);
         if stats.maxlive_after <= k {
             break;
         }
@@ -262,25 +293,25 @@ fn spill_once(func: &mut Function, k: u32, strategy: SpillStrategy, frame: &Fram
     stats
 }
 
-/// One round's analysis: an SSA liveness and one point walk, giving
-/// MaxLive and the round's victims in ascending order. Only points over
-/// k look at their live set; each picks victims as if the ones already
-/// picked this round were gone.
+/// One round's analysis: one point walk over `live`, giving MaxLive and
+/// the round's victims in ascending order. Only points over k look at
+/// their live set; each picks victims as if the ones already picked this
+/// round were gone.
 fn walk(
     func: &Function,
     k: u32,
     strategy: SpillStrategy,
     frame: &Frame,
+    live: &Liveness,
     no_spill: &[bool],
 ) -> (u32, Vec<Value>) {
-    let live = Liveness::compute_ssa(func, &frame.cfg);
     let k = k as usize;
     let mut maxlive = 0usize;
     let mut chosen: Vec<bool> = vec![false; func.num_values()];
     let mut picks: Vec<Value> = Vec::new();
     let mut pinned: Vec<usize> = Vec::new();
     let mut cands: Vec<usize> = Vec::new();
-    for_each_point(func, &frame.cfg, &live, |p, set, count| {
+    for_each_point(func, &frame.cfg, live, |p, set, count| {
         maxlive = maxlive.max(count);
         if count <= k {
             return;
@@ -337,13 +368,20 @@ fn walk(
 
 /// Evict each of `victims` (ascending) to its own slot, numbered from
 /// `first_slot`: one `spill` after its definition, one fresh-name
-/// `reload` in front of every use. Returns the number of reloads.
+/// `reload` in front of every use. Returns the number of reloads, and
+/// pushes each reload that replaces a φ-argument onto `edge_reloads` as
+/// `(predecessor, temporary)`.
 ///
 /// One sweep indexes every victim's sites; each victim then rewrites
 /// only its own, in the order one-victim-at-a-time insertion would, so
 /// values, instruction ids and positions come out the same. New
-/// instructions are linked in one pass per touched block.
-fn rewrite(func: &mut Function, victims: &[Value], first_slot: u32) -> usize {
+/// instructions are linked by [`link_placed`].
+fn rewrite(
+    func: &mut Function,
+    victims: &[Value],
+    first_slot: u32,
+    edge_reloads: &mut Vec<(Block, Value)>,
+) -> usize {
     const NONE: u32 = u32::MAX;
     let mut victim_of = vec![NONE; func.num_values()];
     for (j, &v) in victims.iter().enumerate() {
@@ -393,8 +431,7 @@ fn rewrite(func: &mut Function, victims: &[Value], first_slot: u32) -> usize {
         }
     }
 
-    // (block, gap, is-reload, inst) per new instruction.
-    let mut placed: Vec<(Block, usize, bool, Inst)> = Vec::new();
+    let mut placed: Vec<Placed> = Vec::new();
     let mut reloads = 0usize;
     for (j, &v) in victims.iter().enumerate() {
         let slot = first_slot + j as u32;
@@ -434,6 +471,7 @@ fn rewrite(func: &mut Function, victims: &[Value], first_slot: u32) -> usize {
                     placed.push((pred, term, true, reload));
                     reloads += 1;
                     edge_temp.push((pred, t));
+                    edge_reloads.push((pred, t));
                     t
                 }
             };
@@ -447,9 +485,23 @@ fn rewrite(func: &mut Function, victims: &[Value], first_slot: u32) -> usize {
         }
     }
 
-    // Inserting one instruction at a time puts each spill at the front
-    // of its gap and each reload at the back, so within a gap spills run
-    // newest first and reloads oldest first.
+    link_placed(func, placed);
+    reloads
+}
+
+/// A new spill-code instruction waiting to be linked: `(block, gap,
+/// is-reload, inst)`, where the gap is the position, in the block's list
+/// as the rewrite found it, of the instruction it goes in front of (the
+/// list's length for the very end).
+pub(crate) type Placed = (Block, usize, bool, Inst);
+
+/// Link `placed` into their blocks, one pass per touched block, exactly
+/// where inserting them one at a time, in creation order, would have
+/// put them. Such insertion puts each spill at the front of its gap and
+/// each reload at the back, so within a gap spills run newest first and
+/// reloads oldest first. Shared by the SSA spiller and the colourer's
+/// residual rewrite.
+pub(crate) fn link_placed(func: &mut Function, mut placed: Vec<Placed>) {
     placed.sort_unstable_by_key(|&(b, gap, is_reload, i)| {
         let age = if is_reload {
             i.index()
@@ -472,7 +524,6 @@ fn rewrite(func: &mut Function, victims: &[Value], first_slot: u32) -> usize {
         list.extend(new.map(|e| e.3));
         func.set_block_insts(b, list);
     }
-    reloads
 }
 
 /// Position of the first instruction of `insts` outside the leading
