@@ -20,7 +20,7 @@
 //! once (and keep them across further `&mut` manager calls) without
 //! fighting the borrow checker; hit/miss counters and a peak-bytes
 //! high-water mark make cache behaviour observable per phase (see
-//! `fcc_bench::PipelineReport`).
+//! `fcc_driver::PhaseRecord`, one per pipeline phase).
 //!
 //! One more slot memoises a whole-function dataflow result
 //! ([`AnalysisManager::dataflow`]) for a crate downstream of this one

@@ -4,32 +4,21 @@
 //!
 //! Run: `cargo bench -p fcc-bench --bench coalesce`
 
-use std::time::Instant;
-
-use fcc_bench::{run_pipeline, us, Pipeline};
-use fcc_workloads::{compile_kernel, kernel};
+use fcc_bench::{measure, us, PipelineSpec};
+use fcc_workloads::kernel;
 
 fn main() {
     const REPEATS: usize = 20;
     println!("{:<12} {:<10} {:>12}", "pipeline", "kernel", "best");
     for name in ["saxpy", "tomcatv", "twldrv", "parmvrx", "fpppp"] {
         let k = kernel(name).expect("kernel exists");
-        let base = compile_kernel(k);
         for p in [
-            Pipeline::Standard,
-            Pipeline::New,
-            Pipeline::Briggs,
-            Pipeline::BriggsStar,
+            PipelineSpec::Standard,
+            PipelineSpec::New,
+            PipelineSpec::Briggs,
+            PipelineSpec::BriggsStar,
         ] {
-            let mut best = std::time::Duration::MAX;
-            for _ in 0..REPEATS {
-                let input = base.clone();
-                let t0 = Instant::now();
-                let report = run_pipeline(p, input);
-                let dt = t0.elapsed();
-                std::hint::black_box(&report);
-                best = best.min(dt);
-            }
+            let best = measure(p, k, REPEATS).time;
             println!("{:<12} {:<10} {:>12}", p.label(), name, us(best));
         }
     }

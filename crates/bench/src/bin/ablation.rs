@@ -19,14 +19,14 @@
 use std::time::Instant;
 
 use fcc_analysis::{AnalysisCounters, AnalysisManager};
-use fcc_bench::Table;
+use fcc_bench::{PipelineSpec, Table};
 use fcc_core::{coalesce_ssa_managed, CoalesceOptions, SplitHeuristic, SplitStrategy};
 use fcc_regalloc::{coalesce_copies_managed, destruct_via_webs, BriggsOptions, GraphMode};
 use fcc_ssa::{build_ssa_with, destruct_sreedhar_i, SsaFlavor};
 use fcc_workloads::{compile_kernel, kernels, reference_run};
 
 fn main() {
-    fcc_bench::certify_or_die(&[fcc_bench::Pipeline::New, fcc_bench::Pipeline::BriggsStar]);
+    fcc_bench::certify_or_die(&[PipelineSpec::New, PipelineSpec::BriggsStar]);
     let configs: Vec<(&str, CoalesceOptions)> = vec![
         ("New (paper defaults)", CoalesceOptions::default()),
         (

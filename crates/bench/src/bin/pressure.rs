@@ -12,7 +12,8 @@
 
 use fcc_analysis::AnalysisManager;
 use fcc_driver::report::Table;
-use fcc_ssa::{build_ssa_with, verify_ssa, SsaFlavor};
+use fcc_driver::{ssa_stage, CompileRequest};
+use fcc_ssa::verify_ssa;
 
 fn main() {
     let mut table = Table::new(&[
@@ -27,11 +28,12 @@ fn main() {
     let mut failures = 0usize;
     let (mut max_maxlive, mut max_name) = (0u32, "");
 
+    let req = CompileRequest::new().opt(true);
     for k in fcc_workloads::kernels() {
         let mut func = fcc_workloads::compile_kernel(k);
         let mut am = AnalysisManager::new();
-        build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
-        fcc_opt::standard_pipeline().run(&mut func, &mut am);
+        ssa_stage(&mut func, &req, &mut am, &mut Vec::new())
+            .expect("unverified stages cannot fail");
         verify_ssa(&func).expect("optimised kernel must stay valid SSA");
 
         match fcc_pressure::summarize(&func, &mut am) {

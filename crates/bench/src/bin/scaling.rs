@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use fcc_analysis::AnalysisManager;
-use fcc_bench::Table;
+use fcc_bench::{PipelineSpec, Table};
 use fcc_core::{coalesce_prepared, CoalesceOptions, CoalesceStats};
 use fcc_driver::{compile_module, resolve_jobs, CompileRequest};
 use fcc_ir::{InstKind, Module};
@@ -38,7 +38,7 @@ fn phi_args(f: &fcc_ir::Function) -> usize {
 }
 
 fn main() {
-    fcc_bench::certify_or_die(&[fcc_bench::Pipeline::New, fcc_bench::Pipeline::Briggs]);
+    fcc_bench::certify_or_die(&[PipelineSpec::New, PipelineSpec::Briggs]);
     let mut table = Table::new(&[
         "stmts",
         "insts",
@@ -72,7 +72,7 @@ fn main() {
             let base = fcc_frontend::lower_program(&prog).expect("generated program lowers");
             // Lint gate outside every timed region: an unsound run must
             // not contribute a row.
-            if let Err(e) = fcc_bench::certify_pipeline(fcc_bench::Pipeline::New, base.clone()) {
+            if let Err(e) = fcc_bench::certify(&base, PipelineSpec::New) {
                 eprintln!("lint certification failed (seed {seed}, {scale} stmts): {e}");
                 std::process::exit(1);
             }

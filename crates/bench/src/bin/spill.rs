@@ -13,17 +13,19 @@
 //! Run: `cargo run --release -p fcc-bench --bin spill [-- --out BENCH_spill.json]`
 
 use fcc_analysis::AnalysisManager;
-use fcc_core::{coalesce_ssa_managed, CoalesceOptions};
 use fcc_driver::report::Table;
+use fcc_driver::{destruction_stage, ssa_stage, CompileRequest, PipelineSpec};
 use fcc_ir::Function;
-use fcc_regalloc::{
-    allocate, coalesce_copies_managed, destruct_via_webs, spill_to_k, weighted_spill_traffic,
-    AllocOptions, BriggsOptions, GraphMode, SpillStrategy,
-};
-use fcc_ssa::{build_ssa_with, destruct_standard, verify_ssa, SsaFlavor};
+use fcc_regalloc::{allocate, spill_to_k, weighted_spill_traffic, AllocOptions, SpillStrategy};
+use fcc_ssa::verify_ssa;
 
 const KS: [u32; 3] = [4, 8, 16];
-const FAMILIES: [&str; 3] = ["new", "standard", "briggs"];
+/// The destruction families, by table label.
+const FAMILIES: [(&str, PipelineSpec); 3] = [
+    ("new", PipelineSpec::New),
+    ("standard", PipelineSpec::Standard),
+    ("briggs", PipelineSpec::BriggsStar),
+];
 const STRATEGIES: [SpillStrategy; 2] = [SpillStrategy::Everywhere, SpillStrategy::CostGuided];
 
 /// Aggregate counts for one (k, family, strategy) cell of the table.
@@ -43,41 +45,22 @@ struct Cell {
     weighted: f64,
 }
 
-fn family_ssa(kernel: &fcc_workloads::Kernel, family: &str) -> Function {
+/// The family's optimised SSA form of `kernel`.
+fn family_ssa(kernel: &fcc_workloads::Kernel, spec: PipelineSpec) -> Function {
     let mut func = fcc_workloads::compile_kernel(kernel);
-    let mut am = AnalysisManager::new();
-    if family == "briggs" {
-        build_ssa_with(&mut func, SsaFlavor::Pruned, false, &mut am);
-        fcc_opt::copy_preserving_pipeline().run(&mut func, &mut am);
-    } else {
-        build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
-        fcc_opt::standard_pipeline().run(&mut func, &mut am);
-    }
+    let req = CompileRequest::new()
+        .pipeline(spec)
+        .fold(!spec.needs_no_fold())
+        .opt(true);
+    ssa_stage(
+        &mut func,
+        &req,
+        &mut AnalysisManager::new(),
+        &mut Vec::new(),
+    )
+    .expect("unverified stages cannot fail");
     verify_ssa(&func).expect("optimised kernel must stay valid SSA");
     func
-}
-
-fn destruct(func: &mut Function, family: &str) {
-    let mut am = AnalysisManager::new();
-    match family {
-        "new" => {
-            coalesce_ssa_managed(func, &CoalesceOptions::default(), &mut am);
-        }
-        "standard" => {
-            destruct_standard(func);
-        }
-        _ => {
-            destruct_via_webs(func);
-            coalesce_copies_managed(
-                func,
-                &BriggsOptions {
-                    mode: GraphMode::Restricted,
-                    ..Default::default()
-                },
-                &mut am,
-            );
-        }
-    }
 }
 
 fn main() {
@@ -102,17 +85,23 @@ fn main() {
     let mut cells: Vec<((u32, &str, SpillStrategy), Cell)> = Vec::new();
 
     for &k in &KS {
-        for family in FAMILIES {
+        for (family, spec) in FAMILIES {
             let mut per_strategy = [Cell::default(), Cell::default()];
             for kernel in kernels {
-                let ssa = family_ssa(kernel, family);
+                let ssa = family_ssa(kernel, spec);
                 let mut traffic = [0f64; 2];
                 for (si, &strategy) in STRATEGIES.iter().enumerate() {
                     let mut func = ssa.clone();
                     let stats = spill_to_k(&mut func, k, strategy);
                     verify_ssa(&func).expect("spilling must preserve strict SSA");
                     let weighted = weighted_spill_traffic(&func);
-                    destruct(&mut func, family);
+                    destruction_stage(
+                        &mut func,
+                        spec,
+                        false,
+                        &mut AnalysisManager::new(),
+                        &mut Vec::new(),
+                    );
                     let copies = func.static_copy_count();
                     let alloc = match allocate(
                         &mut func,
@@ -220,7 +209,7 @@ fn render_json(kernels: usize, cells: &[((u32, &str, SpillStrategy), Cell)]) -> 
     s.push_str("  \"k\": {\n");
     for (ki, &k) in KS.iter().enumerate() {
         s.push_str(&format!("    \"{k}\": {{\n"));
-        for (fi, family) in FAMILIES.iter().enumerate() {
+        for (fi, (family, _)) in FAMILIES.iter().enumerate() {
             s.push_str(&format!("      \"{family}\": {{"));
             for (si, &strategy) in STRATEGIES.iter().enumerate() {
                 let c = cells

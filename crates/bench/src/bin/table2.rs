@@ -11,11 +11,6 @@
 use fcc_bench::{cache_line, compare_pipelines, us, Summary};
 
 fn main() {
-    fcc_bench::certify_or_die(&[
-        fcc_bench::Pipeline::Standard,
-        fcc_bench::Pipeline::New,
-        fcc_bench::Pipeline::BriggsStar,
-    ]);
     let repeats = 9;
     let (table, counters) = compare_pipelines(
         ["Standard(us)", "New(us)", "Briggs*(us)"],

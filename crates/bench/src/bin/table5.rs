@@ -10,11 +10,6 @@
 use fcc_bench::{cache_line, compare_pipelines, Summary};
 
 fn main() {
-    fcc_bench::certify_or_die(&[
-        fcc_bench::Pipeline::Standard,
-        fcc_bench::Pipeline::New,
-        fcc_bench::Pipeline::BriggsStar,
-    ]);
     let (table, counters) = compare_pipelines(
         ["Standard", "New", "Briggs*"],
         1,

@@ -1,18 +1,28 @@
 //! Per-function pipeline execution and the parallel batch driver.
 //!
-//! [`compile_function`] is the single code path behind `fcc`: front-end
-//! CFG in, φ-free (optionally optimised, simplified, allocated) code
-//! out, with every phase instrumented as a [`PhaseRecord`]. The CLI
-//! calls it once for a single-function file and through
-//! [`compile_module`] for multi-function files, where the module's
-//! functions are sharded across a scoped thread pool.
+//! [`PipelineSpec`] is the one pipeline enum, and two stages hold the
+//! one definition of each pipeline's recipe:
+//!
+//! * [`ssa_stage`] builds pruned SSA with the request's copy folding,
+//!   then runs the pipeline's optimiser pass set;
+//! * [`destruction_stage`] takes the SSA form back out of SSA by the
+//!   pipeline's algorithm — the single `match` over [`PipelineSpec`].
+//!
+//! [`compile_function`] composes the two (with spilling between them and
+//! allocation after) and is the code path behind `fcc` and `fcc serve`;
+//! [`lint_pipeline`] drives them for `fcc lint` and the bench tables'
+//! certification gate; the fuzzer and the bench tables call them
+//! directly. The CLI calls [`compile_function`] once for a
+//! single-function file and through [`crate::compile_module`] for
+//! multi-function files, where the module's functions are sharded
+//! across a scoped thread pool.
 //!
 //! Parallelism never changes output. Each worker invocation builds its
 //! own [`AnalysisManager`] and pass manager (per-function analyses share
 //! no mutable state — the managers are keyed to one function's
-//! modification epoch), and [`compile_module`] merges results in module
-//! order, so `--jobs 1` and `--jobs 64` print byte-identical IR and
-//! diagnostics.
+//! modification epoch), and [`crate::compile_module`] merges results in
+//! module order, so `--jobs 1` and `--jobs 64` print byte-identical IR
+//! and diagnostics.
 
 use std::fmt;
 use std::str::FromStr;
@@ -21,8 +31,10 @@ use std::time::{Duration, Instant};
 use fcc_analysis::AnalysisManager;
 use fcc_core::{coalesce_ssa_managed, coalesce_ssa_traced, CoalesceOptions, SplitStrategy};
 use fcc_ir::{Function, Module};
-use fcc_lint::{audit_destruction, lint_function, LintStage};
-use fcc_opt::{copy_preserving_pipeline, simplify_cfg_with, standard_pipeline, RunSummary};
+use fcc_lint::{audit_destruction, lint_function, LintReport, LintStage};
+use fcc_opt::{
+    copy_preserving_pipeline, simplify_cfg_with, standard_pipeline, PipelineViolation, RunSummary,
+};
 use fcc_pressure::audit_allocation;
 use fcc_regalloc::{
     allocate_managed, coalesce_copies_managed, destruct_via_webs, destruct_via_webs_traced,
@@ -30,15 +42,15 @@ use fcc_regalloc::{
 };
 use fcc_ssa::{
     build_ssa_with, destruct_sreedhar_i, destruct_sreedhar_i_traced, destruct_standard_traced,
-    destruct_standard_with, verify_ssa, DestructionTrace, SsaFlavor,
+    destruct_standard_with, verify_ssa, DestructionTrace, SsaFlavor, SsaStats,
 };
 
 use crate::pool::BatchTiming;
 use crate::report::{merge_phases, PhaseRecord, PhaseTimer};
 use crate::request::{CompileRequest, RequestError};
 
-/// The destruction pipeline to run, covering every algorithm the CLI
-/// exposes (a superset of the four benchmarked [`crate::Pipeline`]s).
+/// The destruction pipeline to run: every algorithm `fcc`, `fcc serve`,
+/// the paper tables, `fcc lint` and `fcc fuzz` can name.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PipelineSpec {
     /// The paper's dominance-forest coalescer.
@@ -65,15 +77,6 @@ impl PipelineSpec {
         PipelineSpec::Briggs,
         PipelineSpec::BriggsStar,
     ];
-
-    /// Parse the CLI spelling.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the `FromStr` impl: `s.parse::<PipelineSpec>()`"
-    )]
-    pub fn parse(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
 
     /// The canonical spelling, shared by the CLI, the serve protocol,
     /// and the cache key (also what [`Display`](fmt::Display) prints).
@@ -110,6 +113,221 @@ impl FromStr for PipelineSpec {
             .find(|p| p.label() == s)
             .ok_or_else(|| RequestError::UnknownPipeline(s.to_string()))
     }
+}
+
+/// What the SSA stage did to one function.
+#[derive(Clone, Debug)]
+pub struct SsaOutcome {
+    /// The SSA builder's counters.
+    pub stats: SsaStats,
+    /// The optimiser's summary when [`CompileRequest::opt`] was set.
+    pub opt: Option<RunSummary>,
+}
+
+/// The SSA stage of every pipeline: pruned SSA built with `req.fold`,
+/// then, under `req.opt`, the pipeline's optimiser pass set, checked
+/// pass by pass against the SSA-stage lint suite under
+/// `req.verify_each`. Each phase is appended to `phases`.
+///
+/// The stage does not verify its output; callers that hand the function
+/// on run `verify_ssa` themselves, outside any timed interval.
+///
+/// # Errors
+/// The first optimiser pass whose output fails the SSA-stage lint suite
+/// (only under `req.verify_each`).
+pub fn ssa_stage(
+    func: &mut Function,
+    req: &CompileRequest,
+    am: &mut AnalysisManager,
+    phases: &mut Vec<PhaseRecord>,
+) -> Result<SsaOutcome, PipelineViolation> {
+    let timer = PhaseTimer::start("build-ssa", am);
+    let stats = build_ssa_with(func, SsaFlavor::Pruned, req.fold, am);
+    phases.push(timer.finish_with(am, &stats));
+    if !req.opt {
+        return Ok(SsaOutcome { stats, opt: None });
+    }
+    let timer = PhaseTimer::start("optimise", am);
+    // φ-web destruction (briggs pipelines) needs copies kept alive;
+    // copy propagation is standalone copy folding and would merge
+    // interfering webs (see fcc_opt::copy_preserving_pipeline).
+    let pm = if req.pipeline.needs_no_fold() {
+        copy_preserving_pipeline()
+    } else {
+        standard_pipeline()
+    };
+    let summary = if req.verify_each {
+        pm.run_verified(func, am, LintStage::Ssa)?
+    } else {
+        pm.run(func, am)
+    };
+    phases.push(timer.finish(am));
+    Ok(SsaOutcome {
+        stats,
+        opt: Some(summary),
+    })
+}
+
+/// What the destruction stage did to one function.
+#[derive(Clone, Debug)]
+pub struct Destruction {
+    /// The `--stats` line describing the run (without the leading `; `).
+    pub stat_line: String,
+    /// The recorded run for `audit_destruction`, when one was asked for.
+    pub trace: Option<DestructionTrace>,
+}
+
+/// The destruction stage: take SSA `func` out of SSA form by
+/// `pipeline`'s algorithm, recording the run's [`DestructionTrace`] when
+/// `traced`. Each phase is appended to `phases`; the briggs pipelines
+/// record two (φ webs, then the coalescer), every other pipeline one.
+pub fn destruction_stage(
+    func: &mut Function,
+    pipeline: PipelineSpec,
+    traced: bool,
+    am: &mut AnalysisManager,
+    phases: &mut Vec<PhaseRecord>,
+) -> Destruction {
+    let mut trace: Option<DestructionTrace> = None;
+    let stat_line = match pipeline {
+        PipelineSpec::New | PipelineSpec::NewCut => {
+            let opts = CoalesceOptions {
+                split_strategy: if pipeline == PipelineSpec::NewCut {
+                    SplitStrategy::EdgeCut
+                } else {
+                    SplitStrategy::RemoveMember
+                },
+                ..Default::default()
+            };
+            let timer = PhaseTimer::start("coalesce-new", am);
+            let s = if traced {
+                let (s, t) = coalesce_ssa_traced(func, &opts, am);
+                trace = Some(t);
+                s
+            } else {
+                coalesce_ssa_managed(func, &opts, am)
+            };
+            phases.push(timer.finish_with(am, &s));
+            format!(
+                "new: {} copies, {} filter, {} forest splits, {} local splits, {} B peak",
+                s.copies_inserted, s.filter_copies, s.forest_splits, s.local_splits, s.peak_bytes
+            )
+        }
+        PipelineSpec::Standard => {
+            let timer = PhaseTimer::start("destruct-standard", am);
+            let s = if traced {
+                let (s, t) = destruct_standard_traced(func, am);
+                trace = Some(t);
+                s
+            } else {
+                destruct_standard_with(func, am)
+            };
+            phases.push(timer.finish_with(am, &s));
+            format!(
+                "standard: {} copies, {} cycle temps",
+                s.copies_inserted, s.cycle_temps
+            )
+        }
+        PipelineSpec::Sreedhar => {
+            let timer = PhaseTimer::start("sreedhar-i", am);
+            let s = if traced {
+                let (s, t) = destruct_sreedhar_i_traced(func);
+                trace = Some(t);
+                s
+            } else {
+                destruct_sreedhar_i(func)
+            };
+            phases.push(timer.finish_with(am, &s));
+            format!("sreedhar-i: {} isolation copies", s.copies_inserted)
+        }
+        PipelineSpec::Briggs | PipelineSpec::BriggsStar => {
+            let timer = PhaseTimer::start("webs", am);
+            let w = if traced {
+                let (w, t) = destruct_via_webs_traced(func);
+                trace = Some(t);
+                w
+            } else {
+                destruct_via_webs(func)
+            };
+            phases.push(timer.finish_with(am, &w));
+            let mode = if pipeline == PipelineSpec::Briggs {
+                GraphMode::Full
+            } else {
+                GraphMode::Restricted
+            };
+            let timer = PhaseTimer::start("briggs-coalesce", am);
+            let s = coalesce_copies_managed(
+                func,
+                &BriggsOptions {
+                    mode,
+                    ..Default::default()
+                },
+                am,
+            );
+            phases.push(timer.finish_with(am, &s));
+            format!(
+                "{}: {} removed, {} remaining, {} passes, {} B peak matrix",
+                pipeline.label(),
+                s.copies_removed,
+                s.copies_remaining,
+                s.passes.len(),
+                s.peak_matrix_bytes()
+            )
+        }
+    };
+    Destruction { stat_line, trace }
+}
+
+/// One function linted through a pipeline by [`lint_pipeline`].
+#[derive(Debug)]
+pub struct LintOutcome {
+    /// The function as last linted.
+    pub func: Function,
+    /// One report per stage boundary reached (Cfg, Ssa, Final), in
+    /// order; the Final report carries `audit_destruction`'s findings.
+    pub reports: Vec<LintReport>,
+    /// Under `opt`, the optimiser pass whose output failed the SSA-stage
+    /// suite; linting stops there, short of the Ssa boundary.
+    pub violation: Option<PipelineViolation>,
+}
+
+/// Lint `func` through `req`'s pipeline: the `fcc-lint` suite at the
+/// Cfg, Ssa and Final boundaries, the optimiser (under `req.opt`)
+/// verified after every pass, and the destruction run audited by
+/// `audit_destruction`. This is `fcc lint` and the bench tables'
+/// certification gate.
+pub fn lint_pipeline(mut func: Function, req: &CompileRequest) -> LintOutcome {
+    let mut am = AnalysisManager::new();
+    let mut phases = Vec::new();
+    let mut reports = vec![lint_function(&func, &mut am, LintStage::Cfg)];
+    let req = req.clone().verify_each(true);
+    if let Err(v) = ssa_stage(&mut func, &req, &mut am, &mut phases) {
+        // Later stages would lint a function already known bad.
+        return LintOutcome {
+            func,
+            reports,
+            violation: Some(v),
+        };
+    }
+    reports.push(lint_function(&func, &mut am, LintStage::Ssa));
+    let trace = destruction_stage(&mut func, req.pipeline, true, &mut am, &mut phases)
+        .trace
+        .expect("traced destruction records its run");
+    reports.push(final_report(&func, &trace));
+    LintOutcome {
+        func,
+        reports,
+        violation: None,
+    }
+}
+
+/// The Final-boundary lint report of a destructed function, carrying
+/// the audit of the run's congruence classes and Waiting copies. Linted
+/// against a fresh manager, so no cached analysis can hide a break.
+fn final_report(func: &Function, trace: &DestructionTrace) -> LintReport {
+    let mut report = lint_function(func, &mut AnalysisManager::new(), LintStage::Final);
+    report.diagnostics.extend(audit_destruction(trace));
+    report
 }
 
 /// What the k-register path did to one function: the SSA-level spiller's
@@ -185,30 +403,10 @@ pub fn compile_function(
     let mut stat_lines: Vec<String> = Vec::new();
 
     let t0 = Instant::now();
-    let timer = PhaseTimer::start("build-ssa", &am);
-    let ssa_stats = build_ssa_with(&mut func, SsaFlavor::Pruned, cfg.fold, &mut am);
-    phases.push(timer.finish_with(&am, &ssa_stats));
-
-    let mut opt_summary: Option<RunSummary> = None;
-    if cfg.opt {
-        let timer = PhaseTimer::start("optimise", &am);
-        // φ-web destruction (briggs pipelines) needs copies kept alive;
-        // copy propagation is standalone copy folding and would merge
-        // interfering webs (see fcc_opt::copy_preserving_pipeline).
-        let pm = if cfg.pipeline.needs_no_fold() {
-            copy_preserving_pipeline()
-        } else {
-            standard_pipeline()
-        };
-        let summary = if cfg.verify_each {
-            pm.run_verified(&mut func, &mut am, LintStage::Ssa)
-                .map_err(|v| format!("--verify-each: {v}\n{}", v.report.render_text(&func)))?
-        } else {
-            pm.run(&mut func, &mut am)
-        };
-        phases.push(timer.finish(&am));
+    let ssa = ssa_stage(&mut func, cfg, &mut am, &mut phases)
+        .map_err(|v| format!("--verify-each: {v}\n{}", v.report.render_text(&func)))?;
+    if let Some(summary) = &ssa.opt {
         stat_lines.push(format!("optimiser: {} rounds to fixpoint", summary.rounds));
-        opt_summary = Some(summary);
     }
     verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
     let maxlive = am.pressure(&func).maxlive();
@@ -237,103 +435,17 @@ pub fn compile_function(
         });
     }
 
-    let mut trace: Option<DestructionTrace> = None;
-    match cfg.pipeline {
-        PipelineSpec::New | PipelineSpec::NewCut => {
-            let opts = CoalesceOptions {
-                split_strategy: if cfg.pipeline == PipelineSpec::NewCut {
-                    SplitStrategy::EdgeCut
-                } else {
-                    SplitStrategy::RemoveMember
-                },
-                ..Default::default()
-            };
-            let timer = PhaseTimer::start("coalesce-new", &am);
-            let s = if cfg.verify_each {
-                let (s, t) = coalesce_ssa_traced(&mut func, &opts, &mut am);
-                trace = Some(t);
-                s
-            } else {
-                coalesce_ssa_managed(&mut func, &opts, &mut am)
-            };
-            phases.push(timer.finish_with(&am, &s));
-            stat_lines.push(format!(
-                "new: {} copies, {} filter, {} forest splits, {} local splits, {} B peak",
-                s.copies_inserted, s.filter_copies, s.forest_splits, s.local_splits, s.peak_bytes
-            ));
-        }
-        PipelineSpec::Standard => {
-            let timer = PhaseTimer::start("destruct-standard", &am);
-            let s = if cfg.verify_each {
-                let (s, t) = destruct_standard_traced(&mut func, &mut am);
-                trace = Some(t);
-                s
-            } else {
-                destruct_standard_with(&mut func, &mut am)
-            };
-            phases.push(timer.finish_with(&am, &s));
-            stat_lines.push(format!(
-                "standard: {} copies, {} cycle temps",
-                s.copies_inserted, s.cycle_temps
-            ));
-        }
-        PipelineSpec::Sreedhar => {
-            let timer = PhaseTimer::start("sreedhar-i", &am);
-            let s = if cfg.verify_each {
-                let (s, t) = destruct_sreedhar_i_traced(&mut func);
-                trace = Some(t);
-                s
-            } else {
-                destruct_sreedhar_i(&mut func)
-            };
-            phases.push(timer.finish_with(&am, &s));
-            stat_lines.push(format!(
-                "sreedhar-i: {} isolation copies",
-                s.copies_inserted
-            ));
-        }
-        PipelineSpec::Briggs | PipelineSpec::BriggsStar => {
-            let timer = PhaseTimer::start("webs", &am);
-            let w = if cfg.verify_each {
-                let (w, t) = destruct_via_webs_traced(&mut func);
-                trace = Some(t);
-                w
-            } else {
-                destruct_via_webs(&mut func)
-            };
-            phases.push(timer.finish_with(&am, &w));
-            let mode = if cfg.pipeline == PipelineSpec::Briggs {
-                GraphMode::Full
-            } else {
-                GraphMode::Restricted
-            };
-            let timer = PhaseTimer::start("briggs-coalesce", &am);
-            let s = coalesce_copies_managed(
-                &mut func,
-                &BriggsOptions {
-                    mode,
-                    ..Default::default()
-                },
-                &mut am,
-            );
-            phases.push(timer.finish_with(&am, &s));
-            stat_lines.push(format!(
-                "{}: {} removed, {} remaining, {} passes, {} B peak matrix",
-                cfg.pipeline.label(),
-                s.copies_removed,
-                s.copies_remaining,
-                s.passes.len(),
-                s.peak_matrix_bytes()
-            ));
-        }
-    }
-
-    if let Some(trace) = &trace {
-        // --verify-each: lint the destructed function and audit the
-        // run's congruence classes and Waiting copies independently.
-        let mut fresh = AnalysisManager::new();
-        let mut report = lint_function(&func, &mut fresh, LintStage::Final);
-        report.diagnostics.extend(audit_destruction(trace));
+    let destruction = destruction_stage(
+        &mut func,
+        cfg.pipeline,
+        cfg.verify_each,
+        &mut am,
+        &mut phases,
+    );
+    stat_lines.push(destruction.stat_line);
+    if let Some(trace) = &destruction.trace {
+        // --verify-each: lint the destructed function and audit the run.
+        let report = final_report(&func, trace);
         if report.has_errors() {
             return Err(format!(
                 "--verify-each: destruction pipeline '{}' failed the lint suite\n{}",
@@ -364,8 +476,8 @@ pub fn compile_function(
     stat_lines.push(format!(
         "{} phis inserted, {} copies folded during SSA; {} static copies in output; \
          compiled in {:.1} us",
-        ssa_stats.phis_inserted,
-        ssa_stats.copies_folded,
+        ssa.stats.phis_inserted,
+        ssa.stats.copies_folded,
         func.static_copy_count(),
         compile_time.as_secs_f64() * 1e6
     ));
@@ -413,7 +525,7 @@ pub fn compile_function(
     Ok(FunctionOutcome {
         func,
         phases,
-        opt_summary,
+        opt_summary: ssa.opt,
         stat_lines,
         analysis_peak_bytes: am.peak_bytes(),
         compile_time,
@@ -583,21 +695,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pipeline_spec_parses_all_cli_spellings() {
-        for s in [
-            "new",
-            "new-cut",
-            "standard",
-            "sreedhar",
-            "briggs",
-            "briggs-star",
-        ] {
-            let spec: PipelineSpec = s.parse().unwrap();
-            assert_eq!(spec.to_string(), s);
-        }
-        assert!("nope".parse::<PipelineSpec>().is_err());
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Thousands of seeded MiniLang programs per second are pushed through
 //! the three pipeline families (New with folding, Standard with folding,
-//! Briggs φ-webs without), each checked four ways:
+//! Briggs\* φ-webs without) — the driver's own [`ssa_stage`] and
+//! [`destruction_stage`], so the fuzzer checks exactly what `fcc`
+//! compiles — each checked four ways:
 //!
 //! 1. **Differential interpreter oracle** — the rewritten code must
 //!    produce the reference CFG's exact return value and memory.
@@ -31,21 +33,18 @@
 //! (lowering / fuel exhaustion / pipeline) as the original finding.
 
 use fcc_analysis::{fuel, AnalysisManager};
-use fcc_core::{coalesce_ssa_traced, CoalesceOptions};
 use fcc_frontend::{ast::Program, lower_program};
 use fcc_interp::run_with_memory;
 use fcc_ir::{verify::verify_function, Function};
 use fcc_lint::audit_destruction;
-use fcc_opt::{copy_preserving_pipeline, standard_pipeline};
 use fcc_pressure::audit_allocation;
-use fcc_regalloc::{
-    allocate_managed, coalesce_copies_managed, destruct_via_webs_traced, spill_to_k, AllocOptions,
-    BriggsOptions, GraphMode, SpillStrategy,
-};
-use fcc_ssa::{build_ssa_with, destruct_standard_traced, verify_ssa, SsaFlavor};
+use fcc_regalloc::{allocate_managed, spill_to_k, AllocOptions, SpillStrategy};
+use fcc_ssa::verify_ssa;
 use fcc_workloads::{generate, shrink, GenConfig};
 
+use crate::compile::{destruction_stage, ssa_stage, PipelineSpec};
 use crate::pool::{par_map, BatchTiming};
+use crate::request::CompileRequest;
 
 /// Interpreter memory cells per run (matches the generated-program
 /// tests; generator addresses are masked well below this).
@@ -56,6 +55,13 @@ const FUEL: u64 = 20_000_000;
 /// force spilling on most seeds (k = 4), a realistic machine width
 /// (k = 8), and a bound most seeds fit without spilling (k = 16).
 const K_SWEEP: [u32; 3] = [4, 8, 16];
+/// The three pipeline families, by finding label: New and Standard on
+/// folded SSA, Briggs\* on the unfolded SSA its φ webs need.
+const FAMILIES: [(&str, PipelineSpec); 3] = [
+    ("new", PipelineSpec::New),
+    ("standard", PipelineSpec::Standard),
+    ("briggs", PipelineSpec::BriggsStar),
+];
 
 /// Fuzzing campaign parameters.
 #[derive(Clone, Debug)]
@@ -205,81 +211,52 @@ fn check_program_inner(prog: &Program, opt: bool) -> Result<(), String> {
         }
         Ok(())
     };
-    let audit = |label: &str, trace: &fcc_ssa::DestructionTrace| -> Result<(), String> {
-        let diags = audit_destruction(trace);
-        if let Some(d) = diags.iter().find(|d| d.is_error()) {
+    // Each family's SSA, optionally optimised with its pass set. The
+    // stages' phase labels keep panic / fuel attribution accurate here
+    // exactly as in batch compilation.
+    let ssa_of = |spec: PipelineSpec, what: &str| -> Result<Function, String> {
+        let req = CompileRequest::new()
+            .pipeline(spec)
+            .fold(!spec.needs_no_fold())
+            .opt(opt);
+        let mut f = base.clone();
+        ssa_stage(&mut f, &req, &mut AnalysisManager::new(), &mut Vec::new())
+            .map_err(|v| format!("{what}: {v}"))?;
+        verify_ssa(&f).map_err(|e| format!("{what}: {e}"))?;
+        Ok(f)
+    };
+    let ssa = ssa_of(PipelineSpec::New, "ssa")?;
+    let mut briggs_ssa: Option<Function> = None;
+    for (label, spec) in FAMILIES {
+        let src = if spec.needs_no_fold() {
+            briggs_ssa.insert(ssa_of(spec, "briggs ssa")?)
+        } else {
+            &ssa
+        };
+        let mut f = src.clone();
+        let d = destruction_stage(
+            &mut f,
+            spec,
+            true,
+            &mut AnalysisManager::new(),
+            &mut Vec::new(),
+        );
+        let trace = d.trace.expect("traced destruction records its run");
+        if let Some(d) = audit_destruction(&trace).iter().find(|d| d.is_error()) {
             return Err(format!("{label}: audit: {}", d.render(&trace.pre)));
         }
-        Ok(())
-    };
-
-    // Folded SSA, optionally optimised — shared by New and Standard.
-    // Pass labels keep panic / fuel attribution accurate here exactly as
-    // in batch compilation (the pass manager refines them per pass).
-    let mut am = AnalysisManager::new();
-    let mut ssa = base.clone();
-    fuel::set_pass("build-ssa");
-    build_ssa_with(&mut ssa, SsaFlavor::Pruned, true, &mut am);
-    if opt {
-        standard_pipeline().run(&mut ssa, &mut am);
+        check(label, &f)?;
     }
-    verify_ssa(&ssa).map_err(|e| format!("ssa: {e}"))?;
-
-    {
-        let mut f = ssa.clone();
-        let mut am = AnalysisManager::new();
-        fuel::set_pass("coalesce-new");
-        let (_, trace) = coalesce_ssa_traced(&mut f, &CoalesceOptions::default(), &mut am);
-        audit("new", &trace)?;
-        check("new", &f)?;
-    }
-    {
-        let mut f = ssa.clone();
-        let mut am = AnalysisManager::new();
-        fuel::set_pass("destruct-standard");
-        let (_, trace) = destruct_standard_traced(&mut f, &mut am);
-        audit("standard", &trace)?;
-        check("standard", &f)?;
-    }
-
-    // Unfolded SSA for the φ-web path (copy-preserving optimisation).
-    let briggs_ssa = {
-        let mut am = AnalysisManager::new();
-        let mut f = base.clone();
-        fuel::set_pass("build-ssa");
-        build_ssa_with(&mut f, SsaFlavor::Pruned, false, &mut am);
-        if opt {
-            copy_preserving_pipeline().run(&mut f, &mut am);
-        }
-        verify_ssa(&f).map_err(|e| format!("briggs ssa: {e}"))?;
-        f
-    };
-    {
-        let mut f = briggs_ssa.clone();
-        let mut am = AnalysisManager::new();
-        fuel::set_pass("webs");
-        let (_, trace) = destruct_via_webs_traced(&mut f);
-        audit("briggs", &trace)?;
-        fuel::set_pass("briggs-coalesce");
-        coalesce_copies_managed(
-            &mut f,
-            &BriggsOptions {
-                mode: GraphMode::Restricted,
-                ..Default::default()
-            },
-            &mut am,
-        );
-        check("briggs", &f)?;
-    }
+    let briggs_ssa = briggs_ssa.expect("the briggs family ran");
 
     // The k-register dimension: spill each family's SSA down to k,
     // destruct with that family's pipeline, allocate under a hard bound
     // of k registers, certify the result with the allocation auditor,
     // and re-run the residually-spilled code against the reference.
     for k in K_SWEEP {
-        for family in ["new", "standard", "briggs"] {
+        for (family, spec) in FAMILIES {
             let label = format!("spill {family} k={k}");
-            let src = if family == "briggs" {
+            let src = if spec.needs_no_fold() {
                 &briggs_ssa
             } else {
                 &ssa
@@ -289,29 +266,7 @@ fn check_program_inner(prog: &Program, opt: bool) -> Result<(), String> {
             fuel::set_pass("spill");
             spill_to_k(&mut f, k, SpillStrategy::CostGuided);
             verify_ssa(&f).map_err(|e| format!("{label}: spilling broke SSA: {e}"))?;
-            match family {
-                "new" => {
-                    fuel::set_pass("coalesce-new");
-                    coalesce_ssa_traced(&mut f, &CoalesceOptions::default(), &mut am);
-                }
-                "standard" => {
-                    fuel::set_pass("destruct-standard");
-                    destruct_standard_traced(&mut f, &mut am);
-                }
-                _ => {
-                    fuel::set_pass("webs");
-                    destruct_via_webs_traced(&mut f);
-                    fuel::set_pass("briggs-coalesce");
-                    coalesce_copies_managed(
-                        &mut f,
-                        &BriggsOptions {
-                            mode: GraphMode::Restricted,
-                            ..Default::default()
-                        },
-                        &mut am,
-                    );
-                }
-            }
+            destruction_stage(&mut f, spec, false, &mut am, &mut Vec::new());
             fuel::set_pass("allocate");
             let alloc = allocate_managed(
                 &mut f,

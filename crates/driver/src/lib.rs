@@ -6,15 +6,21 @@
 //! * [`pool`] — a std-only scoped work-stealing pool ([`par_map`]) with
 //!   wall-vs-cpu [`BatchTiming`];
 //! * [`report`] — the pipeline instrumentation layer ([`PhaseTimer`],
-//!   [`PhaseRecord`], [`PipelineReport`], [`run_pipeline`]) and the lint
-//!   certification gates, re-exported by `fcc-bench` for compatibility;
+//!   [`PhaseRecord`], [`merge_phases`]) and the table printer, shared
+//!   with `fcc-bench`;
 //! * [`request`] — [`CompileRequest`], the one description of a
 //!   compilation (pipeline knobs, fail mode, fuel, jobs, report format)
 //!   shared by the library API, the CLI, the serve protocol, and the
 //!   serve cache key, plus the unified batch entry point
 //!   [`compile_module`]`(module, &req)`;
-//! * [`compile`] — [`compile_function`], the one code path behind
-//!   `fcc`'s pipeline flags;
+//! * [`compile`] — [`PipelineSpec`], the one pipeline enum, and the one
+//!   definition of each pipeline's recipe: [`ssa_stage`] (SSA build with
+//!   the pipeline's folding, then its optimiser pass set) and
+//!   [`destruction_stage`] (the pipeline's destruction). They compose
+//!   into [`compile_function`], the code path behind `fcc` and `fcc
+//!   serve`, and into [`lint_pipeline`], behind `fcc lint` and the bench
+//!   tables' certification gate; the bench tables and the fuzzer call
+//!   them directly;
 //! * [`fuzz`] — the `fcc fuzz` campaign driver: seeded program
 //!   generation, a differential interpreter + audit oracle, and greedy
 //!   shrinking of failures to minimal MiniLang repros;
@@ -50,7 +56,10 @@ pub mod recover;
 pub mod report;
 pub mod request;
 
-pub use compile::{compile_function, FunctionOutcome, ModuleOutcome, PipelineSpec, SpillSummary};
+pub use compile::{
+    compile_function, destruction_stage, lint_pipeline, ssa_stage, Destruction, FunctionOutcome,
+    LintOutcome, ModuleOutcome, PipelineSpec, SpillSummary, SsaOutcome,
+};
 pub use fuzz::{
     check_program, check_program_with, failure_class, fuzz, FuzzConfig, FuzzFailure, FuzzOutcome,
 };
@@ -58,10 +67,7 @@ pub use pool::{par_map, resolve_jobs, BatchTiming};
 pub use recover::{
     compile_function_guarded, run_ladder, Attempt, BatchOutcome, FailMode, FnStatus, FunctionReport,
 };
-pub use report::{
-    certify_kernels, certify_or_die, certify_pipeline, merge_phases, render_phases, run_pipeline,
-    us, PhaseRecord, PhaseStats, PhaseTimer, Pipeline, PipelineReport, Table,
-};
+pub use report::{merge_phases, render_phases, us, PhaseRecord, PhaseStats, PhaseTimer, Table};
 pub use request::{
     compile_function_report, compile_module, request_deadline, CompileRequest, ReportFormat,
     RequestError,

@@ -1,11 +1,12 @@
-//! Pipeline instrumentation: phase timing, cache counters, lint gates.
+//! Pipeline instrumentation: phase timing, cache counters, tables.
 //!
-//! This layer started life in `fcc-bench`, but the batch driver needs it
-//! too — every worker compiles functions through the same instrumented
-//! pipelines the table binaries measure — so it lives here and
-//! `fcc-bench` re-exports it. The split keeps the dependency graph
-//! acyclic: bench depends on the driver (for the pool and these types),
-//! never the other way round.
+//! Every phase of the driver's two pipeline stages
+//! ([`crate::compile::ssa_stage`], [`crate::compile::destruction_stage`])
+//! and of [`crate::compile::compile_function`] is bracketed by a
+//! [`PhaseTimer`], which yields one [`PhaseRecord`]: wall time, the
+//! phase's own peak bytes and copy counts, and the analysis-cache hits
+//! and misses it caused. `fcc --report`, `fcc serve` and the bench
+//! tables all read these records; `fcc-bench` re-exports this module.
 //!
 //! Timing follows the paper (§4.2): "the timer was started immediately
 //! before building SSA form, and its value is recorded immediately after
@@ -17,16 +18,9 @@
 use std::time::{Duration, Instant};
 
 use fcc_analysis::{AnalysisCounters, AnalysisManager};
-use fcc_core::{coalesce_ssa_managed, CoalesceOptions, CoalesceStats};
-use fcc_ir::Function;
-use fcc_regalloc::{
-    coalesce_copies_managed, destruct_via_webs, BriggsOptions, BriggsStats, GraphMode, WebStats,
-};
-use fcc_ssa::{
-    build_ssa_with, destruct_standard_traced, destruct_standard_with, DestructStats, SsaFlavor,
-    SsaStats,
-};
-use fcc_workloads::compile_kernel;
+use fcc_core::CoalesceStats;
+use fcc_regalloc::{BriggsStats, WebStats};
+use fcc_ssa::{DestructStats, SsaStats};
 
 // ---------------------------------------------------------------------------
 // PhaseStats — the one interface every per-algorithm stats struct speaks.
@@ -34,16 +28,8 @@ use fcc_workloads::compile_kernel;
 
 /// Common surface over the per-algorithm statistics structs
 /// ([`SsaStats`], [`DestructStats`], [`CoalesceStats`], [`WebStats`],
-/// [`BriggsStats`]), so the table binaries and the [`PipelineReport`]
-/// share one reporting path instead of near-duplicate formatting code.
+/// [`BriggsStats`]), so every phase record is filled in one way.
 pub trait PhaseStats {
-    /// Short phase label for report rows.
-    fn label(&self) -> &'static str;
-    /// Wall-clock time the algorithm tracked itself; zero when the
-    /// struct carries no internal timer (the caller times around it).
-    fn wall_time(&self) -> Duration {
-        Duration::ZERO
-    }
     /// Peak bytes of the algorithm's own data structures.
     fn peak_bytes(&self) -> usize {
         0
@@ -59,27 +45,18 @@ pub trait PhaseStats {
 }
 
 impl PhaseStats for SsaStats {
-    fn label(&self) -> &'static str {
-        "build-ssa"
-    }
     fn copies_removed(&self) -> usize {
         self.copies_folded
     }
 }
 
 impl PhaseStats for DestructStats {
-    fn label(&self) -> &'static str {
-        "destruct-standard"
-    }
     fn copies_inserted(&self) -> usize {
         self.copies_inserted
     }
 }
 
 impl PhaseStats for CoalesceStats {
-    fn label(&self) -> &'static str {
-        "coalesce-new"
-    }
     fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
@@ -88,19 +65,9 @@ impl PhaseStats for CoalesceStats {
     }
 }
 
-impl PhaseStats for WebStats {
-    fn label(&self) -> &'static str {
-        "webs"
-    }
-}
+impl PhaseStats for WebStats {}
 
 impl PhaseStats for BriggsStats {
-    fn label(&self) -> &'static str {
-        "briggs-coalesce"
-    }
-    fn wall_time(&self) -> Duration {
-        self.total_time()
-    }
     fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
@@ -110,7 +77,7 @@ impl PhaseStats for BriggsStats {
 }
 
 // ---------------------------------------------------------------------------
-// PhaseTimer / PhaseRecord / PipelineReport — the instrumentation layer.
+// PhaseTimer / PhaseRecord — the instrumentation layer.
 // ---------------------------------------------------------------------------
 
 /// Wall-time + cache-counter bracket around one pipeline phase.
@@ -244,215 +211,6 @@ pub fn render_phases(phases: &[PhaseRecord]) -> String {
     out
 }
 
-/// The structured result of [`run_pipeline`]: the rewritten function
-/// plus the per-phase instrumentation.
-#[derive(Clone, Debug)]
-pub struct PipelineReport {
-    /// Which pipeline ran.
-    pub pipeline: Pipeline,
-    /// The rewritten (φ-free) function.
-    pub func: Function,
-    /// One record per phase, in execution order.
-    pub phases: Vec<PhaseRecord>,
-    /// Peak bytes of the algorithm's data structures plus the rewritten
-    /// function — the paper's Table 3 metric.
-    pub peak_bytes: usize,
-    /// Peak bytes held by the shared analysis cache.
-    pub analysis_peak_bytes: usize,
-}
-
-impl PipelineReport {
-    /// Total wall time across phases.
-    pub fn total_time(&self) -> Duration {
-        self.phases.iter().map(|p| p.time).sum()
-    }
-
-    /// Summed analysis-cache counters across phases.
-    pub fn counters(&self) -> AnalysisCounters {
-        let mut total = AnalysisCounters::default();
-        for p in &self.phases {
-            total += p.counters;
-        }
-        total
-    }
-
-    /// Total analysis-cache hits across phases.
-    pub fn cache_hits(&self) -> u64 {
-        self.counters().total_hits()
-    }
-
-    /// Total analysis-cache misses across phases.
-    pub fn cache_misses(&self) -> u64 {
-        self.counters().total_misses()
-    }
-
-    /// Render the per-phase table (see [`render_phases`]).
-    pub fn render(&self) -> String {
-        render_phases(&self.phases)
-    }
-}
-
-/// Which pipeline to measure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Pipeline {
-    /// Naive φ instantiation (no coalescing).
-    Standard,
-    /// The paper's dominance-forest coalescer.
-    New,
-    /// Iterated interference-graph coalescer, full graph.
-    Briggs,
-    /// Iterated interference-graph coalescer, copy-related names only.
-    BriggsStar,
-}
-
-impl Pipeline {
-    /// Display name matching the paper's nomenclature.
-    pub fn label(self) -> &'static str {
-        match self {
-            Pipeline::Standard => "Standard",
-            Pipeline::New => "New",
-            Pipeline::Briggs => "Briggs",
-            Pipeline::BriggsStar => "Briggs*",
-        }
-    }
-}
-
-/// Run `pipeline` on the pre-SSA `func`, sharing one [`AnalysisManager`]
-/// across all phases, and return the instrumented [`PipelineReport`].
-/// Time the whole run yourself around this call if you want the paper's
-/// §4.2 end-to-end number (that avoids charging the instrumentation to
-/// any one phase).
-pub fn run_pipeline(pipeline: Pipeline, mut func: Function) -> PipelineReport {
-    let mut am = AnalysisManager::new();
-    let mut phases = Vec::new();
-    let peak_bytes = match pipeline {
-        Pipeline::Standard => {
-            let t = PhaseTimer::start("build-ssa", &am);
-            let s = build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
-            phases.push(t.finish_with(&am, &s));
-            let t = PhaseTimer::start("destruct-standard", &am);
-            let s = destruct_standard_with(&mut func, &mut am);
-            phases.push(t.finish_with(&am, &s));
-            func.bytes()
-        }
-        Pipeline::New => {
-            let t = PhaseTimer::start("build-ssa", &am);
-            let s = build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
-            phases.push(t.finish_with(&am, &s));
-            let t = PhaseTimer::start("coalesce-new", &am);
-            let s = coalesce_ssa_managed(&mut func, &CoalesceOptions::default(), &mut am);
-            phases.push(t.finish_with(&am, &s));
-            s.peak_bytes + func.bytes()
-        }
-        Pipeline::Briggs | Pipeline::BriggsStar => {
-            let t = PhaseTimer::start("build-ssa", &am);
-            let s = build_ssa_with(&mut func, SsaFlavor::Pruned, false, &mut am);
-            phases.push(t.finish_with(&am, &s));
-            let t = PhaseTimer::start("webs", &am);
-            let s = destruct_via_webs(&mut func);
-            phases.push(t.finish_with(&am, &s));
-            let mode = if pipeline == Pipeline::Briggs {
-                GraphMode::Full
-            } else {
-                GraphMode::Restricted
-            };
-            let t = PhaseTimer::start("briggs-coalesce", &am);
-            let s = coalesce_copies_managed(
-                &mut func,
-                &BriggsOptions {
-                    mode,
-                    ..Default::default()
-                },
-                &mut am,
-            );
-            phases.push(t.finish_with(&am, &s));
-            s.peak_bytes + func.bytes()
-        }
-    };
-    let analysis_peak_bytes = am.peak_bytes();
-    PipelineReport {
-        pipeline,
-        func,
-        phases,
-        peak_bytes,
-        analysis_peak_bytes,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lint certification — the fcc-lint gate in front of every evaluation run.
-// ---------------------------------------------------------------------------
-
-/// Drive `func` through `pipeline` with the `fcc-lint` rule suite at
-/// every stage boundary plus the destruction soundness audit, outside
-/// any timed region. Returns the first failing report as an error.
-///
-/// The evaluation binaries call this (via [`certify_kernels`]) before
-/// measuring: a table regenerated from an unsound run is worse than no
-/// table.
-pub fn certify_pipeline(pipeline: Pipeline, mut func: Function) -> Result<(), String> {
-    use fcc_lint::{audit_destruction, lint_function, LintStage};
-    let gate = |func: &Function, stage: LintStage| -> Result<(), String> {
-        let r = lint_function(func, &mut AnalysisManager::new(), stage);
-        if r.has_errors() {
-            Err(format!("stage {stage}:\n{}", r.render_text(func)))
-        } else {
-            Ok(())
-        }
-    };
-    gate(&func, LintStage::Cfg)?;
-    let mut am = AnalysisManager::new();
-    let fold = !matches!(pipeline, Pipeline::Briggs | Pipeline::BriggsStar);
-    build_ssa_with(&mut func, SsaFlavor::Pruned, fold, &mut am);
-    gate(&func, LintStage::Ssa)?;
-    let trace = match pipeline {
-        Pipeline::Standard => destruct_standard_traced(&mut func, &mut am).1,
-        Pipeline::New => {
-            fcc_core::coalesce_ssa_traced(&mut func, &CoalesceOptions::default(), &mut am).1
-        }
-        Pipeline::Briggs | Pipeline::BriggsStar => {
-            fcc_regalloc::destruct_via_webs_traced(&mut func).1
-        }
-    };
-    let audit = audit_destruction(&trace);
-    if audit.iter().any(|d| d.is_error()) {
-        let rendered: Vec<String> = audit.iter().map(|d| d.render(&trace.pre)).collect();
-        return Err(format!("destruction audit:\n{}", rendered.join("\n")));
-    }
-    gate(&func, LintStage::Final)
-}
-
-/// [`certify_pipeline`] over the whole kernel suite. Returns the number
-/// of kernel × pipeline combinations certified; the table binaries call
-/// this once before timing and abort on `Err`.
-pub fn certify_kernels(pipelines: &[Pipeline]) -> Result<usize, String> {
-    let mut n = 0;
-    for k in fcc_workloads::kernels() {
-        let func = compile_kernel(k);
-        for &p in pipelines {
-            certify_pipeline(p, func.clone())
-                .map_err(|e| format!("{} / {}: {e}", k.name, p.label()))?;
-            n += 1;
-        }
-    }
-    Ok(n)
-}
-
-/// Run [`certify_kernels`] and exit the process with an error message on
-/// failure — the shared preamble of every evaluation binary.
-pub fn certify_or_die(pipelines: &[Pipeline]) {
-    match certify_kernels(pipelines) {
-        Ok(n) => eprintln!(
-            "; lint: certified {n} kernel x pipeline runs ({} rules + destruction audit)",
-            fcc_lint::default_rules().len()
-        ),
-        Err(e) => {
-            eprintln!("lint certification failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Table rendering + numeric helpers shared with the bench binaries.
 // ---------------------------------------------------------------------------
@@ -523,28 +281,38 @@ pub fn us(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcc_workloads::kernel;
+    use crate::compile::{destruction_stage, ssa_stage, PipelineSpec};
+    use crate::request::CompileRequest;
+    use fcc_workloads::{compile_kernel, kernel};
+
+    /// Run the two pipeline stages on a kernel, as the bench tables do.
+    fn run_stages(spec: PipelineSpec) -> (Vec<PhaseRecord>, AnalysisManager) {
+        let mut func = compile_kernel(kernel("saxpy").unwrap());
+        let req = CompileRequest::new()
+            .pipeline(spec)
+            .fold(!spec.needs_no_fold());
+        let mut am = AnalysisManager::new();
+        let mut phases = Vec::new();
+        ssa_stage(&mut func, &req, &mut am, &mut phases).unwrap();
+        destruction_stage(&mut func, spec, false, &mut am, &mut phases);
+        (phases, am)
+    }
 
     #[test]
-    fn reports_show_cache_hits() {
+    fn stages_show_cache_hits() {
         // Sharing one manager across the build/destruct phases must
         // produce structural cache hits on every pipeline (e.g. the
         // domtree query re-using the CFG computed for liveness).
-        let k = kernel("saxpy").unwrap();
-        for p in [
-            Pipeline::Standard,
-            Pipeline::New,
-            Pipeline::Briggs,
-            Pipeline::BriggsStar,
-        ] {
-            let report = run_pipeline(p, compile_kernel(k));
-            assert!(
-                report.cache_hits() > 0,
-                "{} pipeline reported no analysis-cache hits",
-                p.label()
-            );
-            assert!(report.analysis_peak_bytes > 0);
-            let rendered = report.render();
+        for spec in PipelineSpec::ALL {
+            let (phases, am) = run_stages(spec);
+            let mut total = AnalysisCounters::default();
+            for p in &phases {
+                total += p.counters;
+            }
+            assert!(total.total_hits() > 0, "{spec}: no analysis-cache hits");
+            assert_eq!(total, am.counters(), "{spec}: records miss a query");
+            assert!(am.peak_bytes() > 0);
+            let rendered = render_phases(&phases);
             assert!(rendered.contains("TOTAL"));
             assert!(rendered.contains("per-analysis hit/miss:"));
         }
@@ -552,26 +320,24 @@ mod tests {
 
     #[test]
     fn phase_records_cover_every_phase() {
-        let k = kernel("saxpy").unwrap();
-        let report = run_pipeline(Pipeline::BriggsStar, compile_kernel(k));
-        let labels: Vec<&str> = report.phases.iter().map(|p| p.label).collect();
+        let (phases, _) = run_stages(PipelineSpec::BriggsStar);
+        let labels: Vec<&str> = phases.iter().map(|p| p.label).collect();
         assert_eq!(labels, ["build-ssa", "webs", "briggs-coalesce"]);
-        assert!(report.total_time() > Duration::ZERO);
+        assert!(phases.iter().map(|p| p.time).sum::<Duration>() > Duration::ZERO);
     }
 
     #[test]
     fn merge_phases_sums_by_label_in_first_appearance_order() {
-        let k = kernel("saxpy").unwrap();
-        let a = run_pipeline(Pipeline::New, compile_kernel(k));
-        let b = run_pipeline(Pipeline::New, compile_kernel(k));
-        let merged = merge_phases(&[a.phases.clone(), b.phases.clone()]);
+        let (a, _) = run_stages(PipelineSpec::New);
+        let (b, _) = run_stages(PipelineSpec::New);
+        let merged = merge_phases(&[a.clone(), b.clone()]);
         let labels: Vec<&str> = merged.iter().map(|p| p.label).collect();
         assert_eq!(labels, ["build-ssa", "coalesce-new"]);
         assert_eq!(
             merged[1].copies_inserted,
-            a.phases[1].copies_inserted + b.phases[1].copies_inserted
+            a[1].copies_inserted + b[1].copies_inserted
         );
-        assert_eq!(merged[0].time, a.phases[0].time + b.phases[0].time);
+        assert_eq!(merged[0].time, a[0].time + b[0].time);
     }
 
     #[test]

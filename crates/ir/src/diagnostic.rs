@@ -177,6 +177,12 @@ mod tests {
     use crate::instr::InstKind;
 
     #[test]
+    fn json_escaping_handles_the_awkward_cases() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn display_carries_rule_and_block() {
         let mut f = Function::new("d");
         let b0 = f.add_block();

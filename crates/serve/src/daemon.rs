@@ -378,9 +378,51 @@ fn parse_source(source: &str, lang: Lang) -> Result<Module, ServeError> {
     match lang {
         Lang::MiniLang => fcc_frontend::compile_module(source).map_err(ServeError::parse_error),
         Lang::Ir => {
-            fcc_ir::parse::parse_module(source).map_err(|e| ServeError::parse_error(e.to_string()))
+            let module = fcc_ir::parse::parse_module(source)
+                .map_err(|e| ServeError::parse_error(e.to_string()))?;
+            module.functions().iter().try_for_each(check_ssa_input)?;
+            Ok(module)
         }
     }
+}
+
+/// The shape SSA construction requires of textual IR, checked before
+/// anything compiles: an entry block, no φ anywhere (the builder places
+/// every φ itself), and no reachable block branching back to the entry
+/// (renaming starts there). Unreachable blocks are dropped before
+/// construction, so their edges do not count.
+fn check_ssa_input(func: &fcc_ir::Function) -> Result<(), ServeError> {
+    if func.blocks().next().is_none() {
+        return Err(ServeError::invalid_ir(
+            "ir-no-entry-block",
+            format!("@{}: the function has no blocks", func.name),
+        ));
+    }
+    if let Some((b, phi)) = func
+        .blocks()
+        .find_map(|b| func.block_phis(b).next().map(|phi| (b, phi)))
+    {
+        return Err(ServeError::invalid_ir(
+            "ir-phi-in-input",
+            format!(
+                "@{}: {b} holds a phi ({}); IR input must be phi-free, the compiler builds SSA itself",
+                func.name,
+                func.display_inst(phi)
+            ),
+        ));
+    }
+    let cfg = fcc_ir::ControlFlowGraph::compute(func);
+    if let Some(p) = cfg.preds(func.entry()).first() {
+        return Err(ServeError::invalid_ir(
+            "ir-entry-has-predecessor",
+            format!(
+                "@{}: {p} branches to the entry block {}; the entry must have no reachable predecessor",
+                func.name,
+                func.entry()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Best-effort id recovery from a line that failed request validation

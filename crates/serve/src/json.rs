@@ -96,11 +96,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// JSON string escaping (quotes, backslashes, control characters) —
-/// shared with the driver's report renderer.
-pub fn escape(s: &str) -> String {
-    fcc_driver::recover::json_escape(s)
-}
+/// JSON string escaping (quotes, backslashes, control characters): the
+/// workspace's one escaper, shared with every diagnostic and report.
+pub use fcc_ir::diagnostic::json_escape as escape;
 
 /// Where and why a parse failed.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -116,6 +116,12 @@ impl ServeError {
         Self::new(422, "parse-error", detail)
     }
 
+    /// Textual IR that parses but breaks a precondition of SSA
+    /// construction; `rule` names which.
+    pub fn invalid_ir(rule: &str, detail: impl Into<String>) -> Self {
+        Self::new(422, rule, detail)
+    }
+
     /// The compile request fails [`CompileRequest::validate`].
     pub fn invalid_request(e: &RequestError) -> Self {
         Self::new(422, e.kind(), e.to_string())

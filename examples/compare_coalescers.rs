@@ -2,16 +2,15 @@
 //!
 //! Standard (no coalescing), New (the paper's dominance-forest
 //! algorithm), Briggs (full interference graph), and Briggs\* (restricted
-//! graph) — reporting wall time, peak data-structure bytes, the
-//! static/dynamic copy counts the paper's Tables 2–5 are built from, and
-//! the analysis-cache hits each pipeline gets from sharing one
-//! `AnalysisManager` across its phases.
+//! graph), each through the driver's pipeline stages — reporting wall
+//! time, peak data-structure bytes, the static/dynamic copy counts the
+//! paper's Tables 2–5 are built from, and the analysis-cache hits each
+//! pipeline gets from sharing one `AnalysisManager` across its phases.
 //!
 //! Run: `cargo run --release --example compare_coalescers [kernel]`
 //! (default kernel: tomcatv; list: `--example compare_coalescers list`)
 
-use std::time::Instant;
-
+use fcc::bench::render_phases;
 use fcc::prelude::*;
 use fcc::workloads::{compile_kernel, kernel, kernels, reference_run};
 
@@ -40,41 +39,36 @@ fn main() {
         reference.ret
     );
     println!(
-        "{:<10} {:>10} {:>12} {:>14} {:>15} {:>12}",
+        "{:<12} {:>10} {:>12} {:>14} {:>15} {:>12}",
         "pipeline", "time(us)", "peak bytes", "static copies", "dynamic copies", "cache h/m"
     );
 
-    let mut new_report: Option<PipelineReport> = None;
+    // `measure` runs the driver's SSA and destruction stages — the
+    // recipe `fcc` ships — and checks the result against the
+    // interpreter.
+    let mut new_phases = Vec::new();
     for p in [
-        Pipeline::Standard,
-        Pipeline::New,
-        Pipeline::Briggs,
-        Pipeline::BriggsStar,
+        PipelineSpec::Standard,
+        PipelineSpec::New,
+        PipelineSpec::Briggs,
+        PipelineSpec::BriggsStar,
     ] {
-        let t0 = Instant::now();
-        let report = run_pipeline(p, base.clone());
-        let dt = t0.elapsed();
-        let out = reference_run(&report.func, k).expect("pipeline output runs");
-        assert_eq!(
-            out.behavior(),
-            reference.behavior(),
-            "{} must preserve semantics",
-            p.label()
-        );
+        let m = measure(p, k, 1);
+        let counters = m.counters();
         println!(
-            "{:<10} {:>10.1} {:>12} {:>14} {:>15} {:>12}",
+            "{:<12} {:>10.1} {:>12} {:>14} {:>15} {:>12}",
             p.label(),
-            dt.as_secs_f64() * 1e6,
-            report.peak_bytes,
-            report.func.static_copy_count(),
-            out.dynamic_copies,
-            format!("{}/{}", report.cache_hits(), report.cache_misses()),
+            m.time.as_secs_f64() * 1e6,
+            m.peak_bytes,
+            m.static_copies,
+            m.dynamic_copies,
+            format!("{}/{}", counters.total_hits(), counters.total_misses()),
         );
-        if p == Pipeline::New {
-            new_report = Some(report);
+        if p == PipelineSpec::New {
+            new_phases = m.phases;
         }
     }
 
     println!("\nper-phase breakdown of the New pipeline:");
-    print!("{}", new_report.expect("New pipeline ran").render());
+    print!("{}", render_phases(&new_phases));
 }

@@ -482,11 +482,8 @@ fn lint_main(args: Vec<String>) -> Result<bool, String> {
     // Same spelling + precondition rules as `fcc build` and the serve
     // protocol: parse through the shared FromStr, validate typed.
     let spec: PipelineSpec = pipeline.parse().map_err(|e: RequestError| e.to_string())?;
-    CompileRequest::new()
-        .pipeline(spec)
-        .fold(fold)
-        .validate()
-        .map_err(|e| e.to_string())?;
+    let req = CompileRequest::new().pipeline(spec).fold(fold).opt(opt);
+    req.validate().map_err(|e| e.to_string())?;
 
     let src = load_source(&input)?;
     let module = fcc::frontend::compile_module(&src)?;
@@ -495,102 +492,42 @@ fn lint_main(args: Vec<String>) -> Result<bool, String> {
     // merged in module order, so the printed findings are independent of
     // --jobs.
     let funcs = module.into_functions();
-    let (results, _timing) = par_map(funcs.len(), jobs, |i| {
-        lint_one(funcs[i].clone(), &pipeline, fold, opt)
-    });
+    let (results, _timing) = par_map(funcs.len(), jobs, |i| lint_pipeline(funcs[i].clone(), &req));
 
     let mut clean = true;
-    let mut emitted: Vec<(Function, Vec<LintReport>, Option<LintReport>)> = Vec::new();
-    for r in results {
-        let (func, reports, extra) = r?;
-        clean &= extra.is_none()
-            && reports
-                .iter()
-                .all(|r| !r.has_errors() && (!deny_warnings || r.warning_count() == 0));
-        emitted.push((func, reports, extra));
+    let mut emitted: Vec<(Function, Vec<LintReport>)> = Vec::new();
+    for LintOutcome {
+        func,
+        mut reports,
+        violation,
+    } in results
+    {
+        if let Some(v) = violation {
+            // The offending pass and its report; the report also fails
+            // the run.
+            eprintln!("fcc lint: @{}: {v}", func.name);
+            clean = false;
+            reports.push(v.report);
+        }
+        clean &= reports
+            .iter()
+            .all(|r| !r.has_errors() && (!deny_warnings || r.warning_count() == 0));
+        emitted.push((func, reports));
     }
     if format == "json" {
         let objs: Vec<String> = emitted
             .iter()
-            .flat_map(|(func, reports, extra)| {
-                reports
-                    .iter()
-                    .chain(extra.iter())
-                    .map(|r| r.render_json(func))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|(func, reports)| reports.iter().map(|r| r.render_json(func)))
             .collect();
         emit(format_args!("[{}]", objs.join(",")));
     } else {
-        for (func, reports, extra) in &emitted {
-            for r in reports.iter().chain(extra.iter()) {
+        for (func, reports) in &emitted {
+            for r in reports {
                 emit(r.render_text(func));
             }
         }
     }
     Ok(clean)
-}
-
-/// Lint one function through the chosen pipeline. Returns the function
-/// (as linted), the per-stage reports, and — when `--opt` verification
-/// fails mid-pipeline — the failing pass report (which also fails the
-/// run).
-#[allow(clippy::type_complexity)]
-fn lint_one(
-    mut func: Function,
-    pipeline: &str,
-    fold: bool,
-    opt: bool,
-) -> Result<(Function, Vec<LintReport>, Option<LintReport>), String> {
-    let mut am = AnalysisManager::new();
-    let mut reports: Vec<LintReport> = Vec::new();
-
-    reports.push(fcc::lint::lint_function(&func, &mut am, LintStage::Cfg));
-    build_ssa_with(&mut func, SsaFlavor::Pruned, fold, &mut am);
-    if opt {
-        // The briggs paths destruct by φ-web unioning, which copy
-        // propagation would silently unsound (it folds copies into φ
-        // args); keep copies alive for them.
-        let pm = if matches!(pipeline, "briggs" | "briggs-star") {
-            copy_preserving_pipeline()
-        } else {
-            standard_pipeline()
-        };
-        match pm.run_verified(&mut func, &mut am, LintStage::Ssa) {
-            Ok(_) => {}
-            Err(v) => {
-                // Surface the offending pass and its report, then stop:
-                // later stages would lint a function already known bad.
-                eprintln!("fcc lint: @{}: {v}", func.name);
-                return Ok((func, reports, Some(v.report)));
-            }
-        }
-    }
-    reports.push(fcc::lint::lint_function(&func, &mut am, LintStage::Ssa));
-
-    let trace = match pipeline {
-        "new" | "new-cut" => {
-            let opts = fcc::core::CoalesceOptions {
-                split_strategy: if pipeline == "new-cut" {
-                    fcc::core::SplitStrategy::EdgeCut
-                } else {
-                    fcc::core::SplitStrategy::RemoveMember
-                },
-                ..Default::default()
-            };
-            coalesce_ssa_traced(&mut func, &opts, &mut am).1
-        }
-        "standard" => destruct_standard_traced(&mut func, &mut am).1,
-        "sreedhar" => fcc::ssa::destruct_sreedhar_i_traced(&mut func).1,
-        "briggs" | "briggs-star" => destruct_via_webs_traced(&mut func).1,
-        other => return Err(format!("unknown pipeline {other}\n{}", usage())),
-    };
-
-    let mut am = AnalysisManager::new();
-    let mut fin = fcc::lint::lint_function(&func, &mut am, LintStage::Final);
-    fin.diagnostics.extend(audit_destruction(&trace));
-    reports.push(fin);
-    Ok((func, reports, None))
 }
 
 /// `fcc analyze`: compile, build SSA (optionally optimise), run the
@@ -649,13 +586,11 @@ fn analyze_main(args: Vec<String>) -> Result<bool, String> {
     let single = module.len() == 1;
     let funcs = module.into_functions();
     let json = format == "json";
+    let req = CompileRequest::new().fold(fold).opt(opt);
     let (results, _timing) = par_map(funcs.len(), jobs, |i| {
         let mut func = funcs[i].clone();
         let mut am = AnalysisManager::new();
-        build_ssa_with(&mut func, SsaFlavor::Pruned, fold, &mut am);
-        if opt {
-            standard_pipeline().run(&mut func, &mut am);
-        }
+        ssa_stage(&mut func, &req, &mut am, &mut Vec::new()).map_err(|v| v.to_string())?;
         verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
         let fa = FunctionAnalysis::of(&func, &mut am);
         let mut diags = fa.safety_diagnostics(&func);
@@ -750,8 +685,9 @@ fn pressure_main(args: Vec<String>) -> Result<bool, String> {
     let single = module.len() == 1;
     let funcs = module.into_functions();
     let json = format == "json";
+    let req = CompileRequest::new().fold(fold).opt(opt);
     let (results, _timing) = par_map(funcs.len(), jobs, |i| {
-        pressure_one(funcs[i].clone(), fold, opt, k, spill, json)
+        pressure_one(funcs[i].clone(), &req, k, spill, json)
     });
 
     let mut clean = true;
@@ -778,17 +714,13 @@ fn pressure_main(args: Vec<String>) -> Result<bool, String> {
 /// (rendered, errors, warnings).
 fn pressure_one(
     mut func: Function,
-    fold: bool,
-    opt: bool,
+    req: &CompileRequest,
     k: u32,
     spill: bool,
     json: bool,
 ) -> Result<(String, usize, usize), String> {
     let mut am = AnalysisManager::new();
-    build_ssa_with(&mut func, SsaFlavor::Pruned, fold, &mut am);
-    if opt {
-        standard_pipeline().run(&mut func, &mut am);
-    }
+    ssa_stage(&mut func, req, &mut am, &mut Vec::new()).map_err(|v| v.to_string())?;
     verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
     let summary = fcc::pressure::summarize(&func, &mut am)
         .map_err(|e| format!("@{}: chordality certification failed: {e}", func.name))?;
@@ -801,28 +733,21 @@ fn pressure_one(
         })
     });
     let rules = pressure_rules(k);
-    let ssa_report = lint_with_rules(&func, &mut am, LintStage::Ssa, &rules);
-    let mut diags: Vec<String> = ssa_report
-        .diagnostics
-        .iter()
-        .map(|d| {
+    let render = |report: &LintReport, func: &Function| -> Vec<String> {
+        let one = |d: &Diagnostic| {
             if json {
-                d.to_json(Some(&func))
+                d.to_json(Some(func))
             } else {
-                d.render(&func)
+                d.render(func)
             }
-        })
-        .collect();
-
-    coalesce_ssa_managed(&mut func, &CoalesceOptions::default(), &mut am);
+        };
+        report.diagnostics.iter().map(one).collect()
+    };
+    let ssa_report = lint_with_rules(&func, &mut am, LintStage::Ssa, &rules);
+    let mut diags = render(&ssa_report, &func);
+    destruction_stage(&mut func, req.pipeline, false, &mut am, &mut Vec::new());
     let final_report = lint_with_rules(&func, &mut am, LintStage::Final, &rules);
-    diags.extend(final_report.diagnostics.iter().map(|d| {
-        if json {
-            d.to_json(Some(&func))
-        } else {
-            d.render(&func)
-        }
-    }));
+    diags.extend(render(&final_report, &func));
     let cfg = am.cfg(&func);
     let live = am.liveness(&func);
     let final_maxlive = fcc::analysis::Pressure::compute(&func, &cfg, &live).maxlive();
@@ -1210,23 +1135,13 @@ fn real_main(raw: Vec<String>) -> Result<(), String> {
         let funcs = module.into_functions();
         let (results, _timing) = par_map(funcs.len(), o.jobs, |i| {
             let mut func = funcs[i].clone();
-            let mut am = AnalysisManager::new();
-            build_ssa_with(&mut func, SsaFlavor::Pruned, req.fold, &mut am);
-            if req.opt {
-                let pm = if req.pipeline.needs_no_fold() {
-                    copy_preserving_pipeline()
-                } else {
-                    standard_pipeline()
-                };
-                if req.verify_each {
-                    pm.run_verified(&mut func, &mut am, LintStage::Ssa)
-                        .map_err(|v| {
-                            format!("--verify-each: {v}\n{}", v.report.render_text(&func))
-                        })?;
-                } else {
-                    pm.run(&mut func, &mut am);
-                }
-            }
+            ssa_stage(
+                &mut func,
+                &req,
+                &mut AnalysisManager::new(),
+                &mut Vec::new(),
+            )
+            .map_err(|v| format!("--verify-each: {v}\n{}", v.report.render_text(&func)))?;
             verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
             Ok::<Function, String>(func)
         });

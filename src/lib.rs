@@ -17,7 +17,7 @@
 //! | [`alias`] | memory/alias analysis on those fixpoints: alias verdicts, memory-state lattice, `mem-*` checkers |
 //! | [`ssa`] | SSA construction (3 flavours, copy folding), parallel copies, Standard destruction |
 //! | [`core`] | **the paper's algorithm**: dominance forest + coalescing SSA destruction |
-//! | [`driver`] | batch compilation: work-stealing pool, instrumented pipelines, differential fuzzer, fault-tolerant degradation ladder, the unified `CompileRequest` entry point (`fcc --jobs`, `fcc fuzz`, `--fail-mode`) |
+//! | [`driver`] | the one pipeline definition (`PipelineSpec`, `ssa_stage`, `destruction_stage`), batch compilation on a work-stealing pool, differential fuzzer, fault-tolerant degradation ladder, the unified `CompileRequest` entry point (`fcc --jobs`, `fcc lint`, `fcc fuzz`, `--fail-mode`) |
 //! | [`serve`] | the compile service: JSONL daemon, content-addressed incremental function cache, load generator (`fcc serve`, `fcc bench-serve`) |
 //! | [`regalloc`] | interference graphs, Briggs / Briggs\* coalescers, colouring allocator |
 //! | [`pressure`] | register pressure: MaxLive, chordality certificates (MaxLive = χ), spill costs, k-feasibility audit (`fcc pressure`) |
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use fcc_analysis::{
         AnalysisCounters, AnalysisManager, Fuel, FuelExhausted, PreservedAnalyses,
     };
-    pub use fcc_bench::{measure, run_pipeline, Measurement, PhaseStats, Pipeline, PipelineReport};
+    pub use fcc_bench::{measure, Measurement, PhaseStats};
     pub use fcc_core::{
         coalesce_ssa, coalesce_ssa_managed, coalesce_ssa_traced, coalesce_ssa_with,
         CoalesceOptions, CoalesceStats,
@@ -93,8 +93,10 @@ pub mod prelude {
     pub use fcc_dataflow::{FunctionAnalysis, Interval, RangeAnalysis};
     pub use fcc_driver::{
         compile_function, compile_function_guarded, compile_function_report, compile_module,
-        par_map, resolve_jobs, BatchOutcome, BatchTiming, CompileRequest, FailMode, FnStatus,
-        FunctionOutcome, FunctionReport, ModuleOutcome, PipelineSpec, ReportFormat, RequestError,
+        destruction_stage, lint_pipeline, par_map, resolve_jobs, ssa_stage, BatchOutcome,
+        BatchTiming, CompileRequest, Destruction, FailMode, FnStatus, FunctionOutcome,
+        FunctionReport, LintOutcome, ModuleOutcome, PipelineSpec, ReportFormat, RequestError,
+        SsaOutcome,
     };
     pub use fcc_interp::{run, run_with_memory, Outcome};
     pub use fcc_ir::{

@@ -473,3 +473,47 @@ fn serve_loop_replays_the_kernel_suite_deterministically() {
     assert_eq!(lines[0], lines[1], "second pass must replay byte-for-byte");
     assert!(parse(lines[0]).get("ok").unwrap().as_bool() == Some(true));
 }
+
+#[test]
+fn ir_that_ssa_construction_cannot_take_is_a_422_naming_its_rule() {
+    let _quiet = quiet();
+    let ir_line = |id: u64, source: &str, extra: &str| {
+        format!(
+            "{{\"v\":1,\"id\":{id},\"verb\":\"compile\",\"lang\":\"ir\",\"source\":\"{}\"{extra}}}",
+            fcc::serve::json::escape(source)
+        )
+    };
+    let phi = "function @f(1) {\nb0:\n    v0 = param 0\n    jump b1\nb1:\n    \
+               v1 = phi [b0: v0]\n    return v1\n}\n";
+    let back_to_entry = "function @f(1) {\nb0:\n    v0 = param 0\n    v1 = const 0\n    \
+                         v2 = gt v0, v1\n    branch v2, b1, b2\nb1:\n    v0 = sub v0, v0\n    \
+                         jump b0\nb2:\n    return v0\n}\n";
+    let mut d = daemon();
+    for (id, source, kind) in [
+        (40, "function @f(0) {\n}\n", "ir-no-entry-block"),
+        (41, phi, "ir-phi-in-input"),
+        (42, back_to_entry, "ir-entry-has-predecessor"),
+    ] {
+        for extra in ["", ",\"request\":{\"fail_mode\":\"degrade\"}"] {
+            let (resp, stop) = d.handle_line(&ir_line(id, source, extra));
+            assert!(!stop);
+            let doc = parse(&resp);
+            assert_eq!(doc.get("id").unwrap().as_u64(), Some(id), "{resp}");
+            let err = doc.get("error").cloned().expect("a typed error");
+            assert_eq!(err.get("code").unwrap().as_u64(), Some(422), "{resp}");
+            assert_eq!(err.get("kind").unwrap().as_str(), Some(kind), "{resp}");
+        }
+        let (resp, _) = d.handle_line(r#"{"v":1,"verb":"ping"}"#);
+        assert_eq!(parse(&resp).get("ok").unwrap().as_bool(), Some(true));
+    }
+
+    // Only reachable predecessors count: construction drops the dead
+    // block that jumps back to the entry, so this compiles.
+    let dead_jump = "function @f(1) {\nb0:\n    v0 = param 0\n    return v0\nb1:\n    jump b0\n}\n";
+    let (resp, _) = d.handle_line(&ir_line(43, dead_jump, ""));
+    assert_eq!(
+        parse(&resp).get("ok").unwrap().as_bool(),
+        Some(true),
+        "{resp}"
+    );
+}
