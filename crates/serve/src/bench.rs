@@ -114,7 +114,7 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let pool = build_pool(cfg, &mut rng);
 
     let defaults = fcc_driver::CompileRequest::new().jobs(cfg.jobs);
-    let mut daemon = Daemon::new(ServeOptions {
+    let daemon = Daemon::new(ServeOptions {
         defaults,
         cache_budget: cfg.cache_budget,
         ..ServeOptions::default()
@@ -151,7 +151,7 @@ pub fn run(cfg: &BenchConfig) -> BenchReport {
     let wall_s = start.elapsed().as_secs_f64();
 
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
-    let stats = daemon.cache().stats();
+    let stats = daemon.cache_stats();
     BenchReport {
         config: cfg.clone(),
         ok_responses,

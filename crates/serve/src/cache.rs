@@ -46,10 +46,18 @@
 //! budget, and reports that missed their wall-clock deadline. A
 //! deadline miss is a property of machine load, not of the input, so
 //! caching it would let one slow moment poison every future resubmit.
+//!
+//! The daemon's concurrent requests share one cache through
+//! [`SharedCache`]: the cache and a single-flight table of the keys being
+//! compiled sit behind one lock, held to probe, insert and count but
+//! never to key, compile or render ([`compile_module_cached`]). A key
+//! several requests miss at once is compiled by one of them while the
+//! others wait for its report.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use fcc_driver::{
     compile_function_report, par_map, request_deadline, with_deadline, BatchTiming, CompileRequest,
@@ -207,34 +215,47 @@ impl FnCache {
 
     /// Probe for `key`, counting a hit or miss and refreshing recency.
     pub fn get(&mut self, key: &str) -> Option<FunctionReport> {
+        let found = self.probe(key);
+        self.count_probes(u64::from(found.is_some()), u64::from(found.is_none()));
+        found
+    }
+
+    /// Probe for `key` without counting, refreshing recency on a hit.
+    /// The caller counts the probe with [`FnCache::count_probes`] once it
+    /// knows how the key resolved.
+    pub(crate) fn probe(&mut self, key: &str) -> Option<FunctionReport> {
         self.tick += 1;
         let hash = fnv64(key.as_bytes());
         match self.entries.get_mut(&hash) {
             Some(e) if e.key == key => {
                 e.last_used = self.tick;
-                self.stats.hits += 1;
                 Some(e.report.clone())
             }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
+            _ => None,
         }
     }
 
-    /// Insert a compiled report under `key`, evicting LRU entries as
-    /// needed to respect the byte budget. An entry larger than the whole
-    /// budget is not cached at all. With a store attached the insert
-    /// writes through and evictions remove their entry files.
-    pub fn insert(&mut self, key: &str, report: &FunctionReport) {
-        self.insert_impl(key, report, true);
+    /// Count resolved probes: `hits` answered from the cache, `misses`
+    /// compiled.
+    pub(crate) fn count_probes(&mut self, hits: u64, misses: u64) {
+        self.stats.hits += hits;
+        self.stats.misses += misses;
     }
 
-    fn insert_impl(&mut self, key: &str, report: &FunctionReport, write_through: bool) {
+    /// Insert a compiled report under `key`, evicting LRU entries as
+    /// needed to respect the byte budget, and say whether it is now
+    /// cached. An entry larger than the whole budget is not cached at
+    /// all. With a store attached the insert writes through and
+    /// evictions remove their entry files.
+    pub fn insert(&mut self, key: &str, report: &FunctionReport) -> bool {
+        self.insert_impl(key, report, true)
+    }
+
+    fn insert_impl(&mut self, key: &str, report: &FunctionReport, write_through: bool) -> bool {
         self.tick += 1;
         let bytes = approx_report_bytes(key, report);
         if bytes > self.budget {
-            return;
+            return false;
         }
         let hash = fnv64(key.as_bytes());
         if let Some(old) = self.entries.remove(&hash) {
@@ -275,6 +296,7 @@ impl FnCache {
                 last_used: self.tick,
             },
         );
+        true
     }
 
     /// Test-only: plant an entry at an arbitrary slot, bypassing the
@@ -315,6 +337,105 @@ fn approx_report_bytes(key: &str, report: &FunctionReport) -> usize {
     bytes
 }
 
+/// A [`FnCache`] shared by concurrent requests, with its single-flight
+/// table: the keys some request is compiling right now. Both sit behind
+/// one lock, which is held to probe, insert and count, and never while a
+/// request keys, compiles or renders. So a hit never waits behind
+/// another request's compile, and two requests' misses compile at once.
+pub struct SharedCache {
+    state: Mutex<CacheState>,
+    /// Notified whenever flights resolve.
+    resolved: Condvar,
+}
+
+struct CacheState {
+    cache: FnCache,
+    /// Key → the open flight compiling it. A flight leaves on resolving.
+    flights: HashMap<String, Arc<Flight>>,
+    /// Requests blocked on another request's flight.
+    waiting: usize,
+}
+
+/// A key one request is compiling. It resolves once: to the report when
+/// that landed in the cache, to `None` when it did not (a deadline miss,
+/// an entry over budget, or a compile that unwound).
+#[derive(Default)]
+struct Flight(OnceLock<Option<FunctionReport>>);
+
+impl Flight {
+    fn is_open(&self) -> bool {
+        self.0.get().is_none()
+    }
+}
+
+impl CacheState {
+    /// Close the open `flight` for `key` (an open flight is always the
+    /// table's entry for its key).
+    fn resolve(&mut self, key: &str, flight: &Flight, landed: Option<FunctionReport>) {
+        self.flights.remove(key);
+        let _ = flight.0.set(landed);
+    }
+
+    /// Cache a fresh compile unless it missed its deadline; true when it
+    /// landed.
+    fn store(&mut self, key: &str, report: &FunctionReport) -> bool {
+        !report.hit_deadline() && self.cache.insert(key, report)
+    }
+}
+
+impl SharedCache {
+    /// Share `cache` between requests.
+    pub fn new(cache: FnCache) -> Self {
+        SharedCache {
+            state: Mutex::new(CacheState {
+                cache,
+                flights: HashMap::new(),
+                waiting: 0,
+            }),
+            resolved: Condvar::new(),
+        }
+    }
+
+    /// Run `f` on the cache under the lock.
+    pub fn with<R>(&self, f: impl FnOnce(&mut FnCache) -> R) -> R {
+        f(&mut self.lock().cache)
+    }
+
+    /// Requests blocked on another request's flight right now.
+    pub(crate) fn waiting(&self) -> usize {
+        self.lock().waiting
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        // No update under this lock can stop halfway, so a poisoned lock
+        // still guards a consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The flights one request opened. Dropping it resolves any still open
+/// as uncached, so no waiter outlives an owner whose compile unwound.
+struct Owned<'a> {
+    shared: &'a SharedCache,
+    keys: &'a [String],
+    flights: Vec<(usize, Arc<Flight>)>,
+}
+
+impl Drop for Owned<'_> {
+    fn drop(&mut self) {
+        if self.flights.iter().all(|(_, f)| !f.is_open()) {
+            return;
+        }
+        let mut s = self.shared.lock();
+        for (i, flight) in &self.flights {
+            if flight.is_open() {
+                s.resolve(&self.keys[*i], flight, None);
+            }
+        }
+        self.shared.resolved.notify_all();
+    }
+}
+
 /// One cached batch compilation: per-function reports in module order
 /// plus how the cache answered.
 pub struct CachedBatch {
@@ -330,21 +451,44 @@ pub struct CachedBatch {
 
 /// Compile `module` per `req`, answering unchanged functions from the
 /// cache and compiling only the misses (sharded across the worker pool,
-/// merged back in module order).
+/// merged back in module order), in four steps:
 ///
-/// Determinism: a hit replays the report the miss path produced, the
-/// miss path depends only on (function, request), and merging is by
-/// module index — so the assembled batch is byte-identical whether the
-/// cache was cold, warm, or partially warm, at any `req.jobs` width.
+/// 1. key every function, with no lock;
+/// 2. under the lock, probe every key once: a hit, a key another request
+///    is compiling (a flight to wait on), or a new flight this request
+///    owns;
+/// 3. compile this request's own flights, with no lock;
+/// 4. under the lock (which waiting releases), insert them and resolve
+///    their flights, then wait for the other requests' flights, and
+///    count.
 ///
-/// The request's wall-clock deadline (if any) is fixed once here and
-/// installed on every worker, so all functions in the batch race the
-/// same absolute instant. Reports that missed the deadline are *not*
-/// cached: a timeout reflects machine load, not the input.
+/// A key taken from another request's flight counts as a hit when that
+/// report landed in the cache. When it did not (a deadline miss, an
+/// entry over budget), this request compiles the key itself, with no
+/// lock, and counts a miss. So a key is compiled once however many
+/// requests miss it at the same moment, and the counts are those of a
+/// one-at-a-time replay in lock order.
+///
+/// Determinism: a compile is a pure function of its cache key, so a hit
+/// or a waited flight replays the report a miss would produce; merging
+/// is by module index. The batch is byte-identical whether the cache was
+/// cold, warm, partly warm or shared with concurrent requests, at any
+/// `req.jobs` width.
+///
+/// No deadlock: a request waits only after resolving all of its own
+/// flights, and opens none after waiting, so while a flight is open its
+/// owner is compiling, never waiting. Module names are unique, so a
+/// request never finds its own flight in the table.
+///
+/// The request's wall-clock deadline (if any) is fixed once, before its
+/// first compile, and installed on every worker, so all functions in the
+/// batch race the same absolute instant. Reports that missed the
+/// deadline are *not* cached: a timeout reflects machine load, not the
+/// input.
 pub fn compile_module_cached(
     module: Module,
     req: &CompileRequest,
-    cache: &mut FnCache,
+    shared: &SharedCache,
 ) -> CachedBatch {
     let funcs = module.into_functions();
     let keys: Vec<String> = funcs
@@ -352,39 +496,94 @@ pub fn compile_module_cached(
         .map(|f| cache_key(&f.to_string(), req))
         .collect();
 
-    let mut slots: Vec<Option<FunctionReport>> = Vec::with_capacity(funcs.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        let cached = cache.get(key);
-        if cached.is_none() {
-            miss_idx.push(i);
+    let mut slots: Vec<Option<FunctionReport>> = funcs.iter().map(|_| None).collect();
+    let mut owned = Owned {
+        shared,
+        keys: &keys,
+        flights: Vec::new(),
+    };
+    let mut waits: Vec<(usize, Arc<Flight>)> = Vec::new();
+    let mut hits = 0;
+    {
+        let mut s = shared.lock();
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(report) = s.cache.probe(key) {
+                slots[i] = Some(report);
+                hits += 1;
+            } else if let Some(flight) = s.flights.get(key) {
+                waits.push((i, Arc::clone(flight)));
+            } else {
+                let flight = Arc::new(Flight::default());
+                s.flights.insert(key.clone(), Arc::clone(&flight));
+                owned.flights.push((i, flight));
+            }
         }
-        slots.push(cached);
+        s.cache.count_probes(hits as u64, 0);
     }
 
     let deadline = request_deadline(req);
-    let (compiled, timing) = par_map(miss_idx.len(), req.jobs, |j| {
-        with_deadline(deadline, || {
-            compile_function_report(&funcs[miss_idx[j]], req)
+    let compile = |idx: &[usize]| {
+        par_map(idx.len(), req.jobs, |j| {
+            with_deadline(deadline, || compile_function_report(&funcs[idx[j]], req))
         })
-    });
-    let (hits, misses) = (funcs.len() - miss_idx.len(), miss_idx.len());
-    for (j, report) in compiled.into_iter().enumerate() {
-        let i = miss_idx[j];
-        if !report.hit_deadline() {
-            cache.insert(&keys[i], &report);
+    };
+    let own: Vec<usize> = owned.flights.iter().map(|(i, _)| *i).collect();
+    let (compiled, mut timing) = compile(&own);
+
+    let mut uncached = Vec::new();
+    if !(own.is_empty() && waits.is_empty()) {
+        let mut s = shared.lock();
+        for ((i, flight), report) in owned.flights.iter().zip(compiled) {
+            let landed = s.store(&keys[*i], &report).then(|| report.clone());
+            s.resolve(&keys[*i], flight, landed);
+            slots[*i] = Some(report);
         }
-        slots[i] = Some(report);
+        shared.resolved.notify_all();
+        if waits.iter().any(|(_, f)| f.is_open()) {
+            s.waiting += 1;
+            while waits.iter().any(|(_, f)| f.is_open()) {
+                s = shared
+                    .resolved
+                    .wait(s)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            s.waiting -= 1;
+        }
+        let mut flight_hits = 0;
+        for (i, flight) in &waits {
+            match flight.0.get().expect("every waited flight has resolved") {
+                Some(report) => {
+                    slots[*i] = Some(report.clone());
+                    flight_hits += 1;
+                }
+                None => uncached.push(*i),
+            }
+        }
+        hits += flight_hits;
+        s.cache.count_probes(flight_hits as u64, own.len() as u64);
+    }
+
+    if !uncached.is_empty() {
+        let (compiled, more) = compile(&uncached);
+        let mut s = shared.lock();
+        for (&i, report) in uncached.iter().zip(compiled) {
+            s.store(&keys[i], &report);
+            slots[i] = Some(report);
+        }
+        s.cache.count_probes(0, uncached.len() as u64);
+        timing.wall += more.wall;
+        timing.cpu += more.cpu;
+        timing.jobs = timing.jobs.max(more.jobs);
     }
 
     CachedBatch {
         functions: slots
             .into_iter()
-            .map(|s| s.expect("every slot is a hit or a compiled miss"))
+            .map(|s| s.expect("every slot is a hit, a resolved flight or a compiled miss"))
             .collect(),
         timing,
         hits,
-        misses,
+        misses: own.len() + uncached.len(),
     }
 }
 
@@ -392,6 +591,10 @@ pub fn compile_module_cached(
 mod tests {
     use super::*;
     use fcc_driver::FnStatus;
+
+    fn shared(budget: usize) -> SharedCache {
+        SharedCache::new(FnCache::with_budget(budget))
+    }
 
     fn module(n: usize, salt: usize) -> Module {
         let mut src = String::new();
@@ -407,10 +610,10 @@ mod tests {
     #[test]
     fn second_submission_is_all_hits_and_identical() {
         let req = CompileRequest::new().opt(true);
-        let mut cache = FnCache::with_budget(64 << 20);
-        let cold = compile_module_cached(module(8, 0), &req, &mut cache);
+        let cache = shared(64 << 20);
+        let cold = compile_module_cached(module(8, 0), &req, &cache);
         assert_eq!((cold.hits, cold.misses), (0, 8));
-        let warm = compile_module_cached(module(8, 0), &req, &mut cache);
+        let warm = compile_module_cached(module(8, 0), &req, &cache);
         assert_eq!((warm.hits, warm.misses), (8, 0));
         for (a, b) in cold.functions.iter().zip(&warm.functions) {
             assert_eq!(a.status, b.status);
@@ -418,14 +621,14 @@ mod tests {
             assert_eq!(ao.func.to_string(), bo.func.to_string());
             assert_eq!(ao.stat_lines, bo.stat_lines);
         }
-        assert_eq!(cache.stats().hit_rate(), 0.5);
+        assert_eq!(cache.with(|c| c.stats().hit_rate()), 0.5);
     }
 
     #[test]
     fn editing_one_function_recompiles_only_it() {
         let req = CompileRequest::new();
-        let mut cache = FnCache::with_budget(64 << 20);
-        compile_module_cached(module(8, 0), &req, &mut cache);
+        let cache = shared(64 << 20);
+        compile_module_cached(module(8, 0), &req, &cache);
         // Salt shifts every constant, but only f0's salt survives below.
         let mut src = String::new();
         src.push_str("fn f0(n) { let s = 999; for j = 0 to n { s = s + j; } return s; }\n");
@@ -435,21 +638,21 @@ mod tests {
             ));
         }
         let edited = fcc_frontend::compile_module(&src).unwrap();
-        let out = compile_module_cached(edited, &req, &mut cache);
+        let out = compile_module_cached(edited, &req, &cache);
         assert_eq!((out.hits, out.misses), (7, 1));
     }
 
     #[test]
     fn the_request_is_part_of_the_key() {
-        let mut cache = FnCache::with_budget(64 << 20);
-        compile_module_cached(module(2, 0), &CompileRequest::new(), &mut cache);
-        let out = compile_module_cached(module(2, 0), &CompileRequest::new().opt(true), &mut cache);
+        let cache = shared(64 << 20);
+        compile_module_cached(module(2, 0), &CompileRequest::new(), &cache);
+        let out = compile_module_cached(module(2, 0), &CompileRequest::new().opt(true), &cache);
         assert_eq!((out.hits, out.misses), (0, 2), "opt flag changes the key");
         // ... but jobs does not.
         let out = compile_module_cached(
             module(2, 0),
             &CompileRequest::new().opt(true).jobs(8),
-            &mut cache,
+            &cache,
         );
         assert_eq!((out.hits, out.misses), (2, 0), "jobs is not key material");
     }
@@ -461,22 +664,22 @@ mod tests {
         // estimator: room for roughly two of the eight functions.
         let probe = compile_function_report(&module(1, 0).into_functions()[0], &req);
         let one = approx_report_bytes(&cache_key("k", &req), &probe);
-        let mut cache = FnCache::with_budget(one * 5 / 2);
-        compile_module_cached(module(8, 0), &req, &mut cache);
-        let s = cache.stats();
+        let cache = shared(one * 5 / 2);
+        compile_module_cached(module(8, 0), &req, &cache);
+        let s = cache.with(|c| c.stats());
         assert!(s.evictions >= 6, "evictions={}", s.evictions);
-        assert!(cache.held_bytes() <= cache.budget());
-        assert!(cache.len() <= 2);
+        assert!(cache.with(|c| c.held_bytes() <= c.budget()));
+        assert!(cache.with(|c| c.len()) <= 2);
     }
 
     #[test]
     fn failed_compiles_are_cached_too() {
         // fuel=1 fails every function deterministically.
         let req = CompileRequest::new().fuel(Some(1));
-        let mut cache = FnCache::with_budget(64 << 20);
-        let cold = compile_module_cached(module(2, 0), &req, &mut cache);
+        let cache = shared(64 << 20);
+        let cold = compile_module_cached(module(2, 0), &req, &cache);
         assert!(cold.functions.iter().all(|f| f.status == FnStatus::Failed));
-        let warm = compile_module_cached(module(2, 0), &req, &mut cache);
+        let warm = compile_module_cached(module(2, 0), &req, &cache);
         assert_eq!((warm.hits, warm.misses), (2, 0));
         assert!(warm.functions.iter().all(|f| f.status == FnStatus::Failed));
     }
@@ -484,15 +687,15 @@ mod tests {
     #[test]
     fn a_zero_budget_cache_caches_nothing_and_never_panics() {
         let req = CompileRequest::new();
-        let mut cache = FnCache::with_budget(0);
-        let cold = compile_module_cached(module(3, 0), &req, &mut cache);
+        let cache = shared(0);
+        let cold = compile_module_cached(module(3, 0), &req, &cache);
         assert_eq!((cold.hits, cold.misses), (0, 3));
-        let still_cold = compile_module_cached(module(3, 0), &req, &mut cache);
+        let still_cold = compile_module_cached(module(3, 0), &req, &cache);
         assert_eq!((still_cold.hits, still_cold.misses), (0, 3));
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.held_bytes(), 0);
-        assert_eq!(cache.stats().insertions, 0);
-        assert_eq!(cache.stats().evictions, 0, "nothing in, nothing to evict");
+        let (len, held, s) = cache.with(|c| (c.len(), c.held_bytes(), c.stats()));
+        assert_eq!((len, held), (0, 0));
+        assert_eq!(s.insertions, 0);
+        assert_eq!(s.evictions, 0, "nothing in, nothing to evict");
     }
 
     #[test]
@@ -567,16 +770,20 @@ mod tests {
     #[test]
     fn deadline_misses_are_never_cached() {
         let req = CompileRequest::new().deadline_ms(Some(0));
-        let mut cache = FnCache::with_budget(64 << 20);
-        let out = compile_module_cached(module(2, 0), &req, &mut cache);
+        let cache = shared(64 << 20);
+        let out = compile_module_cached(module(2, 0), &req, &cache);
         assert!(out.functions.iter().all(FunctionReport::hit_deadline));
-        assert_eq!(cache.len(), 0, "timeouts reflect load, not input");
-        assert_eq!(cache.stats().insertions, 0);
+        assert_eq!(
+            cache.with(|c| c.len()),
+            0,
+            "timeouts reflect load, not input"
+        );
+        assert_eq!(cache.with(|c| c.stats().insertions), 0);
         // The same module under a generous deadline compiles and caches.
         let req = CompileRequest::new().deadline_ms(Some(60_000));
-        let out = compile_module_cached(module(2, 0), &req, &mut cache);
+        let out = compile_module_cached(module(2, 0), &req, &cache);
         assert_eq!((out.hits, out.misses), (0, 2));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.with(|c| c.len()), 2);
     }
 
     #[test]
@@ -588,17 +795,18 @@ mod tests {
 
         let mut cache = FnCache::with_budget(64 << 20);
         cache.attach_disk(&dir).unwrap();
-        let cold = compile_module_cached(module(4, 0), &req, &mut cache);
+        let cache = SharedCache::new(cache);
+        let cold = compile_module_cached(module(4, 0), &req, &cache);
         assert_eq!((cold.hits, cold.misses), (0, 4));
-        assert_eq!(cache.disk_stats().writes, 4);
-        cache.flush_disk_index();
+        assert_eq!(cache.with(|c| c.disk_stats().writes), 4);
+        cache.with(FnCache::flush_disk_index);
 
         // A fresh process: memory is empty, disk warms it.
         let mut revived = FnCache::with_budget(64 << 20);
         revived.attach_disk(&dir).unwrap();
         assert_eq!(revived.disk_stats().warmed, 4);
         assert_eq!(revived.len(), 4);
-        let warm = compile_module_cached(module(4, 0), &req, &mut revived);
+        let warm = compile_module_cached(module(4, 0), &req, &SharedCache::new(revived));
         assert_eq!((warm.hits, warm.misses), (4, 0));
         for (a, b) in cold.functions.iter().zip(&warm.functions) {
             let (ao, bo) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
@@ -616,6 +824,50 @@ mod tests {
         assert!(tight.len() <= 2);
         assert!(tight.disk_stats().removals >= 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unwound_owner_resolves_its_flights_and_the_waiter_compiles_itself() {
+        let req = CompileRequest::new();
+        let cache = shared(64 << 20);
+        let keys: Vec<String> = module(2, 0)
+            .functions()
+            .iter()
+            .map(|f| cache_key(&f.to_string(), &req))
+            .collect();
+        // Another request opened a flight on f0 and is still compiling it.
+        let flight = Arc::new(Flight::default());
+        cache
+            .lock()
+            .flights
+            .insert(keys[0].clone(), Arc::clone(&flight));
+        let owner = Owned {
+            shared: &cache,
+            keys: &keys,
+            flights: vec![(0, flight)],
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| compile_module_cached(module(2, 0), &req, &cache));
+            while cache.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            // The owner unwinds: its guard resolves f0 as uncached.
+            drop(owner);
+            let out = waiter.join().unwrap();
+            assert_eq!(
+                (out.hits, out.misses),
+                (0, 2),
+                "f0 is compiled by the waiter"
+            );
+            assert!(out.functions.iter().all(|f| f.status == FnStatus::Ok));
+        });
+        assert!(
+            cache.lock().flights.is_empty(),
+            "no flight outlives its request"
+        );
+        assert_eq!(cache.waiting(), 0);
+        let s = cache.with(|c| c.stats());
+        assert_eq!((s.hits, s.misses, s.insertions), (0, 2, 2));
     }
 
     #[test]

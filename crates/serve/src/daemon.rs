@@ -4,8 +4,9 @@
 //! daemon-default [`CompileRequest`] (what `fcc serve --opt --jobs 8`
 //! sets; per-request `request` objects override field-by-field), the
 //! content-addressed [`FnCache`] — optionally mirrored to a crash-safe
-//! on-disk store (`--cache-dir`) — and the shared [`Gate`] that admits
-//! compile requests and accumulates the service counters. One request
+//! on-disk store (`--cache-dir`) and shared between concurrent requests
+//! as a [`SharedCache`] — and the admission gate that admits compile
+//! requests and accumulates the service counters. One request
 //! line maps to one response line and never panics the process:
 //! per-function faults are contained by the driver's ladder, wall-clock
 //! overruns surface as typed 504s, a full admission queue sheds with a
@@ -16,22 +17,24 @@
 //! which is stdin/stdout under `fcc serve` and an in-memory buffer in
 //! the tests and the load generator — the protocol tests exercise the
 //! *exact* production byte path without spawning a process. Lines are
-//! read through a byte-capped reader ([`read_capped_line`]): a line
+//! read through a byte-capped reader (`read_capped_line`): a line
 //! that exceeds the cap is answered with `400 line-too-long` and
 //! discarded without ever being buffered whole, so a hostile or broken
 //! client cannot balloon the daemon's memory. The socket transport
-//! ([`crate::socket`]) shares every piece of this machinery, which is
-//! what makes socket and stdio responses byte-identical.
+//! ([`crate::socket`]) runs the same line loop from one thread per
+//! connection over one shared `&Daemon`, which is what makes socket and
+//! stdio responses byte-identical. Its requests are served in parallel:
+//! the only lock is the function cache's, held to probe, insert and
+//! count, never to parse, key, compile or render.
 
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use fcc_driver::{BatchOutcome, CompileRequest, FailMode};
 use fcc_ir::Module;
 
-use crate::cache::{compile_module_cached, FnCache};
+use crate::cache::{compile_module_cached, CacheStats, FnCache, SharedCache};
 use crate::json::Json;
 use crate::protocol::{
     error_response, parse_request, CompileBody, Lang, Request, ResponseBuilder, ServeError, Verb,
@@ -47,9 +50,10 @@ pub struct ServeOptions {
     pub cache_budget: usize,
     /// Directory for the persistent cache; `None` keeps it memory-only.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Compile requests admitted concurrently before shedding with 503.
-    /// `0` sheds every compile (useful for drain/tests); stdio's
-    /// sequential loop never queues, so any value ≥ 1 never sheds there.
+    /// Compile requests admitted concurrently (each compiling or waiting
+    /// on another's compile) before shedding with 503. `0` sheds every
+    /// compile (useful for drain/tests); stdio's sequential loop never
+    /// queues, so any value ≥ 1 never sheds there.
     pub max_queue: usize,
     /// Request-line byte cap; longer lines answer `400 line-too-long`.
     pub max_line_bytes: usize,
@@ -67,10 +71,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// Admission control and service counters, shared between the daemon
-/// and its transports so connection threads can shed load and count
-/// errors without taking the daemon lock.
-pub struct Gate {
+/// Admission control and service counters: atomics, so connection
+/// threads shed load and count without taking any lock.
+struct Gate {
     capacity: usize,
     started: Instant,
     in_service: AtomicUsize,
@@ -81,8 +84,8 @@ pub struct Gate {
 }
 
 impl Gate {
-    fn new(capacity: usize) -> Arc<Gate> {
-        Arc::new(Gate {
+    fn new(capacity: usize) -> Gate {
+        Gate {
             capacity,
             started: Instant::now(),
             in_service: AtomicUsize::new(0),
@@ -90,15 +93,15 @@ impl Gate {
             compiles: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Try to admit one compile request. `Err` is the shed path: the
     /// queue is at capacity, and the value is the `retry_after_ms` hint
     /// (proportional to the queue depth, so a fixed request sequence
     /// produces a fixed hint). `Ok` is a ticket whose drop releases the
-    /// slot — hold it until the response is written.
-    pub fn try_admit(self: &Arc<Gate>) -> Result<Ticket, u64> {
+    /// slot.
+    fn try_admit(&self) -> Result<Ticket<'_>, u64> {
         loop {
             let cur = self.in_service.load(Ordering::SeqCst);
             if cur >= self.capacity {
@@ -110,7 +113,7 @@ impl Gate {
                 .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                return Ok(Ticket(Arc::clone(self)));
+                return Ok(Ticket(self));
             }
         }
     }
@@ -122,7 +125,7 @@ impl Gate {
 
     /// Error responses sent (400/422/500/504 — shed 503s count in
     /// `shed`, not here).
-    pub fn count_error(&self) {
+    fn count_error(&self) {
         self.errors.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -131,29 +134,32 @@ impl Gate {
     }
 
     /// Admitted compile requests not yet answered.
-    pub fn in_service(&self) -> usize {
+    fn in_service(&self) -> usize {
         self.in_service.load(Ordering::SeqCst)
     }
 }
 
 /// An admission slot; dropping it releases the slot.
-pub struct Ticket(Arc<Gate>);
+struct Ticket<'a>(&'a Gate);
 
-impl Drop for Ticket {
+impl Drop for Ticket<'_> {
     fn drop(&mut self) {
         self.0.in_service.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// The compile service's state machine: one instance per process. The
-/// stdio transport drives it sequentially; the socket transport behind
-/// a mutex — either way requests are serviced one at a time, which is
-/// what keeps the response stream a pure function of the request
-/// stream.
+/// stdio transport drives it one request at a time; the socket
+/// transport shares it between connection threads, which serve their
+/// requests concurrently. Either way each response is a pure function
+/// of its request line: a compile is a pure function of its cache key,
+/// and [`compile_module_cached`] compiles each key once however many
+/// requests need it at the same moment.
 pub struct Daemon {
     defaults: CompileRequest,
-    cache: FnCache,
-    gate: Arc<Gate>,
+    /// The function cache and its single-flight table, behind one lock.
+    cache: SharedCache,
+    gate: Gate,
     max_line_bytes: usize,
 }
 
@@ -169,45 +175,28 @@ impl Daemon {
         }
         Ok(Daemon {
             defaults: opts.defaults,
-            cache,
+            cache: SharedCache::new(cache),
             gate: Gate::new(opts.max_queue),
             max_line_bytes: opts.max_line_bytes,
         })
     }
 
-    /// The function cache (the load generator reads its counters).
-    pub fn cache(&self) -> &FnCache {
-        &self.cache
-    }
-
-    /// The shared admission gate (transports admit before locking).
-    pub fn gate(&self) -> Arc<Gate> {
-        Arc::clone(&self.gate)
-    }
-
-    /// The daemon defaults (transports parse without the lock).
-    pub fn defaults(&self) -> &CompileRequest {
-        &self.defaults
-    }
-
-    /// The transport's request-line byte cap.
-    pub fn max_line_bytes(&self) -> usize {
-        self.max_line_bytes
+    /// The function cache's lifetime counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.with(|c| c.stats())
     }
 
     /// Graceful-exit hook: flush the advisory LRU index so the next
     /// start warms in recency order. Skipped by a crash — by design the
     /// store needs nothing from this to stay correct.
-    pub fn finish(&mut self) {
-        self.cache.flush_disk_index();
+    pub fn finish(&self) {
+        self.cache.with(FnCache::flush_disk_index);
     }
 
     /// Answer one request line with one response line; the flag asks the
     /// caller to stop reading (a `shutdown` verb was acknowledged).
-    /// Admission is checked here for the sequential stdio path; the
-    /// socket transport admits per-connection *before* taking the
-    /// daemon lock and calls [`Daemon::handle_request`] directly.
-    pub fn handle_line(&mut self, line: &str) -> (String, bool) {
+    /// A compile is admitted here, before anything else of it runs.
+    pub fn handle_line(&self, line: &str) -> (String, bool) {
         let request = match parse_request(line, &self.defaults) {
             Ok(r) => r,
             Err(e) => {
@@ -229,9 +218,40 @@ impl Daemon {
         self.handle_request(request)
     }
 
+    /// Answer lines from `reader` on `writer`, one response line per
+    /// request line, until EOF, `stop()` or a `shutdown` verb; true for
+    /// the last. Both transports serve through this, so they answer
+    /// byte-identically.
+    pub(crate) fn serve_lines(
+        &self,
+        mut reader: impl BufRead,
+        mut writer: impl Write,
+        stop: impl Fn() -> bool,
+    ) -> io::Result<bool> {
+        let cap = self.max_line_bytes;
+        while !stop() {
+            let (response, shutdown) = match read_capped_line(&mut reader, cap)? {
+                ReadLine::Eof => break,
+                ReadLine::TooLong => {
+                    self.gate.count_error();
+                    let e = ServeError::line_too_long(cap);
+                    (error_response(&Json::Null, &e), false)
+                }
+                ReadLine::Line(line) if line.trim().is_empty() => continue,
+                ReadLine::Line(line) => self.handle_line(&line),
+            };
+            writeln!(writer, "{response}")?;
+            writer.flush()?;
+            if shutdown {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
     /// Dispatch an already-parsed (and, for compiles, already-admitted)
     /// request.
-    pub fn handle_request(&mut self, request: Request) -> (String, bool) {
+    pub fn handle_request(&self, request: Request) -> (String, bool) {
         let Request { id, verb, compile } = request;
         match verb {
             Verb::Ping => (
@@ -258,10 +278,13 @@ impl Daemon {
         }
     }
 
-    fn handle_compile(&mut self, id: &Json, body: &CompileBody) -> Result<String, ServeError> {
+    /// Parse, compile through the shared cache and render. Only the
+    /// cache's own probe and insert steps take its lock; parsing,
+    /// keying, compiling and rendering run alongside other requests.
+    fn handle_compile(&self, id: &Json, body: &CompileBody) -> Result<String, ServeError> {
         let module = parse_source(&body.source, body.lang)?;
         self.gate.count_compile();
-        let cached = compile_module_cached(module, &body.req, &mut self.cache);
+        let cached = compile_module_cached(module, &body.req, &self.cache);
         let (hits, misses) = (cached.hits, cached.misses);
         let batch = BatchOutcome {
             functions: cached.functions,
@@ -336,19 +359,21 @@ impl Daemon {
     }
 
     fn stats_response(&self, id: &Json) -> String {
-        let s = self.cache.stats();
-        let cache = format!(
-            "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"collisions\":{},\"insertions\":{},\"entries\":{},\"bytes\":{},\"budget\":{}}}",
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.collisions,
-            s.insertions,
-            self.cache.len(),
-            self.cache.held_bytes(),
-            self.cache.budget()
-        );
-        let d = self.cache.disk_stats();
+        let (cache, d) = self.cache.with(|c| {
+            let s = c.stats();
+            let cache = format!(
+                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"collisions\":{},\"insertions\":{},\"entries\":{},\"bytes\":{},\"budget\":{}}}",
+                s.hits,
+                s.misses,
+                s.evictions,
+                s.collisions,
+                s.insertions,
+                c.len(),
+                c.held_bytes(),
+                c.budget()
+            );
+            (cache, c.disk_stats())
+        });
         let disk = format!(
             "{{\"warmed\":{},\"quarantined\":{},\"writes\":{},\"write_errors\":{},\"removals\":{}}}",
             d.warmed, d.quarantined, d.writes, d.write_errors, d.removals
@@ -367,7 +392,7 @@ impl Daemon {
                 g.deadline_exceeded.load(Ordering::SeqCst),
             )
             .num("in_flight", in_flight as u64)
-            .num("queued", in_flight.saturating_sub(1) as u64)
+            .num("queued", self.cache.waiting() as u64)
             .num("uptime_ms", g.started.elapsed().as_millis() as u64)
             .finish()
     }
@@ -427,12 +452,12 @@ fn check_ssa_input(func: &fcc_ir::Function) -> Result<(), ServeError> {
 
 /// Best-effort id recovery from a line that failed request validation
 /// (but did parse as a JSON object).
-pub(crate) fn json_id_of(line: &str) -> Option<Json> {
+fn json_id_of(line: &str) -> Option<Json> {
     crate::json::parse(line).ok()?.get("id").cloned()
 }
 
 /// One read from the byte-capped line reader.
-pub(crate) enum ReadLine {
+enum ReadLine {
     /// End of stream (no partial line pending).
     Eof,
     /// A complete line within the cap (lossily decoded; invalid UTF-8
@@ -447,7 +472,7 @@ pub(crate) enum ReadLine {
 /// memory. Unlike `BufRead::lines`, an oversized line is *streamed to
 /// the bin* — the daemon answers `400 line-too-long` having buffered no
 /// more than `cap` bytes of it.
-pub(crate) fn read_capped_line(reader: &mut impl BufRead, cap: usize) -> io::Result<ReadLine> {
+fn read_capped_line(reader: &mut impl BufRead, cap: usize) -> io::Result<ReadLine> {
     let mut buf: Vec<u8> = Vec::new();
     let mut overflow = false;
     loop {
@@ -496,36 +521,9 @@ pub(crate) fn read_capped_line(reader: &mut impl BufRead, cap: usize) -> io::Res
 /// line, flushed immediately (clients block on the reply). Both exits
 /// are graceful: in-flight work finishes (the loop is sequential) and
 /// the persistent cache's advisory index is flushed.
-pub fn serve_loop(
-    mut reader: impl BufRead,
-    mut writer: impl Write,
-    opts: ServeOptions,
-) -> io::Result<()> {
-    let mut daemon = Daemon::new(opts)?;
-    let cap = daemon.max_line_bytes();
-    loop {
-        let (response, shutdown) = match read_capped_line(&mut reader, cap)? {
-            ReadLine::Eof => break,
-            ReadLine::TooLong => {
-                daemon.gate().count_error();
-                (
-                    error_response(&Json::Null, &ServeError::line_too_long(cap)),
-                    false,
-                )
-            }
-            ReadLine::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                daemon.handle_line(&line)
-            }
-        };
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if shutdown {
-            break;
-        }
-    }
+pub fn serve_loop(reader: impl BufRead, writer: impl Write, opts: ServeOptions) -> io::Result<()> {
+    let daemon = Daemon::new(opts)?;
+    daemon.serve_lines(reader, writer, || false)?;
     daemon.finish();
     Ok(())
 }
@@ -548,7 +546,7 @@ mod tests {
 
     #[test]
     fn compile_ping_stats_shutdown_round_trip() {
-        let mut d = daemon();
+        let d = daemon();
         let (resp, stop) = d.handle_line(&compile_line("fn f(x) { return x + 1; }"));
         assert!(!stop);
         let doc = json::parse(&resp).unwrap();
@@ -580,18 +578,18 @@ mod tests {
 
     #[test]
     fn warm_responses_are_byte_identical_to_cold() {
-        let mut d = daemon();
+        let d = daemon();
         let line = compile_line("fn f(x) { return x + 1; }\nfn g(y) { return y * 2; }");
         let (cold, _) = d.handle_line(&line);
         let (warm, _) = d.handle_line(&line);
         assert_eq!(cold, warm);
-        let s = d.cache().stats();
+        let s = d.cache_stats();
         assert_eq!((s.hits, s.misses), (2, 2));
     }
 
     #[test]
     fn abort_mode_maps_failures_to_500() {
-        let mut d = daemon();
+        let d = daemon();
         let line = format!(
             "{{\"v\":1,\"verb\":\"compile\",\"source\":\"{}\",\"request\":{{\"fuel\":1}}}}",
             json::escape("fn f(x) { return x + 1; }")
@@ -607,7 +605,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_422_and_echo_the_id() {
-        let mut d = daemon();
+        let d = daemon();
         let (resp, _) = d.handle_line(r#"{"v":1,"id":9,"verb":"compile","source":"fn oops"}"#);
         let doc = json::parse(&resp).unwrap();
         assert_eq!(doc.get("id").unwrap().as_u64(), Some(9));
@@ -634,7 +632,7 @@ mod tests {
 
     #[test]
     fn ir_lang_parses_the_textual_format() {
-        let mut d = daemon();
+        let d = daemon();
         let func = fcc_frontend::compile("fn f(x) { return x + 1; }").unwrap();
         let line = format!(
             "{{\"v\":1,\"verb\":\"compile\",\"lang\":\"ir\",\"source\":\"{}\"}}",
@@ -683,7 +681,7 @@ mod tests {
             max_queue: 0,
             ..ServeOptions::default()
         };
-        let mut d = Daemon::new(opts).unwrap();
+        let d = Daemon::new(opts).unwrap();
         let line = compile_line("fn f(x) { return x; }");
         let (first, _) = d.handle_line(&line);
         let (second, _) = d.handle_line(&line);
@@ -704,7 +702,7 @@ mod tests {
 
     #[test]
     fn a_blown_deadline_is_a_504_and_counted() {
-        let mut d = daemon();
+        let d = daemon();
         let line = format!(
             "{{\"v\":1,\"id\":4,\"verb\":\"compile\",\"source\":\"{}\",\"request\":{{\"deadline_ms\":0}}}}",
             json::escape("fn f(x) { return x + 1; }\nfn g(y) { return y; }")
@@ -738,7 +736,7 @@ mod tests {
 
     #[test]
     fn stats_carries_the_full_service_shape() {
-        let mut d = daemon();
+        let d = daemon();
         let (resp, _) = d.handle_line(r#"{"v":1,"verb":"stats"}"#);
         let doc = json::parse(&resp).unwrap();
         for key in [

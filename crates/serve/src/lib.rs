@@ -9,12 +9,12 @@
 //! |---|---|
 //! | [`json`] | dependency-free JSON reader/writer (the workspace has no serde) |
 //! | [`protocol`] | request parsing, error taxonomy, response rendering |
-//! | [`cache`] | FNV-1a content-addressed [`FnCache`] with LRU byte-budget eviction |
+//! | [`cache`] | FNV-1a content-addressed [`FnCache`] with LRU byte-budget eviction, shared single-flight by [`SharedCache`] |
 //! | [`codec`] | [`FunctionReport`](fcc_driver::FunctionReport) ⇄ JSON, for the persistent store |
 //! | [`fsio`] | crash-safe file primitives behind the [`DiskFault`] injection shim |
 //! | [`disk`] | the checksummed, quarantining on-disk entry store (`--cache-dir`) |
 //! | [`daemon`] | the [`Daemon`] state machine and the [`serve_loop`] transport |
-//! | [`socket`] | the Unix-domain-socket transport (`--socket`) with concurrent connections |
+//! | [`socket`] | the Unix-domain-socket transport (`--socket`), serving connections in parallel |
 //! | [`bench`] | the `fcc bench-serve` load generator (`BENCH_serve.json`) |
 //!
 //! The service compiles through the driver's unified
@@ -26,11 +26,15 @@
 //! yields byte-identical response lines whether every function hit the
 //! cache or none did, at any `jobs` width, with a cold cache, a
 //! memory-warm cache, or a disk-warm cache after a crash — under any
-//! injected disk fault (wall times and cumulative counters are opt-in
-//! fields and a separate `stats` verb). Overload (503) and deadline
-//! (504) responses are typed, deterministic, and counted. DESIGN.md
-//! §11 specifies the grammar and the determinism argument; §15 the
-//! durability design (on-disk format, atomicity, quarantine, faults).
+//! injected disk fault, over either transport (wall times and cumulative
+//! counters are opt-in fields and a separate `stats` verb). Concurrent
+//! socket connections do not change a byte either: a compile is a pure
+//! function of its cache key, and a key several requests miss at once
+//! is compiled once. Overload (503) and deadline (504) responses are
+//! typed, deterministic, and counted. DESIGN.md §11 specifies the
+//! grammar and the determinism argument; §15 the durability design
+//! (on-disk format, atomicity, quarantine, faults) and the socket
+//! transport.
 
 pub mod bench;
 pub mod cache;
@@ -43,7 +47,9 @@ pub mod protocol;
 pub mod socket;
 
 pub use bench::{run as run_bench, BenchConfig, BenchReport};
-pub use cache::{cache_key, compile_module_cached, CacheStats, CachedBatch, FnCache, CACHE_SCHEMA};
+pub use cache::{
+    cache_key, compile_module_cached, CacheStats, CachedBatch, FnCache, SharedCache, CACHE_SCHEMA,
+};
 pub use codec::{decode_report, encode_report};
 pub use daemon::{serve_loop, Daemon, ServeOptions};
 pub use disk::{DiskCache, DiskStats};

@@ -1,40 +1,36 @@
 //! The Unix-domain-socket transport: `fcc serve --socket PATH`.
 //!
 //! One listener, one connection thread per client, one shared
-//! [`Daemon`] behind a mutex. The division of labour keeps the hot
-//! invariant — *the response stream is a pure function of the request
-//! stream* — intact under concurrency:
-//!
-//! * **Parsing and admission happen off-lock.** Each connection thread
-//!   parses its own lines (against the daemon's immutable defaults) and
-//!   asks the shared [`Gate`] for an admission ticket before touching
-//!   the daemon, so a full queue sheds with `503 overloaded` without
-//!   ever blocking on a compile in progress.
-//! * **Compiles happen on-lock.** Admitted requests take the daemon
-//!   mutex and run exactly the same [`Daemon::handle_request`] path the
-//!   stdio transport uses — which is why a request sequence sent over
-//!   the socket yields byte-identical responses to the same sequence
-//!   over stdin (`tests/serve_durable.rs` pins this).
+//! [`Daemon`]. Connections are served in parallel: each thread parses,
+//! admits, compiles and renders its own requests through the same
+//! [`Daemon::handle_line`] path the stdio transport uses, and the only
+//! lock the threads share is the function cache's, held to probe, to
+//! insert and to count. So a cache hit is answered while another
+//! connection compiles, and two connections' misses compile at once.
+//! A request sequence sent over the socket still yields byte-identical
+//! responses to the same sequence over stdin (`tests/serve_durable.rs`
+//! pins this): a compile is a pure function of its cache key, and a key
+//! several connections miss at once is compiled once while the others
+//! wait for it.
 //!
 //! Shutdown is graceful: a `shutdown` verb (on any connection) is
-//! answered, the stop flag is raised, and a self-connection unblocks
-//! `accept`. The thread scope then joins every live connection —
-//! in-flight requests finish and their responses flush — before the
-//! advisory cache index is written and the socket file removed. A
-//! crash skips all of that, and the store is designed to not care.
+//! answered, the read half of every live connection is shut down so
+//! idle readers see end-of-file, and a self-connection unblocks
+//! `accept`. The thread scope then joins every connection — a request
+//! already being served finishes and its response flushes — before the
+//! advisory cache index is written and the socket file removed. A crash
+//! skips all of that, and the store is designed to not care.
 
-use std::io::{self, BufReader, Write};
+use std::collections::HashMap;
+use std::io::{self, BufReader};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use fcc_driver::CompileRequest;
-
-use crate::daemon::{json_id_of, read_capped_line, Daemon, Gate, ReadLine, ServeOptions};
-use crate::json::Json;
-use crate::protocol::{error_response, parse_request, ServeError, Verb};
+use crate::daemon::{Daemon, ServeOptions};
 
 /// Serve connections on the Unix socket at `path` until a `shutdown`
 /// verb arrives on any connection. A stale socket file from a previous
@@ -42,113 +38,97 @@ use crate::protocol::{error_response, parse_request, ServeError, Verb};
 pub fn serve_socket(path: &Path, opts: ServeOptions) -> io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    let daemon = Mutex::new(Daemon::new(opts)?);
-    let (defaults, gate, cap) = {
-        let d = daemon.lock().expect("fresh daemon mutex");
-        (d.defaults().clone(), d.gate(), d.max_line_bytes())
-    };
-    let stop = AtomicBool::new(false);
+    let daemon = Daemon::new(opts)?;
+    let live = Live::default();
 
     thread::scope(|scope| {
-        for conn in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
+        for (id, conn) in listener.incoming().enumerate() {
             let Ok(stream) = conn else { continue };
-            let (daemon, defaults, gate, stop) = (&daemon, &defaults, &gate, &stop);
+            match live.admit(id, &stream) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(_) => continue,
+            }
+            let (daemon, live) = (&daemon, &live);
             scope.spawn(move || {
-                let _ = handle_conn(stream, daemon, defaults, gate, stop, path, cap);
+                let _ = handle_conn(stream, daemon, live, path);
+                live.close(id);
             });
         }
         // Scope exit joins every connection thread: in-flight requests
         // finish and flush before we continue below.
     });
 
-    daemon
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .finish();
+    daemon.finish();
     let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+/// The live connections, so that stopping can end every idle reader.
+#[derive(Default)]
+struct Live {
+    conns: Mutex<HashMap<usize, UnixStream>>,
+    stopped: AtomicBool,
+}
+
+impl Live {
+    fn conns(&self) -> MutexGuard<'_, HashMap<usize, UnixStream>> {
+        // Every update is a single map operation: poisoning loses nothing.
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Track an accepted connection; false once stopped.
+    fn admit(&self, id: usize, stream: &UnixStream) -> io::Result<bool> {
+        let mut conns = self.conns();
+        if self.stopped() {
+            return Ok(false);
+        }
+        conns.insert(id, stream.try_clone()?);
+        Ok(true)
+    }
+
+    fn close(&self, id: usize) {
+        self.conns().remove(&id);
+    }
+
+    fn stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Stop accepting, and shut the read half of every live connection:
+    /// an idle reader sees end-of-file, while a request being served
+    /// still finishes and its response flushes.
+    fn stop(&self) {
+        let conns = self.conns();
+        self.stopped.store(true, Ordering::SeqCst);
+        for stream in conns.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
 }
 
 /// Service one client connection until it disconnects, the daemon stops,
 /// or this client asks for shutdown.
 fn handle_conn(
     stream: UnixStream,
-    daemon: &Mutex<Daemon>,
-    defaults: &CompileRequest,
-    gate: &Arc<Gate>,
-    stop: &AtomicBool,
+    daemon: &Daemon,
+    live: &Live,
     sock_path: &Path,
-    cap: usize,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let line = match read_capped_line(&mut reader, cap)? {
-            ReadLine::Eof => return Ok(()),
-            ReadLine::TooLong => {
-                gate.count_error();
-                let resp = error_response(&Json::Null, &ServeError::line_too_long(cap));
-                writeln!(writer, "{resp}")?;
-                writer.flush()?;
-                continue;
-            }
-            ReadLine::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-
-        // Parse and admit without the daemon lock: a queue-full 503 and
-        // a malformed-line 400 must not wait behind a compile.
-        let request = match parse_request(&line, defaults) {
-            Ok(r) => r,
-            Err(e) => {
-                gate.count_error();
-                let id = json_id_of(&line).unwrap_or(Json::Null);
-                writeln!(writer, "{}", error_response(&id, &e))?;
-                writer.flush()?;
-                continue;
-            }
-        };
-
-        let (response, shutdown) = if request.verb == Verb::Compile {
-            match gate.try_admit() {
-                Err(retry_after_ms) => (
-                    error_response(&request.id, &ServeError::overloaded(retry_after_ms)),
-                    false,
-                ),
-                Ok(_ticket) => {
-                    // Ticket held until the response is written below.
-                    let mut d = daemon.lock().unwrap_or_else(|e| e.into_inner());
-                    d.handle_request(request)
-                }
-            }
-        } else {
-            let mut d = daemon.lock().unwrap_or_else(|e| e.into_inner());
-            d.handle_request(request)
-        };
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            // Unblock the accept loop so the listener can exit.
-            let _ = UnixStream::connect(sock_path);
-            return Ok(());
-        }
+    let reader = BufReader::new(stream.try_clone()?);
+    if daemon.serve_lines(reader, &stream, || live.stopped())? {
+        live.stop();
+        // Unblock the accept loop so the listener can exit.
+        let _ = UnixStream::connect(sock_path);
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
-    use std::io::BufRead;
+    use std::io::{BufRead, Write};
 
     fn sock_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("fcc-sock-{tag}-{}.sock", std::process::id()))
@@ -210,6 +190,37 @@ mod tests {
         drop(b);
         server.join().unwrap().unwrap();
         assert!(!path.exists(), "the socket file is removed on exit");
+    }
+
+    #[test]
+    fn shutdown_ends_the_daemon_while_another_client_sits_idle() {
+        let path = sock_path("idle");
+        let (done, exited) = std::sync::mpsc::channel();
+        let server = {
+            let path = path.clone();
+            thread::spawn(move || {
+                let served = serve_socket(&path, ServeOptions::default());
+                let _ = done.send(());
+                served
+            })
+        };
+        let mut idle = connect_with_retry(&path);
+        let pong = send_lines(&mut idle, &[r#"{"v":1,"verb":"ping"}"#]);
+        assert!(pong[0].contains("\"ok\":true"));
+        let mut a = connect_with_retry(&path);
+        let bye = send_lines(&mut a, &[r#"{"v":1,"verb":"shutdown"}"#]);
+        assert!(bye[0].contains("\"ok\":true"));
+        exited
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("serve_socket returns within 5 s of shutdown, an idle client notwithstanding");
+        server.join().unwrap().unwrap();
+        assert!(!path.exists(), "the socket file is removed on exit");
+        let mut rest = String::new();
+        assert_eq!(
+            BufReader::new(&idle).read_line(&mut rest).unwrap(),
+            0,
+            "the idle client sees end-of-file"
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn opts_with_dir(dir: &Path) -> ServeOptions {
 /// Drive one daemon through (cold, warm) compiles of the module at
 /// `jobs`, returning the two response lines.
 fn cold_warm(opts: ServeOptions, jobs: usize) -> (String, String) {
-    let mut d = Daemon::new(opts).expect("daemon open");
+    let d = Daemon::new(opts).expect("daemon open");
     let line = compile_line(&module_src(), jobs);
     let (cold, _) = d.handle_line(&line);
     let (warm, _) = d.handle_line(&line);
@@ -141,7 +141,7 @@ fn a_torn_write_crash_is_quarantined_on_restart_and_recompiled() {
     }
     {
         let _g = arm(None);
-        let mut d = Daemon::new(opts_with_dir(&dir)).expect("restart");
+        let d = Daemon::new(opts_with_dir(&dir)).expect("restart");
         let (stats, _) = d.handle_line(r#"{"v":1,"verb":"stats"}"#);
         let doc = parse(&stats);
         let disk = doc.get("disk").unwrap();
@@ -181,7 +181,7 @@ fn a_clean_restart_warms_entirely_from_disk() {
     }
     // "Restart": a fresh daemon over the same directory. The resubmit
     // must be answered entirely from the warmed cache.
-    let mut d = Daemon::new(opts_with_dir(&dir)).expect("restart");
+    let d = Daemon::new(opts_with_dir(&dir)).expect("restart");
     let line = compile_line(&module_src(), 1);
     let (resp, _) = d.handle_line(&line);
     let clean = Daemon::new(ServeOptions::default())
@@ -210,7 +210,7 @@ fn a_clean_restart_warms_entirely_from_disk() {
 fn enospc_degrades_to_memory_only_without_wrong_answers() {
     let dir = tmpdir("enospc");
     let _g = arm(Some(DiskFault::Enospc));
-    let mut d = Daemon::new(opts_with_dir(&dir)).expect("open survives a full disk");
+    let d = Daemon::new(opts_with_dir(&dir)).expect("open survives a full disk");
     let line = compile_line(&module_src(), 1);
     let (cold, _) = d.handle_line(&line);
     let (warm, _) = d.handle_line(&line);

@@ -1,17 +1,27 @@
 //! End-to-end tests of the `fcc serve` protocol: the daemon state
 //! machine driven through the exact production byte path
 //! (`Daemon::handle_line` / `serve_loop`), covering the error taxonomy,
-//! cache determinism, fault degradation, and eviction.
+//! cache determinism, fault degradation, and eviction — and, over the
+//! socket transport, connections served in parallel with each key
+//! compiled once.
 //!
 //! The fault-injection switches are process-global, so every test
 //! holds one mutex while it runs and the test that arms them clears them
 //! on drop: a compile in another test must never run while they are
 //! armed (cargo runs separate test binaries one after another, so
-//! cross-binary races cannot happen).
+//! cross-binary races cannot happen). The socket tests use the armed
+//! solver spin as a barrier: an `opt` compile holds inside the dataflow
+//! solver until the test disarms it, so what they check does not depend
+//! on timing.
 
-use fcc::serve::{serve_loop, Daemon, ServeOptions, PROTOCOL_VERSION};
+use fcc::serve::{serve_loop, serve_socket, Daemon, ServeOptions, PROTOCOL_VERSION};
 use fcc::workloads::{generate, GenConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn daemon() -> Daemon {
     Daemon::new(ServeOptions::default()).expect("memory-only daemon")
@@ -49,7 +59,7 @@ fn module_64() -> String {
 #[test]
 fn malformed_and_unversioned_requests_get_400_and_the_daemon_lives() {
     let _quiet = quiet();
-    let mut d = daemon();
+    let d = daemon();
     for (line, kind) in [
         ("{nope", "malformed-json"),
         ("[1,2,3]", "bad-request"),
@@ -78,7 +88,7 @@ fn malformed_and_unversioned_requests_get_400_and_the_daemon_lives() {
 #[test]
 fn briggs_with_folding_is_a_422_typed_rejection() {
     let _quiet = quiet();
-    let mut d = daemon();
+    let d = daemon();
     let line = compile_line(
         "fn f(x) { return x; }",
         ",\"request\":{\"pipeline\":\"briggs\"}",
@@ -114,7 +124,7 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
 #[test]
 fn too_few_registers_is_a_422_typed_rejection_for_both_bounds() {
     let _quiet = quiet();
-    let mut d = daemon();
+    let d = daemon();
     for (request, kind) in [
         ("{\"alloc\":1}", "alloc-too-few"),
         ("{\"k_registers\":1}", "k-registers-too-few"),
@@ -143,7 +153,7 @@ fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
     // Byte-identical across jobs widths AND across cold/warm cache.
     let mut responses = Vec::new();
     for jobs in [1usize, 8] {
-        let mut d = daemon();
+        let d = daemon();
         let line = compile_line(&src, &format!(",\"request\":{{\"jobs\":{jobs}}}"));
         let (cold, _) = d.handle_line(&line);
         let (warm, _) = d.handle_line(&line);
@@ -189,7 +199,7 @@ fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
 #[test]
 fn editing_one_function_recompiles_only_that_function() {
     let _quiet = quiet();
-    let mut d = daemon();
+    let d = daemon();
     let src = module_64();
     let (_, _) = d.handle_line(&compile_line(&src, ""));
     // "Edit" one function by renaming a generated one — new canonical
@@ -227,7 +237,7 @@ fn quiet() -> Armed {
 fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
     let _armed = arm();
     fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
-    let mut d = daemon();
+    let d = daemon();
     let src = "fn f(x) { return x + 1; }\nfn g(y) { return y * 2; }";
 
     // abort (the default): 500, daemon alive.
@@ -284,7 +294,7 @@ fn a_tiny_byte_budget_forces_eviction_but_not_wrong_answers() {
     // Big enough for a handful of the 64 entries, far too small for all
     // of them — every pass must insert and evict.
     let budget = 64 << 10;
-    let mut d = Daemon::new(ServeOptions {
+    let d = Daemon::new(ServeOptions {
         defaults: fcc::driver::CompileRequest::new(),
         cache_budget: budget,
         ..ServeOptions::default()
@@ -314,7 +324,7 @@ fn the_stats_verb_shape_is_pinned() {
     let _quiet = quiet();
     // The CI durability harness scrapes these fields; adding is fine,
     // renaming or dropping any of them is a breaking change.
-    let mut d = daemon();
+    let d = daemon();
     d.handle_line(&compile_line("fn f(x) { return x; }", ""));
     let (stats, _) = d.handle_line(r#"{"v":1,"verb":"stats"}"#);
     let doc = parse(&stats);
@@ -354,7 +364,7 @@ fn the_stats_verb_shape_is_pinned() {
 #[test]
 fn an_expired_deadline_is_a_deterministic_504() {
     let _quiet = quiet();
-    let mut d = daemon();
+    let d = daemon();
     let line = compile_line(
         "fn f(x) { return x + 1; }\nfn g(y) { return y; }",
         ",\"request\":{\"deadline_ms\":0}",
@@ -395,7 +405,7 @@ fn an_expired_deadline_is_a_deterministic_504() {
 #[test]
 fn a_full_admission_queue_sheds_with_a_typed_503() {
     let _quiet = quiet();
-    let mut d = Daemon::new(ServeOptions {
+    let d = Daemon::new(ServeOptions {
         max_queue: 0,
         ..ServeOptions::default()
     })
@@ -488,7 +498,7 @@ fn ir_that_ssa_construction_cannot_take_is_a_422_naming_its_rule() {
     let back_to_entry = "function @f(1) {\nb0:\n    v0 = param 0\n    v1 = const 0\n    \
                          v2 = gt v0, v1\n    branch v2, b1, b2\nb1:\n    v0 = sub v0, v0\n    \
                          jump b0\nb2:\n    return v0\n}\n";
-    let mut d = daemon();
+    let d = daemon();
     for (id, source, kind) in [
         (40, "function @f(0) {\n}\n", "ir-no-entry-block"),
         (41, phi, "ir-phi-in-input"),
@@ -516,4 +526,208 @@ fn ir_that_ssa_construction_cannot_take_is_a_422_naming_its_rule() {
         Some(true),
         "{resp}"
     );
+}
+
+/// How long any socket answer may take once nothing holds it back.
+const ANSWER_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A socket daemon on a fresh path, served from a background thread.
+fn start_socket(tag: &str) -> (PathBuf, thread::JoinHandle<std::io::Result<()>>) {
+    let path = std::env::temp_dir().join(format!("fcc-proto-{tag}-{}.sock", std::process::id()));
+    let server = {
+        let path = path.clone();
+        thread::spawn(move || serve_socket(&path, ServeOptions::default()))
+    };
+    (path, server)
+}
+
+/// One client connection whose every read gives up after
+/// [`ANSWER_TIMEOUT`].
+struct Conn {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl Conn {
+    fn open(path: &Path) -> Conn {
+        let deadline = Instant::now() + ANSWER_TIMEOUT;
+        let stream = loop {
+            match UnixStream::connect(path) {
+                Ok(s) => break s,
+                Err(e) if Instant::now() >= deadline => panic!("socket {path:?}: {e}"),
+                Err(_) => thread::sleep(Duration::from_millis(5)),
+            }
+        };
+        stream.set_read_timeout(Some(ANSWER_TIMEOUT)).unwrap();
+        Conn {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        }
+    }
+
+    fn send(&mut self, line: &str) {
+        writeln!(self.writer, "{line}").unwrap();
+        self.writer.flush().unwrap();
+    }
+
+    fn recv(&mut self) -> String {
+        let mut resp = String::new();
+        self.reader
+            .read_line(&mut resp)
+            .unwrap_or_else(|e| panic!("no answer within {ANSWER_TIMEOUT:?}: {e}"));
+        resp.trim_end().to_string()
+    }
+
+    fn ask(&mut self, line: &str) -> String {
+        self.send(line);
+        self.recv()
+    }
+
+    /// Poll `stats` until `ready` holds of it, and return that reply.
+    fn stats_when(
+        &mut self,
+        ready: impl Fn(&fcc::serve::json::Json) -> bool,
+    ) -> fcc::serve::json::Json {
+        let deadline = Instant::now() + 4 * ANSWER_TIMEOUT;
+        loop {
+            let doc = parse(&self.ask(r#"{"v":1,"verb":"stats"}"#));
+            if ready(&doc) {
+                return doc;
+            }
+            assert!(Instant::now() < deadline, "stats never got there: {doc:?}");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+fn count(doc: &fcc::serve::json::Json, path: &[&str]) -> u64 {
+    let mut v = doc;
+    for key in path {
+        v = v
+            .get(key)
+            .unwrap_or_else(|| panic!("{path:?} missing: {doc:?}"));
+    }
+    v.as_u64().unwrap()
+}
+
+/// Replay `lines` through the stdio transport.
+fn stdio_replay(lines: &[&str]) -> Vec<String> {
+    let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let mut out = Vec::new();
+    serve_loop(input.as_bytes(), &mut out, ServeOptions::default()).unwrap();
+    String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// Send `shutdown` and join the daemon.
+fn stop_socket(conn: &mut Conn, server: thread::JoinHandle<std::io::Result<()>>) {
+    assert!(conn
+        .ask(r#"{"v":1,"verb":"shutdown"}"#)
+        .contains("\"ok\":true"));
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_hit_is_answered_while_two_other_connections_compile() {
+    let _armed = arm();
+    let cached = compile_line("fn f(x) { return x + 1; }\nfn g(y) { return y * 2; }", "");
+    let opt = ",\"request\":{\"opt\":true,\"jobs\":1}";
+    let slow_a = compile_line(
+        "fn h(n) { let s = 0; for i = 0 to n { s = s + i; } return s; }",
+        opt,
+    );
+    let slow_c = compile_line(
+        "fn k(n) { let p = 1; while n > 0 { p = p * 2; n = n - 1; } return p; }",
+        opt,
+    );
+    let expected = stdio_replay(&[&cached, &slow_a, &slow_c]);
+
+    let (path, server) = start_socket("hit");
+    let mut b = Conn::open(&path);
+    let first = b.ask(&cached);
+    assert_eq!(first, expected[0]);
+
+    fcc::opt::fault::inject_solver_spin(true);
+    let (mut a, mut c) = (Conn::open(&path), Conn::open(&path));
+    a.send(&slow_a);
+    c.send(&slow_c);
+    // Both compiles are admitted and held in the solver; two different
+    // modules share no key, so neither waits on the other.
+    let doc = b.stats_when(|d| count(d, &["in_flight"]) == 2);
+    assert_eq!(count(&doc, &["queued"]), 0, "{doc:?}");
+
+    assert_eq!(
+        b.ask(&cached),
+        first,
+        "the all-hit resubmit answers mid-compile"
+    );
+    assert!(b.ask(r#"{"v":1,"verb":"ping"}"#).contains("\"ok\":true"));
+    let doc = parse(&b.ask(r#"{"v":1,"verb":"stats"}"#));
+    assert_eq!(
+        count(&doc, &["in_flight"]),
+        2,
+        "both compiles still held: {doc:?}"
+    );
+    assert_eq!(count(&doc, &["cache", "hits"]), 2, "{doc:?}");
+
+    fcc::opt::fault::inject_solver_spin(false);
+    assert_eq!(
+        a.recv(),
+        expected[1],
+        "a compile served in parallel replays stdio's bytes"
+    );
+    assert_eq!(c.recv(), expected[2]);
+    stop_socket(&mut b, server);
+}
+
+#[test]
+fn four_clients_missing_one_module_compile_each_function_once() {
+    let _armed = arm();
+    let line = compile_line(
+        "fn h(n) { let s = 0; for i = 0 to n { s = s + i; } return s; }\n\
+         fn k(n) { let p = 1; while n > 0 { p = p * 2; n = n - 1; } return p; }",
+        ",\"request\":{\"opt\":true,\"jobs\":1},\"cache\":true",
+    );
+    let (path, server) = start_socket("four");
+    let mut monitor = Conn::open(&path);
+    let mut clients: Vec<Conn> = (0..4).map(|_| Conn::open(&path)).collect();
+
+    fcc::opt::fault::inject_solver_spin(true);
+    for c in &mut clients {
+        c.send(&line);
+    }
+    // One client owns both keys and is held compiling them; the other
+    // three wait on its flights.
+    let doc = monitor.stats_when(|d| count(d, &["queued"]) == 3);
+    assert_eq!(count(&doc, &["in_flight"]), 4, "{doc:?}");
+    fcc::opt::fault::inject_solver_spin(false);
+
+    let mut per_request = Vec::new();
+    let mut bodies = Vec::new();
+    for c in &mut clients {
+        let resp = c.recv();
+        let doc = parse(&resp);
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(true), "{resp}");
+        let (hits, misses) = (
+            count(&doc, &["cache", "hits"]),
+            count(&doc, &["cache", "misses"]),
+        );
+        per_request.push((hits, misses));
+        // Only the opt-in per-request counters may differ.
+        let counters = format!(",\"cache\":{{\"hits\":{hits},\"misses\":{misses}}}");
+        bodies.push(resp.replacen(&counters, "", 1));
+    }
+    per_request.sort_unstable();
+    assert_eq!(per_request, [(0, 2), (2, 0), (2, 0), (2, 0)]);
+    assert!(bodies.iter().all(|b| b == &bodies[0]), "{bodies:#?}");
+
+    let doc = parse(&monitor.ask(r#"{"v":1,"verb":"stats"}"#));
+    assert_eq!(count(&doc, &["cache", "hits"]), 6, "{doc:?}");
+    assert_eq!(count(&doc, &["cache", "misses"]), 2, "{doc:?}");
+    assert_eq!(count(&doc, &["compiles"]), 4, "{doc:?}");
+    assert_eq!(count(&doc, &["queued"]), 0, "{doc:?}");
+    stop_socket(&mut monitor, server);
 }
