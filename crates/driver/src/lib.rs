@@ -70,7 +70,7 @@ pub use recover::{
 pub use report::{merge_phases, render_phases, us, PhaseRecord, PhaseStats, PhaseTimer, Table};
 pub use request::{
     compile_function_report, compile_module, request_deadline, CompileRequest, ReportFormat,
-    RequestError,
+    RequestError, SetError, SetValue,
 };
 
 // Deadline plumbing, re-exported so transport layers (fcc-serve) can

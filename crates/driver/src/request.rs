@@ -12,9 +12,9 @@
 //!   replaces the old `compile_module` / `compile_module_guarded` /
 //!   `compile_with_ladder` trio, with guarded/ladder behaviour selected
 //!   by [`CompileRequest::fail_mode`], not by which function you call;
-//! * the **CLI flag target** — every `fcc build` flag maps to one field;
-//! * the **protocol body** — `fcc serve` deserialises request objects
-//!   field-for-field into this struct;
+//! * the **CLI flag target** and the **protocol body** — `fcc`'s request
+//!   flags and the members of a serve protocol `"request"` object set
+//!   fields through one keyed setter, [`CompileRequest::set`];
 //! * the **cache-key input** — [`CompileRequest::cache_signature`] is
 //!   the canonical spelling hashed into the serve daemon's
 //!   content-addressed function cache (only fields that can change the
@@ -27,9 +27,11 @@
 //! Everything parses and prints through one shared [`FromStr`]/
 //! [`Display`] pair per enum ([`PipelineSpec`], [`FailMode`],
 //! [`ReportFormat`]) — the CLI, the wire protocol, and the cache key
-//! cannot disagree about spellings.
+//! cannot disagree about spellings, and [`CompileRequest::set`] range-checks
+//! every integer into its field's type for both.
 
 use std::fmt;
+use std::num::IntErrorKind;
 use std::str::FromStr;
 
 use fcc_ir::{Function, Module};
@@ -158,6 +160,92 @@ impl fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+/// A value for [`CompileRequest::set`]: typed, as a protocol line
+/// carries it, or the text of a command-line argument.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetValue<'a> {
+    /// `null`: clears an optional field.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A non-negative integer.
+    Int(u64),
+    /// A string, spelled as the field's type parses it.
+    Str(&'a str),
+    /// Any other protocol value (a negative, fractional or too-large
+    /// number, an array, an object): no field takes one.
+    Other,
+    /// A command-line argument, parsed as the field's type.
+    Arg(&'a str),
+}
+
+/// Why [`CompileRequest::set`] refused a value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SetError {
+    /// No request field has this key.
+    UnknownKey,
+    /// The value is not of the field's type, named here (`"a bool"`).
+    WrongType(&'static str),
+    /// An integer above the field's largest value, given here.
+    TooLarge(u64),
+    /// A string the field's type does not spell.
+    Invalid(RequestError),
+}
+
+impl fmt::Display for SetError {
+    /// The refusal as a predicate on the field ("must be a bool"); each
+    /// surface names the field and shows the value in its own spelling.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SetError::UnknownKey => f.write_str("is not a compile-request field"),
+            SetError::WrongType(ty) => write!(f, "must be {ty}"),
+            SetError::TooLarge(max) => write!(f, "must be at most {max}"),
+            SetError::Invalid(e) => e.fmt(f),
+        }
+    }
+}
+
+impl SetValue<'_> {
+    fn bool(self) -> Result<bool, SetError> {
+        match self {
+            SetValue::Bool(b) => Ok(b),
+            _ => Err(SetError::WrongType("a bool")),
+        }
+    }
+
+    fn spelled<T: FromStr<Err = RequestError>>(self) -> Result<T, SetError> {
+        match self {
+            SetValue::Str(s) | SetValue::Arg(s) => s.parse().map_err(SetError::Invalid),
+            _ => Err(SetError::WrongType("a string")),
+        }
+    }
+
+    /// A non-negative integer that fits `T` (every integer field is
+    /// unsigned and at most 64 bits wide).
+    fn int<T: TryFrom<u64>>(self) -> Result<T, SetError> {
+        let too_large = || SetError::TooLarge(u64::MAX >> (64 - 8 * std::mem::size_of::<T>()));
+        let not_int = SetError::WrongType("a non-negative integer");
+        let n = match self {
+            SetValue::Int(n) => n,
+            SetValue::Arg(s) => match s.parse::<u64>() {
+                Ok(n) => n,
+                Err(e) if *e.kind() == IntErrorKind::PosOverflow => return Err(too_large()),
+                Err(_) => return Err(not_int),
+            },
+            _ => return Err(not_int),
+        };
+        T::try_from(n).map_err(|_| too_large())
+    }
+
+    /// `null` clears an optional field; anything else must be an integer.
+    fn optional_int<T: TryFrom<u64>>(self) -> Result<Option<T>, SetError> {
+        match self {
+            SetValue::Null => Ok(None),
+            v => v.int().map(Some),
+        }
+    }
+}
+
 /// Everything a compilation needs to know, in one place.
 ///
 /// Construct with the builder methods and finish with
@@ -212,9 +300,11 @@ pub struct CompileRequest {
     pub jobs: usize,
     /// How reports are rendered. Never affects compiled output.
     pub format: ReportFormat,
-    /// Treat `--verify-each` lint warnings as compile failures. Never
-    /// affects compiled output (warnings don't change code, they gate
-    /// it), so it stays out of the cache signature like `jobs`/`format`.
+    /// Treat `--verify-each` lint warnings as compile failures. Under
+    /// `verify_each` this can fail a function that compiles without it,
+    /// yet it is outside [`cache_signature`](Self::cache_signature). That
+    /// is safe only because nothing that caches takes it: the serve
+    /// protocol rejects the key and `fcc serve` has no flag for it.
     pub deny_warnings: bool,
 }
 
@@ -321,6 +411,30 @@ impl CompileRequest {
     pub fn deny_warnings(mut self, on: bool) -> Self {
         self.deny_warnings = on;
         self
+    }
+
+    /// Set the field named by its protocol key — the one way the CLI and
+    /// the serve protocol write a request. Integers are range-checked
+    /// into the field's type; enum spellings go through their `FromStr`.
+    /// Preconditions across fields are [`validate`](Self::validate)'s.
+    pub fn set(&mut self, key: &str, value: SetValue<'_>) -> Result<(), SetError> {
+        match key {
+            "pipeline" => self.pipeline = value.spelled()?,
+            "fold" => self.fold = value.bool()?,
+            "opt" => self.opt = value.bool()?,
+            "verify_each" => self.verify_each = value.bool()?,
+            "simplify" => self.simplify = value.bool()?,
+            "alloc" => self.alloc = value.optional_int()?,
+            "k_registers" => self.k_registers = value.optional_int()?,
+            "fail_mode" => self.fail_mode = value.spelled()?,
+            "fuel" => self.fuel = value.optional_int()?,
+            "deadline_ms" => self.deadline_ms = value.optional_int()?,
+            "jobs" => self.jobs = value.int()?,
+            "format" => self.format = value.spelled()?,
+            "deny_warnings" => self.deny_warnings = value.bool()?,
+            _ => return Err(SetError::UnknownKey),
+        }
+        Ok(())
     }
 
     /// Check the request's preconditions, returning the first violation
@@ -467,6 +581,90 @@ mod tests {
             .k_registers(Some(2))
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn set_range_checks_integers_into_each_fields_type() {
+        let mut req = CompileRequest::new();
+        let too_large = SetError::TooLarge(u32::MAX.into());
+        let above = u64::from(u32::MAX) + 1;
+        assert_eq!(
+            req.set("k_registers", SetValue::Int(above)),
+            Err(too_large.clone())
+        );
+        assert_eq!(
+            req.set("k_registers", SetValue::Arg("4294967298")),
+            Err(too_large)
+        );
+        assert_eq!(
+            req.set("fuel", SetValue::Arg("18446744073709551616")),
+            Err(SetError::TooLarge(u64::MAX))
+        );
+        assert_eq!(req.k_registers, None, "a refused value leaves the field");
+        req.set("k_registers", SetValue::Int(u32::MAX.into()))
+            .unwrap();
+        assert_eq!(req.k_registers, Some(u32::MAX));
+        req.set("k_registers", SetValue::Null).unwrap();
+        assert_eq!(req.k_registers, None);
+        let not_int = Err(SetError::WrongType("a non-negative integer"));
+        assert_eq!(req.set("jobs", SetValue::Null), not_int);
+        assert_eq!(req.set("alloc", SetValue::Arg("-1")), not_int);
+        assert_eq!(req.set("fuel", SetValue::Other), not_int);
+    }
+
+    #[test]
+    fn set_takes_protocol_values_and_arguments_alike() {
+        let mut by_value = CompileRequest::new();
+        let mut by_arg = CompileRequest::new();
+        for (key, text) in [
+            ("pipeline", "briggs"),
+            ("fail_mode", "degrade"),
+            ("format", "json"),
+            ("alloc", "4"),
+            ("fuel", "900"),
+            ("deadline_ms", "60"),
+            ("jobs", "3"),
+        ] {
+            let value = match text.parse() {
+                Ok(n) => SetValue::Int(n),
+                Err(_) => SetValue::Str(text),
+            };
+            by_value.set(key, value).unwrap();
+            by_arg.set(key, SetValue::Arg(text)).unwrap();
+        }
+        assert_eq!(by_arg, by_value);
+        for key in ["opt", "verify_each", "simplify", "deny_warnings"] {
+            by_value.set(key, SetValue::Bool(true)).unwrap();
+        }
+        by_value.set("fold", SetValue::Bool(false)).unwrap();
+        let built = CompileRequest::new()
+            .pipeline(PipelineSpec::Briggs)
+            .fold(false)
+            .opt(true)
+            .verify_each(true)
+            .simplify(true)
+            .alloc(Some(4))
+            .fail_mode(FailMode::Degrade)
+            .fuel(Some(900))
+            .deadline_ms(Some(60))
+            .jobs(3)
+            .format(ReportFormat::Json)
+            .deny_warnings(true);
+        assert_eq!(by_value, built);
+        assert_eq!(
+            by_value.set("pipeline", SetValue::Arg("fancy")),
+            Err(SetError::Invalid(RequestError::UnknownPipeline(
+                "fancy".into()
+            )))
+        );
+        assert_eq!(
+            by_value.set("opt", SetValue::Arg("true")),
+            Err(SetError::WrongType("a bool"))
+        );
+        assert_eq!(
+            by_value.set("optimize", SetValue::Bool(true)),
+            Err(SetError::UnknownKey)
+        );
     }
 
     #[test]

@@ -46,10 +46,11 @@ impl Json {
     }
 
     /// The value as a non-negative integer, if it is a number with no
-    /// fractional part.
+    /// fractional part below 2^64. (`u64::MAX as f64` rounds up to 2^64,
+    /// so the bound is strict.)
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -386,6 +387,12 @@ mod tests {
     fn numbers_parse_and_print() {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        // 2^64 does not fit; the largest double below it does.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18446744073709549568)
+        );
         assert_eq!(parse("1.5e2").unwrap(), Json::Num(150.0));
         assert_eq!(Json::Num(42.0).to_string(), "42");
     }

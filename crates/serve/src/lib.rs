@@ -3,7 +3,7 @@
 //! A long-running daemon (`fcc serve`) that speaks a versioned JSONL
 //! protocol over stdin/stdout and keeps a **content-addressed
 //! incremental function cache** between requests, so an edit-compile
-//! loop recompiles only the functions that changed. Four pieces:
+//! loop recompiles only the functions that changed. Its modules:
 //!
 //! | module | contents |
 //! |---|---|
@@ -15,12 +15,13 @@
 //! | [`disk`] | the checksummed, quarantining on-disk entry store (`--cache-dir`) |
 //! | [`daemon`] | the [`Daemon`] state machine and the [`serve_loop`] transport |
 //! | [`socket`] | the Unix-domain-socket transport (`--socket`), serving connections in parallel |
-//! | [`bench`] | the `fcc bench-serve` load generator (`BENCH_serve.json`) |
 //!
 //! The service compiles through the driver's unified
 //! [`CompileRequest`](fcc_driver::CompileRequest) entry point: the same
-//! struct is the protocol body (field-for-field), the library call, and
-//! the cache-key input, so the wire format cannot drift from the CLI.
+//! struct is the protocol body, the library call, and the cache-key
+//! input, and the protocol sets its fields through
+//! [`CompileRequest::set`](fcc_driver::CompileRequest::set), the setter
+//! behind the CLI flags, so the wire format cannot drift from the CLI.
 //!
 //! Responses are **replay-stable by default**: resubmitting a module
 //! yields byte-identical response lines whether every function hit the
@@ -36,7 +37,6 @@
 //! (on-disk format, atomicity, quarantine, faults) and the socket
 //! transport.
 
-pub mod bench;
 pub mod cache;
 pub mod codec;
 pub mod daemon;
@@ -46,7 +46,6 @@ pub mod json;
 pub mod protocol;
 pub mod socket;
 
-pub use bench::{run as run_bench, BenchConfig, BenchReport};
 pub use cache::{
     cache_key, compile_module_cached, CacheStats, CachedBatch, FnCache, SharedCache, CACHE_SCHEMA,
 };

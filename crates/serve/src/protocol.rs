@@ -11,8 +11,9 @@
 //!              -- compile only:
 //!              "source": string, "lang"?: "minilang" | "ir",
 //!              "request"?: { pipeline?, fold?, opt?, verify_each?,
-//!                            simplify?, alloc?, fail_mode?, fuel?,
-//!                            deadline_ms?, jobs?, format? },
+//!                            simplify?, alloc?, k_registers?,
+//!                            fail_mode?, fuel?, deadline_ms?, jobs?,
+//!                            format? },
 //!              "report"?: bool, "cache"?: bool, "timing"?: bool }
 //! response = { "v": 1, "id": <echo>, "ok": true, ... }
 //!          | { "v": 1, "id": <echo>, "ok": false,
@@ -46,7 +47,7 @@
 
 use std::fmt::Write as _;
 
-use fcc_driver::{CompileRequest, RequestError};
+use fcc_driver::{CompileRequest, RequestError, SetError, SetValue};
 
 use crate::json::{self, escape, Json};
 
@@ -322,82 +323,36 @@ pub fn parse_request(line: &str, defaults: &CompileRequest) -> Result<Request, S
     })
 }
 
-/// Overlay a request object's fields onto the daemon defaults. Spellings
-/// go through the same `FromStr` impls as the CLI flags, so the wire
-/// protocol cannot drift from `fcc build`.
+/// Overlay a request object's fields onto the daemon defaults, each
+/// through [`CompileRequest::set`], the setter behind the CLI flags too.
+/// A value of the wrong type or range is a 400; a spelling the field does
+/// not know is the 422 of its [`RequestError`].
 fn apply_overrides(mut req: CompileRequest, obj: &Json) -> Result<CompileRequest, ServeError> {
     let Json::Obj(members) = obj else {
         return Err(ServeError::bad_request("\"request\" must be a JSON object"));
     };
     for (key, value) in members {
-        match key.as_str() {
-            "pipeline" => {
-                let s = expect_str(key, value)?;
-                req.pipeline = s.parse().map_err(|e| ServeError::invalid_request(&e))?;
+        let set_value = match value {
+            Json::Null => SetValue::Null,
+            Json::Bool(b) => SetValue::Bool(*b),
+            Json::Str(s) => SetValue::Str(s),
+            v => v.as_u64().map_or(SetValue::Other, SetValue::Int),
+        };
+        // `deny_warnings` can fail a compile but is outside the cache
+        // signature, so the wire does not take it (DESIGN.md §11).
+        let set = match key.as_str() {
+            "deny_warnings" => Err(SetError::UnknownKey),
+            _ => req.set(key, set_value),
+        };
+        set.map_err(|e| match e {
+            SetError::UnknownKey => {
+                ServeError::bad_request(format!("unknown compile-request field {key:?}"))
             }
-            "fail_mode" => {
-                let s = expect_str(key, value)?;
-                req.fail_mode = s.parse().map_err(|e| ServeError::invalid_request(&e))?;
-            }
-            "format" => {
-                let s = expect_str(key, value)?;
-                req.format = s.parse().map_err(|e| ServeError::invalid_request(&e))?;
-            }
-            "fold" => req.fold = expect_bool(key, value)?,
-            "opt" => req.opt = expect_bool(key, value)?,
-            "verify_each" => req.verify_each = expect_bool(key, value)?,
-            "simplify" => req.simplify = expect_bool(key, value)?,
-            "alloc" => {
-                req.alloc = match value {
-                    Json::Null => None,
-                    v => Some(expect_u64(key, v)? as usize),
-                }
-            }
-            "k_registers" => {
-                req.k_registers = match value {
-                    Json::Null => None,
-                    v => Some(expect_u64(key, v)? as u32),
-                }
-            }
-            "fuel" => {
-                req.fuel = match value {
-                    Json::Null => None,
-                    v => Some(expect_u64(key, v)?),
-                }
-            }
-            "deadline_ms" => {
-                req.deadline_ms = match value {
-                    Json::Null => None,
-                    v => Some(expect_u64(key, v)?),
-                }
-            }
-            "jobs" => req.jobs = expect_u64(key, value)? as usize,
-            other => {
-                return Err(ServeError::bad_request(format!(
-                    "unknown compile-request field {other:?}"
-                )))
-            }
-        }
+            SetError::Invalid(e) => ServeError::invalid_request(&e),
+            e => ServeError::bad_request(format!("field {key:?} {e}, got {value}")),
+        })?;
     }
     Ok(req)
-}
-
-fn expect_str<'j>(key: &str, v: &'j Json) -> Result<&'j str, ServeError> {
-    v.as_str()
-        .ok_or_else(|| ServeError::bad_request(format!("field {key:?} must be a string, got {v}")))
-}
-
-fn expect_bool(key: &str, v: &Json) -> Result<bool, ServeError> {
-    v.as_bool()
-        .ok_or_else(|| ServeError::bad_request(format!("field {key:?} must be a bool, got {v}")))
-}
-
-fn expect_u64(key: &str, v: &Json) -> Result<u64, ServeError> {
-    v.as_u64().ok_or_else(|| {
-        ServeError::bad_request(format!(
-            "field {key:?} must be a non-negative integer, got {v}"
-        ))
-    })
 }
 
 /// A response line under construction: members render in insertion
@@ -502,6 +457,22 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!((e.code, e.kind.as_str()), (422, "k-registers-too-few"));
+        // Above u32::MAX is a 400 naming the key and the value sent, not
+        // a k truncated to its low 32 bits.
+        for sent in ["4294967296", "4294967297", "4294967298"] {
+            let e = parse_request(
+                &format!(
+                    r#"{{"v":1,"verb":"compile","source":"","request":{{"k_registers":{sent}}}}}"#
+                ),
+                &CompileRequest::new(),
+            )
+            .unwrap_err();
+            assert_eq!((e.code, e.kind.as_str()), (400, "bad-request"), "{sent}");
+            assert_eq!(
+                e.message,
+                format!("field \"k_registers\" must be at most 4294967295, got {sent}")
+            );
+        }
     }
 
     #[test]
@@ -542,6 +513,15 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("optimize"));
+        // deny_warnings can fail a compile but is not in the cache
+        // signature: the wire must not take it.
+        let e = parse_request(
+            r#"{"v":1,"verb":"compile","source":"","request":{"deny_warnings":true}}"#,
+            &CompileRequest::new(),
+        )
+        .unwrap_err();
+        assert_eq!((e.code, e.kind.as_str()), (400, "bad-request"));
+        assert_eq!(e.message, "unknown compile-request field \"deny_warnings\"");
         let e = parse_request(
             r#"{"v":1,"verb":"stats","source":"x"}"#,
             &CompileRequest::new(),

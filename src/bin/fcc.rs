@@ -1,368 +1,287 @@
 //! `fcc` — the command-line driver.
 //!
-//! Compiles MiniLang source (one function or a whole multi-function
-//! module, or named benchmark kernels) through a selectable
-//! SSA-destruction pipeline and prints the result, the statistics, or an
-//! execution. Modules are batch-compiled on a worker pool (`--jobs`),
-//! with byte-identical output at any width.
+//! Compiles MiniLang source (one function, a multi-function module, or
+//! the bundled kernels) through a selectable SSA-destruction pipeline,
+//! and hosts the `lint`, `analyze`, `pressure`, `fuzz` and `serve`
+//! subcommands. `fcc --help` and `fcc <subcommand> --help` list every
+//! flag; [`COMMANDS`] and [`REQUEST_FLAGS`] are their one definition,
+//! and the help text is generated from them.
 //!
-//! ```text
-//! Usage: fcc [build] <file.ml | kernel:NAME | kernel:* | -> [options]
-//!
-//!   --pipeline P    new (default) | standard | briggs | briggs-star
-//!   --no-fold       do not fold copies during SSA construction
-//!   --opt           run the optimiser pipeline on the SSA (the briggs
-//!                   pipelines get the copy-preserving variant: copy
-//!                   propagation would re-fold copies into φ webs)
-//!   --verify-each   run the fcc-lint suite between phases; the first
-//!                   error aborts and names the offending phase/pass
-//!   --deny-warnings promote --verify-each lint warnings to compile
-//!                   failures (never changes compiled output)
-//!   --simplify      simplify the CFG after destruction
-//!   --alloc K       colour with K registers after destruction
-//!   --k-registers K compile under a hard K-register bound: spill the
-//!                   SSA form down to pressure <= K (cost-guided, loop-
-//!                   depth-weighted victims), destruct, allocate with
-//!                   exactly K colours, and certify the result with the
-//!                   feasibility auditor (implies allocation; K >= 2)
-//!   --jobs N        compile module functions on N threads (0 = auto,
-//!                   the default); output is independent of N
-//!   --fail-mode M   abort (default) | skip | degrade — what to do when
-//!                   a function's compile fails (panic, fuel stop, or
-//!                   verifier rejection): abort the batch naming the
-//!                   offending pass, quarantine the function, or retry
-//!                   it down the degradation ladder (new → standard →
-//!                   bare SSA destruction, recovery rungs fully
-//!                   verified); functions still failing are quarantined,
-//!                   shrunk to .ml repros, and fail the exit code
-//!   --fuel N        per-attempt step budget for the iterative
-//!                   algorithms; exhaustion is a recoverable failure
-//!                   naming the spinning pass
-//!   --repro-dir DIR where quarantined functions' shrunk repros are
-//!                   written (default .)
-//!   --emit STAGE    print IR at: cfg | ssa | final (default: final)
-//!   --run ARGS      execute the final code, ARGS comma-separated
-//!   --entry NAME    which function --run executes (default: the only
-//!                   one; required for multi-function modules)
-//!   --stats         print phase statistics
-//!   --report        print the per-phase pipeline report (time, peak
-//!                   bytes, analysis-cache hits/misses) and the
-//!                   per-function outcome table (ok/recovered/failed,
-//!                   attempts, fuel spent)
-//!   --format F      text (default) | json — outcome-table format
-//!   --inject-panic PASS        (testing) panic at entry to PASS
-//!   --inject-solver-spin       (testing) make the dataflow solver spin
-//!   --inject-verifier-violation PASS  (testing) corrupt the IR after PASS
-//!   --list-kernels  list bundled kernels and exit
-//! ```
-//!
-//! There is also a lint subcommand, which never prints IR — it drives
-//! each function through CFG → SSA → destruction, runs the stage-matched
-//! rule suite at each point plus the coalescing soundness audit, and
-//! exits 1 on any error-severity finding:
-//!
-//! ```text
-//! Usage: fcc lint <file.ml | kernel:NAME | kernel:* | -> [options]
-//!
-//!   --format F      text (default) | json
-//!   --pipeline P    new (default) | new-cut | standard | sreedhar | briggs | briggs-star
-//!   --no-fold       do not fold copies during SSA construction
-//!   --opt           run (and verify) the optimiser pipeline on the SSA
-//!   --jobs N        lint module functions on N threads (0 = auto)
-//!   --deny-warnings promote warning findings to the failing exit code
-//! ```
-//!
-//! An analyze subcommand: the `fcc-dataflow` sparse abstract
-//! interpreter (SCCP, value ranges, known bits) over the SSA form,
-//! printing per-value ranges and the safety report — including the
-//! `fcc-alias` memory findings (`mem-oob-access`, `mem-uninit-load`,
-//! `mem-dead-store`, `mem-overlapping-store`). Exit code 1 iff any
-//! error-severity finding (with `--deny-warnings`, any finding at all):
-//!
-//! ```text
-//! Usage: fcc analyze <file.ml | kernel:NAME | kernel:* | -> [options]
-//!
-//!   --format F      text (default) | json
-//!   --no-fold       do not fold copies during SSA construction
-//!   --opt           run the optimiser pipeline before analysing
-//!   --jobs N        analyse module functions on N threads (0 = auto)
-//!   --memory-words N  memory size for the out-of-bounds upper bound
-//!                   (without it only negative addresses are provable)
-//!   --deny-warnings promote warning findings to the failing exit code
-//! ```
-//!
-//! A pressure subcommand: static register-pressure report per function —
-//! MaxLive (per block and per function), the chordality certificate
-//! proving MaxLive equals the chromatic number of the SSA interference
-//! graph, loop-weighted spill-cost totals, and the stage-aware
-//! `pressure-*` lint rules against a k-register target (the post-
-//! destruction form is measured too, so the coalescing-aware rule sees
-//! the code the allocator will). Exit code 1 iff any error-severity
-//! finding (with `--deny-warnings`, any finding at all):
-//!
-//! ```text
-//! Usage: fcc pressure <file.ml | kernel:NAME | kernel:* | -> [options]
-//!
-//!   --format F      text (default) | json
-//!   --k N           register target for the pressure-* rules (default 8)
-//!   --spill         also run both SSA-level spillers (spill-everywhere
-//!                   and cost-guided) against the k target and report
-//!                   spill/reload counts and the post-spill MaxLive
-//!   --no-fold       do not fold copies during SSA construction
-//!   --opt           run the optimiser pipeline before measuring
-//!   --jobs N        process module functions on N threads (0 = auto)
-//!   --deny-warnings promote warning findings to the failing exit code
-//! ```
-//!
-//! And a fuzz subcommand: seeded generated programs through all three
-//! pipeline families with a differential interpreter oracle and the
-//! destruction soundness audit; failures are shrunk to a minimal
-//! MiniLang repro file. Exit code 1 on any failure:
-//!
-//! ```text
-//! Usage: fcc fuzz [options]
-//!
-//!   --seeds N        seeds to check (default 1000)
-//!   --start N        first seed (default 0)
-//!   --jobs N         worker threads (0 = auto, the default)
-//!   --no-opt         skip the optimiser between SSA and destruction
-//!   --shrink-budget N   max oracle evaluations per failure (default 4000)
-//!   --fuel N         per-seed step budget; exhaustion is its own
-//!                    shrinkable failure class
-//!   --repro-dir DIR  where to write repro-<seed>.ml files (default .)
-//!   --inject-phi-bug re-open a known φ-ordering miscompile (testing
-//!                    the oracle and shrinker themselves)
-//!   --inject-solver-spin  make the dataflow solver spin (with --fuel:
-//!                    exercises the fuel failure class end to end)
-//! ```
-//!
-//! A serve subcommand: the long-running compile service. One JSONL
-//! request per stdin line, one response per stdout line (or per
-//! connection line with `--socket`), with a content-addressed function
-//! cache between requests so resubmitting a module recompiles only the
-//! functions that changed (DESIGN.md §11 has the protocol reference,
-//! §15 the durability design):
-//!
-//! ```text
-//! Usage: fcc serve [options]
-//!
-//!   --pipeline / --no-fold / --opt / --verify-each / --simplify /
-//!   --alloc / --fail-mode / --fuel / --jobs / --format
-//!                   daemon-default compile request; each request line's
-//!                   "request" object overrides field-by-field
-//!   --deadline-ms N  default per-request wall-clock budget; overruns
-//!                    answer 504 deadline-exceeded (overridable per
-//!                    request, nullable with "deadline_ms": null)
-//!   --cache-budget BYTES   function-cache byte budget (default 256 MiB)
-//!   --cache-dir DIR  crash-safe persistent cache: entries survive
-//!                    restarts, corrupt files are quarantined to
-//!                    DIR/quarantine and re-compiled, the memory budget
-//!                    bounds disk occupancy
-//!   --socket PATH    listen on a Unix domain socket instead of stdio;
-//!                    concurrent connections share one daemon and one
-//!                    cache, responses stay byte-identical to stdio
-//!   --max-queue N    compile requests admitted concurrently before
-//!                    shedding with 503 overloaded (default 64; 0 sheds
-//!                    every compile)
-//!   --max-line-bytes N   request-line cap; longer lines answer
-//!                    400 line-too-long (default 16 MiB)
-//!   --inject-disk-fault torn-write|short-write|enospc|bit-flip
-//!                    arm the disk-fault shim (the CI durability matrix)
-//! ```
-//!
-//! And a bench-serve subcommand: the serve load generator. Replays a
-//! seeded stream of mixed-size modules (with a configurable resubmission
-//! ratio) against an in-process daemon and reports functions/sec,
-//! p50/p99 latency, and cache hit rate:
-//!
-//! ```text
-//! Usage: fcc bench-serve [options]
-//!
-//!   --modules N      distinct modules in the pool (default 200)
-//!   --requests N     compile requests to replay (default 1000)
-//!   --resubmit R     resubmission probability in [0,1] (default 0.75)
-//!   --max-fns N      max functions per module (default 12)
-//!   --seed S         RNG seed (default 42)
-//!   --jobs N         worker threads per compile (0 = auto)
-//!   --cache-budget BYTES   daemon cache budget (default 256 MiB)
-//!   --out FILE       write the JSON report here (default: stdout)
-//! ```
-//!
-//! Examples:
+//! A request flag sets one [`CompileRequest`] field through
+//! [`CompileRequest::set`], the setter behind the serve protocol's
+//! `"request"` object too, so a flag and its wire key cannot drift.
 //!
 //! ```text
 //! fcc kernel:saxpy --stats --run 64,3
 //! fcc kernel:* --opt --jobs 4 --report
 //! echo 'fn f(x){ return x*2; }' | fcc - --emit ssa
-//! fcc prog.ml --pipeline briggs-star --alloc 8 --run 10
 //! fcc lint kernel:saxpy --opt --format json
-//! fcc analyze prog.ml --format json --deny-warnings
 //! fcc pressure kernel:* --opt --k 8 --format json
-//! fcc fuzz --seeds 500 --jobs 2
 //! echo '{"v":1,"verb":"compile","source":"fn f(x){ return x; }"}' | fcc serve
-//! fcc bench-serve --requests 2000 --out BENCH_serve.json
 //! ```
 
+use std::fmt::Display;
 use std::io::{Read, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use fcc::driver::{fuzz as run_fuzz, par_map, render_phases, FuzzConfig};
+use fcc::driver::{fuzz as run_fuzz, par_map, render_phases, FuzzConfig, SetError, SetValue};
 use fcc::ir::Module;
 use fcc::prelude::*;
 
-struct Options {
-    input: String,
-    pipeline: String,
-    fold: bool,
-    opt: bool,
-    verify_each: bool,
-    simplify: bool,
-    alloc: Option<usize>,
-    k_registers: Option<u32>,
-    jobs: usize,
-    fail_mode: FailMode,
-    fuel: Option<u64>,
-    repro_dir: String,
-    emit: String,
-    run: Option<Vec<i64>>,
-    entry: Option<String>,
-    stats: bool,
-    report: bool,
-    format: String,
-    deny_warnings: bool,
-    inject_panic: Option<String>,
-    inject_spin: bool,
-    inject_violation: Option<String>,
+/// A flag as its help line spells it, without the leading `--`:
+/// `"name METAVAR: help"`, or `"name: help"` for a switch.
+type Flag = &'static str;
+
+/// A flag's name, metavar (`None` for a switch) and help.
+fn parts(flag: Flag) -> (&'static str, Option<&'static str>, &'static str) {
+    let (spelled, help) = flag.split_once(": ").expect("a flag has a line of help");
+    let mut words = spelled.split(' ');
+    (words.next().unwrap_or_default(), words.next(), help)
 }
 
-fn usage() -> &'static str {
-    "usage: fcc [build] <file.ml | kernel:NAME | kernel:* | -> [--pipeline new|new-cut|standard|sreedhar|briggs|briggs-star] \
-     [--no-fold] [--opt] [--verify-each] [--simplify] [--alloc K] [--k-registers K] [--jobs N] \
-     [--fail-mode abort|skip|degrade] [--fuel N] [--repro-dir DIR] [--emit cfg|ssa|final] \
-     [--run a,b,...] [--entry NAME] [--stats] [--report] [--format text|json] [--deny-warnings] \
-     [--list-kernels] [--inject-panic PASS] [--inject-solver-spin] [--inject-verifier-violation PASS]\n       \
-     fcc lint <file.ml | kernel:NAME | kernel:* | -> [--format text|json] [--pipeline P] [--no-fold] \
-     [--opt] [--jobs N] [--deny-warnings]\n       \
-     fcc analyze <file.ml | kernel:NAME | kernel:* | -> [--format text|json] [--no-fold] [--opt] \
-     [--jobs N] [--memory-words N] [--deny-warnings]\n       \
-     fcc pressure <file.ml | kernel:NAME | kernel:* | -> [--format text|json] [--k N] [--spill] \
-     [--no-fold] [--opt] [--jobs N] [--deny-warnings]\n       \
-     fcc fuzz [--seeds N] [--start N] [--jobs N] [--no-opt] [--shrink-budget N] [--fuel N] \
-     [--repro-dir DIR] [--inject-phi-bug] [--inject-solver-spin]\n       \
-     fcc serve [build options as daemon defaults] [--deadline-ms N] [--cache-budget BYTES] \
-     [--cache-dir DIR] [--socket PATH] [--max-queue N] [--max-line-bytes N] \
-     [--inject-disk-fault torn-write|short-write|enospc|bit-flip]\n       \
-     fcc bench-serve [--modules N] [--requests N] [--resubmit R] [--max-fns N] [--seed S] \
-     [--jobs N] [--cache-budget BYTES] [--out FILE]"
+/// The flags that set a [`CompileRequest`] field. A flag's name is its
+/// field's key with `-` for `_`; a switch sets its field to true, or to
+/// false behind a `no-` prefix.
+const REQUEST_FLAGS: &[Flag] = &[
+    "pipeline P: new (default) | new-cut | standard | sreedhar | briggs | briggs-star",
+    "no-fold: do not fold copies while building SSA (the briggs pipelines need this)",
+    "opt: run the optimiser on the SSA (copy-preserving for the briggs pipelines)",
+    "verify-each: lint between phases and audit the destruction, naming the failing pass",
+    "simplify: simplify the CFG after destruction",
+    "alloc K: colour with K >= 2 registers after destruction",
+    "k-registers K: spill to pressure <= K, colour with exactly K >= 2 registers, audit",
+    "fail-mode M: abort (default) | skip | degrade: what a failed function does to the batch",
+    "fuel N: per-attempt step budget; running out fails the function, naming the pass",
+    "deadline-ms N: wall-clock budget per request; an overrun answers 504",
+    "jobs N: worker threads (0, the default: all cores); output does not depend on N",
+    "format F: text (default) | json",
+    "deny-warnings: treat lint warnings as failures",
+];
+
+/// A subcommand: what it does, the request flags it takes, its own
+/// flags, and what runs once they parse (`Ok(false)` exits 1).
+struct Command {
+    name: &'static str,
+    /// Takes `<file.ml | kernel:NAME | kernel:* | ->`.
+    input: bool,
+    about: &'static str,
+    /// Names of [`REQUEST_FLAGS`] rows, space-separated.
+    request: &'static str,
+    flags: &'static [Flag],
+    run: fn(Args) -> Result<bool, String>,
 }
 
-fn parse_args(raw: Vec<String>) -> Result<Options, String> {
-    let mut args = raw.into_iter();
-    let mut o = Options {
-        input: String::new(),
-        pipeline: "new".into(),
-        fold: true,
-        opt: false,
-        verify_each: false,
-        simplify: false,
-        alloc: None,
-        k_registers: None,
-        jobs: 0,
-        fail_mode: FailMode::Abort,
-        fuel: None,
-        repro_dir: ".".into(),
-        emit: "final".into(),
-        run: None,
-        entry: None,
-        stats: false,
-        report: false,
-        format: "text".into(),
-        deny_warnings: false,
-        inject_panic: None,
-        inject_spin: false,
-        inject_violation: None,
+/// The subcommands; the first runs when none is named.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "build",
+        input: true,
+        about: "Compile MiniLang source (one function, a module, a bundled kernel, or kernel:*\n\
+                for the whole suite) and print the final IR. `build` may be omitted. The\n\
+                subcommands are lint, analyze, pressure, fuzz and serve (fcc <name> --help).",
+        request: "pipeline no-fold opt verify-each simplify alloc k-registers \
+                  jobs fail-mode fuel format deny-warnings",
+        flags: &[
+            "emit STAGE: print IR at cfg | ssa | final (the default)",
+            "run ARGS: execute the final code on comma-separated integer ARGS",
+            "entry NAME: the function --run executes (needed for a multi-function module)",
+            "stats: print phase statistics on standard error",
+            "report: print the per-phase pipeline report and the per-function outcomes",
+            "repro-dir DIR: where shrunk repros of failed functions go (default .)",
+            "list-kernels: list the bundled kernels and exit",
+            "inject-panic PASS: (testing) panic on entry to PASS",
+            "inject-solver-spin: (testing) make the dataflow solver spin",
+            "inject-verifier-violation PASS: (testing) corrupt the IR after PASS",
+        ],
+        run: build_main,
+    },
+    Command {
+        name: "lint",
+        input: true,
+        about: "Drive each function through CFG, SSA and destruction, run the stage-matched\n\
+                rule suite at each point and audit the coalescing. Exits 1 on any error.",
+        request: "format pipeline no-fold opt jobs deny-warnings",
+        flags: &[],
+        run: lint_main,
+    },
+    Command {
+        name: "analyze",
+        input: true,
+        about: "Run the sparse abstract interpreter (SCCP, value ranges, known bits) and the\n\
+                memory checkers over the SSA form; print per-value ranges and the safety\n\
+                report. Exits 1 on any error finding.",
+        request: "format no-fold opt jobs deny-warnings",
+        flags: &["memory-words N: memory size for the out-of-bounds check (else only negative addresses)"],
+        run: analyze_main,
+    },
+    Command {
+        name: "pressure",
+        input: true,
+        about: "Report MaxLive per block and function with its chordality certificate,\n\
+                loop-weighted spill costs, and the pressure-* rules against a k-register\n\
+                target, before and after destruction. Exits 1 on any error finding.",
+        request: "format no-fold opt jobs deny-warnings",
+        flags: &[
+            "k N: register target for the pressure-* rules (default 8)",
+            "spill: also run both SSA spillers against k and report their counts",
+        ],
+        run: pressure_main,
+    },
+    Command {
+        name: "fuzz",
+        input: false,
+        about: "Check seeded generated programs through new, standard and briggs against the\n\
+                interpreter oracle and the destruction audit, and shrink each failure to a\n\
+                minimal MiniLang repro. Exits 1 on any failure.",
+        request: "jobs fuel",
+        flags: &[
+            "seeds N: seeds to check (default 1000)",
+            "start N: first seed (default 0)",
+            "no-opt: skip the optimiser between SSA and destruction",
+            "shrink-budget N: oracle runs the shrinker may spend per failure (default 4000)",
+            "repro-dir DIR: where repro-<seed>.ml files go (default .)",
+            "inject-phi-bug: (testing) re-open a known phi-ordering miscompile",
+            "inject-solver-spin: (testing) make the dataflow solver spin",
+        ],
+        run: fuzz_main,
+    },
+    Command {
+        name: "serve",
+        input: false,
+        about: "Run the compile service: one JSONL request per line of standard input (or of\n\
+                each --socket connection), one response per line, with a content-addressed\n\
+                function cache between requests (DESIGN.md §11, §15). The request flags set\n\
+                the daemon defaults; a request line's \"request\" object overrides them.",
+        request: "pipeline no-fold opt verify-each simplify alloc k-registers \
+                  fail-mode fuel jobs format deadline-ms",
+        flags: &[
+            "cache-budget BYTES: function-cache byte budget (default 256 MiB)",
+            "cache-dir DIR: keep the cache here across restarts, quarantining corrupt entries",
+            "socket PATH: listen on a Unix domain socket instead of standard input",
+            "max-queue N: compiles admitted at once before shedding with 503 (default 64)",
+            "max-line-bytes N: longer request lines answer 400 line-too-long (default 16 MiB)",
+            "inject-disk-fault FAULT: (testing) arm torn-write | short-write | enospc | bit-flip",
+        ],
+        run: serve_main,
+    },
+];
+
+/// One parsed command line.
+struct Args {
+    req: CompileRequest,
+    input: Option<String>,
+    /// The command's own flags as given: name and argument.
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Whether switch `name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The argument of flag `name` (the last one, if repeated).
+    fn get(&self, name: &str) -> Option<&str> {
+        let given = self.flags.iter().rev().find(|(n, _)| *n == name);
+        given.and_then(|(_, v)| v.as_deref())
+    }
+
+    /// That argument, parsed.
+    fn parse<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let parsed = self.get(name).map(|v| v.parse().map_err(|e| bad(name, e)));
+        parsed.transpose()
+    }
+
+    fn input(&self) -> Result<&str, String> {
+        let missing = || "no input given; --help lists the usage".to_string();
+        self.input.as_deref().ok_or_else(missing)
+    }
+}
+
+/// An error about flag `name`.
+fn bad(name: &str, e: impl Display) -> String {
+    format!("--{name}: {e}")
+}
+
+/// The one argument loop: request flags go through
+/// [`CompileRequest::set`] as they are read, the command's own flags are
+/// kept for it, and `--help` prints the help generated from the tables.
+fn parse(cmd: &Command, mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        req: CompileRequest::new(),
+        input: None,
+        flags: Vec::new(),
     };
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
+    while let Some(arg) = raw.next() {
+        if arg == "--help" || arg == "-h" {
+            print!("{}", help(cmd));
+            std::process::exit(0);
+        }
+        let name = arg.strip_prefix("--").unwrap_or_default();
+        let request = cmd.request.split_whitespace().any(|n| n == name);
+        let table = if request { REQUEST_FLAGS } else { cmd.flags };
+        let Some((name, metavar, _)) = table.iter().map(|f| parts(f)).find(|p| p.0 == name) else {
+            if cmd.input && (args.input.is_none() && !arg.starts_with('-') || arg == "-") {
+                args.input = Some(arg);
+                continue;
+            }
+            return Err(format!("unknown argument {arg}; --help lists the flags"));
+        };
+        let value = match metavar {
+            Some(_) => Some(raw.next().ok_or_else(|| bad(name, "needs a value"))?),
+            None => None,
+        };
+        if !request {
+            args.flags.push((name, value));
+            continue;
+        }
+        let (key, on) = match name.strip_prefix("no-") {
+            Some(key) => (key, false),
+            None => (name, true),
+        };
+        let set_to = value.as_deref().map_or(SetValue::Bool(on), SetValue::Arg);
+        let set = args.req.set(&key.replace('-', "_"), set_to);
+        set.map_err(|e| match e {
+            SetError::Invalid(e) => bad(name, e),
+            e => bad(name, format!("{e}, got {:?}", value.unwrap_or_default())),
+        })?;
+    }
+    Ok(args)
+}
+
+/// `--help`, generated from the command's tables.
+fn help(cmd: &Command) -> String {
+    let input = if cmd.input {
+        " <file.ml | kernel:NAME | kernel:* | ->"
+    } else {
+        ""
     };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--pipeline" => o.pipeline = need(&mut args, "--pipeline")?,
-            "--no-fold" => o.fold = false,
-            "--opt" => o.opt = true,
-            "--verify-each" => o.verify_each = true,
-            "--simplify" => o.simplify = true,
-            "--alloc" => {
-                o.alloc = Some(
-                    need(&mut args, "--alloc")?
-                        .parse()
-                        .map_err(|e| format!("--alloc: {e}"))?,
-                )
-            }
-            "--k-registers" => {
-                o.k_registers = Some(
-                    need(&mut args, "--k-registers")?
-                        .parse()
-                        .map_err(|e| format!("--k-registers: {e}"))?,
-                )
-            }
-            "--jobs" => {
-                o.jobs = need(&mut args, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--fail-mode" => {
-                let m = need(&mut args, "--fail-mode")?;
-                o.fail_mode = m.parse().map_err(|e: RequestError| e.to_string())?
-            }
-            "--fuel" => {
-                o.fuel = Some(
-                    need(&mut args, "--fuel")?
-                        .parse()
-                        .map_err(|e| format!("--fuel: {e}"))?,
-                )
-            }
-            "--repro-dir" => o.repro_dir = need(&mut args, "--repro-dir")?,
-            "--format" => o.format = need(&mut args, "--format")?,
-            "--inject-panic" => o.inject_panic = Some(need(&mut args, "--inject-panic")?),
-            "--inject-solver-spin" => o.inject_spin = true,
-            "--inject-verifier-violation" => {
-                o.inject_violation = Some(need(&mut args, "--inject-verifier-violation")?)
-            }
-            "--emit" => o.emit = need(&mut args, "--emit")?,
-            "--run" => {
-                let list = need(&mut args, "--run")?;
-                let vals: Result<Vec<i64>, _> = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::parse)
-                    .collect();
-                o.run = Some(vals.map_err(|e| format!("--run: {e}"))?);
-            }
-            "--entry" => o.entry = Some(need(&mut args, "--entry")?),
-            "--stats" => o.stats = true,
-            "--deny-warnings" => o.deny_warnings = true,
-            "--report" => o.report = true,
-            "--list-kernels" => {
-                for k in fcc::workloads::kernels() {
-                    emit(format_args!("{:10} {}", k.name, k.description));
-                }
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other if o.input.is_empty() && !other.starts_with('-') || other == "-" => {
-                o.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
+    let request = cmd.request.split_whitespace().map(|name| {
+        let row = REQUEST_FLAGS.iter().find(|f| parts(f).0 == name);
+        *row.expect("a command's request flags are rows of REQUEST_FLAGS")
+    });
+    let sections = [
+        ("Compile request:", request.collect()),
+        ("Options:", cmd.flags.to_vec()),
+    ];
+    let spell = |f: Flag| format!("--{}", f.split_once(": ").unwrap_or_default().0);
+    let width = sections.iter().flat_map(|s| &s.1).map(|f| spell(f).len());
+    let width = width.max().unwrap_or(0);
+    let mut out = format!(
+        "Usage: fcc {}{input} [options]\n\n{}\n",
+        cmd.name, cmd.about
+    );
+    for (title, flags) in sections.iter().filter(|s| !s.1.is_empty()) {
+        out.push_str(&format!("\n{title}\n"));
+        for f in flags {
+            out.push_str(&format!("  {:width$}  {}\n", spell(f), parts(f).2));
         }
     }
-    if o.input.is_empty() {
-        return Err(usage().to_string());
-    }
-    Ok(o)
+    out
 }
 
 /// Print to stdout, ignoring a closed pipe (`fcc ... | head` must not
@@ -394,42 +313,25 @@ fn load_source(input: &str) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let sub = std::env::args().nth(1);
-    if let Some(name @ ("lint" | "analyze" | "pressure" | "fuzz" | "serve" | "bench-serve")) =
-        sub.as_deref()
-    {
-        let run = match name {
-            "lint" => lint_main,
-            "analyze" => analyze_main,
-            "pressure" => pressure_main,
-            "fuzz" => fuzz_main,
-            "serve" => serve_main,
-            _ => bench_serve_main,
-        };
-        return match run(std::env::args().skip(2).collect()) {
-            Ok(clean) => {
-                if clean {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("fcc {name}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // "build" is an optional explicit subcommand for the default action.
-    let skip = if sub.as_deref() == Some("build") {
-        2
-    } else {
-        1
+    let mut raw = std::env::args().skip(1).peekable();
+    let named = raw
+        .peek()
+        .and_then(|sub| COMMANDS.iter().find(|c| c.name == sub));
+    let cmd = match named {
+        Some(cmd) => {
+            raw.next();
+            cmd
+        }
+        None => &COMMANDS[0],
     };
-    match real_main(std::env::args().skip(skip).collect()) {
-        Ok(()) => ExitCode::SUCCESS,
+    match parse(cmd, raw).and_then(cmd.run) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
-            eprintln!("fcc: {e}");
+            match cmd.name {
+                "build" => eprintln!("fcc: {e}"),
+                name => eprintln!("fcc {name}: {e}"),
+            }
             ExitCode::FAILURE
         }
     }
@@ -439,60 +341,21 @@ fn main() -> ExitCode {
 /// pool, run the stage-matched rule suite at each, and audit the
 /// destruction run. Returns `Ok(false)` when any error-severity finding
 /// was reported.
-fn lint_main(args: Vec<String>) -> Result<bool, String> {
-    let mut input = String::new();
-    let mut format = "text".to_string();
-    let mut pipeline = "new".to_string();
-    let mut fold = true;
-    let mut opt = false;
-    let mut jobs = 0usize;
-    let mut deny_warnings = false;
-    let mut args = args.into_iter();
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--format" => format = need(&mut args, "--format")?,
-            "--pipeline" => pipeline = need(&mut args, "--pipeline")?,
-            "--no-fold" => fold = false,
-            "--opt" => opt = true,
-            "--jobs" => {
-                jobs = need(&mut args, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--deny-warnings" => deny_warnings = true,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other if input.is_empty() && !other.starts_with('-') || other == "-" => {
-                input = other.to_string();
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
-        }
-    }
-    if input.is_empty() {
-        return Err(usage().to_string());
-    }
-    if !matches!(format.as_str(), "text" | "json") {
-        return Err(format!("--format must be text or json, got {format}"));
-    }
-    // Same spelling + precondition rules as `fcc build` and the serve
-    // protocol: parse through the shared FromStr, validate typed.
-    let spec: PipelineSpec = pipeline.parse().map_err(|e: RequestError| e.to_string())?;
-    let req = CompileRequest::new().pipeline(spec).fold(fold).opt(opt);
+fn lint_main(a: Args) -> Result<bool, String> {
+    let input = a.input()?;
+    let req = &a.req;
     req.validate().map_err(|e| e.to_string())?;
 
-    let src = load_source(&input)?;
+    let src = load_source(input)?;
     let module = fcc::frontend::compile_module(&src)?;
 
     // Each worker lints one function with its own managers; results are
     // merged in module order, so the printed findings are independent of
     // --jobs.
     let funcs = module.into_functions();
-    let (results, _timing) = par_map(funcs.len(), jobs, |i| lint_pipeline(funcs[i].clone(), &req));
+    let (results, _timing) = par_map(funcs.len(), req.jobs, |i| {
+        lint_pipeline(funcs[i].clone(), req)
+    });
 
     let mut clean = true;
     let mut emitted: Vec<(Function, Vec<LintReport>)> = Vec::new();
@@ -511,10 +374,10 @@ fn lint_main(args: Vec<String>) -> Result<bool, String> {
         }
         clean &= reports
             .iter()
-            .all(|r| !r.has_errors() && (!deny_warnings || r.warning_count() == 0));
+            .all(|r| !r.has_errors() && (!req.deny_warnings || r.warning_count() == 0));
         emitted.push((func, reports));
     }
-    if format == "json" {
+    if req.format == ReportFormat::Json {
         let objs: Vec<String> = emitted
             .iter()
             .flat_map(|(func, reports)| reports.iter().map(|r| r.render_json(func)))
@@ -534,63 +397,18 @@ fn lint_main(args: Vec<String>) -> Result<bool, String> {
 /// `fcc-dataflow` sparse analyses per function on the worker pool, and
 /// print per-value ranges plus the safety report. Returns `Ok(false)`
 /// when the findings warrant a failing exit code.
-fn analyze_main(args: Vec<String>) -> Result<bool, String> {
-    let mut input = String::new();
-    let mut format = "text".to_string();
-    let mut fold = true;
-    let mut opt = false;
-    let mut jobs = 0usize;
-    let mut deny_warnings = false;
-    let mut memory_words: Option<i64> = None;
-    let mut args = args.into_iter();
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--format" => format = need(&mut args, "--format")?,
-            "--no-fold" => fold = false,
-            "--opt" => opt = true,
-            "--jobs" => {
-                jobs = need(&mut args, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--memory-words" => {
-                memory_words = Some(
-                    need(&mut args, "--memory-words")?
-                        .parse()
-                        .map_err(|e| format!("--memory-words: {e}"))?,
-                )
-            }
-            "--deny-warnings" => deny_warnings = true,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other if input.is_empty() && !other.starts_with('-') || other == "-" => {
-                input = other.to_string();
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
-        }
-    }
-    if input.is_empty() {
-        return Err(usage().to_string());
-    }
-    if !matches!(format.as_str(), "text" | "json") {
-        return Err(format!("--format must be text or json, got {format}"));
-    }
-
-    let src = load_source(&input)?;
+fn analyze_main(a: Args) -> Result<bool, String> {
+    let memory_words: Option<i64> = a.parse("memory-words")?;
+    let src = load_source(a.input()?)?;
     let module = fcc::frontend::compile_module(&src)?;
     let single = module.len() == 1;
     let funcs = module.into_functions();
-    let json = format == "json";
-    let req = CompileRequest::new().fold(fold).opt(opt);
-    let (results, _timing) = par_map(funcs.len(), jobs, |i| {
+    let req = &a.req;
+    let json = req.format == ReportFormat::Json;
+    let (results, _timing) = par_map(funcs.len(), req.jobs, |i| {
         let mut func = funcs[i].clone();
         let mut am = AnalysisManager::new();
-        ssa_stage(&mut func, &req, &mut am, &mut Vec::new()).map_err(|v| v.to_string())?;
+        ssa_stage(&mut func, req, &mut am, &mut Vec::new()).map_err(|v| v.to_string())?;
         verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
         let fa = FunctionAnalysis::of(&func, &mut am);
         let mut diags = fa.safety_diagnostics(&func);
@@ -602,7 +420,7 @@ fn analyze_main(args: Vec<String>) -> Result<bool, String> {
         };
         let failing = diags
             .iter()
-            .filter(|d| d.is_error() || deny_warnings)
+            .filter(|d| d.is_error() || req.deny_warnings)
             .count();
         Ok::<(String, bool), String>((rendered, failing == 0))
     });
@@ -624,77 +442,35 @@ fn analyze_main(args: Vec<String>) -> Result<bool, String> {
     Ok(clean)
 }
 
-/// `fcc fuzz`: a deterministic differential-fuzzing campaign over
-/// generated programs. Returns `Ok(false)` (failing exit) when any seed
-/// fails its oracle; each failure's shrunk repro is written to disk.
-fn pressure_main(args: Vec<String>) -> Result<bool, String> {
-    let mut input = String::new();
-    let mut format = "text".to_string();
-    let mut fold = true;
-    let mut opt = false;
-    let mut jobs = 0usize;
-    let mut k = 8u32;
-    let mut spill = false;
-    let mut deny_warnings = false;
-    let mut args = args.into_iter();
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--format" => format = need(&mut args, "--format")?,
-            "--no-fold" => fold = false,
-            "--opt" => opt = true,
-            "--jobs" => {
-                jobs = need(&mut args, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--k" => {
-                k = need(&mut args, "--k")?
-                    .parse()
-                    .map_err(|e| format!("--k: {e}"))?
-            }
-            "--spill" => spill = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other if input.is_empty() && !other.starts_with('-') || other == "-" => {
-                input = other.to_string();
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
-        }
-    }
-    if input.is_empty() {
-        return Err(usage().to_string());
-    }
-    if !matches!(format.as_str(), "text" | "json") {
-        return Err(format!("--format must be text or json, got {format}"));
-    }
+/// `fcc pressure`: the static register-pressure report of every
+/// function against a k-register target, on the worker pool. Returns
+/// `Ok(false)` when any error-severity finding (or, under
+/// `--deny-warnings`, any finding) was reported.
+fn pressure_main(a: Args) -> Result<bool, String> {
+    let k: u32 = a.parse("k")?.unwrap_or(8);
+    let spill = a.on("spill");
     if k == 0 {
-        return Err("--k must be at least 1".to_string());
+        return Err(bad("k", "must be at least 1"));
     }
     if spill && k < 2 {
-        return Err("--spill needs --k of at least 2".to_string());
+        return Err(bad("spill", "needs a k of at least 2"));
     }
 
-    let src = load_source(&input)?;
+    let src = load_source(a.input()?)?;
     let module = fcc::frontend::compile_module(&src)?;
     let single = module.len() == 1;
     let funcs = module.into_functions();
-    let json = format == "json";
-    let req = CompileRequest::new().fold(fold).opt(opt);
-    let (results, _timing) = par_map(funcs.len(), jobs, |i| {
-        pressure_one(funcs[i].clone(), &req, k, spill, json)
+    let req = &a.req;
+    let json = req.format == ReportFormat::Json;
+    let (results, _timing) = par_map(funcs.len(), req.jobs, |i| {
+        pressure_one(funcs[i].clone(), req, k, spill, json)
     });
 
     let mut clean = true;
     let mut rendered = Vec::with_capacity(results.len());
     for r in results {
         let (text, errors, warnings) = r?;
-        clean &= errors == 0 && (!deny_warnings || warnings == 0);
+        clean &= errors == 0 && (!req.deny_warnings || warnings == 0);
         rendered.push(text);
     }
     if json && !single {
@@ -851,41 +627,25 @@ fn pressure_one(
     Ok((rendered, errors, warnings))
 }
 
-fn fuzz_main(args: Vec<String>) -> Result<bool, String> {
-    let mut cfg = FuzzConfig::default();
-    let mut repro_dir = ".".to_string();
-    let mut inject = false;
-    let mut args = args.into_iter();
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
+/// `fcc fuzz`: a deterministic differential-fuzzing campaign over
+/// generated programs. Returns `Ok(false)` (failing exit) when any seed
+/// fails its oracle; each failure's shrunk repro is written to disk.
+fn fuzz_main(a: Args) -> Result<bool, String> {
+    let defaults = FuzzConfig::default();
+    let cfg = FuzzConfig {
+        seeds: a.parse("seeds")?.unwrap_or(defaults.seeds),
+        start: a.parse("start")?.unwrap_or(defaults.start),
+        jobs: a.req.jobs,
+        opt: !a.on("no-opt"),
+        shrink_budget: a.parse("shrink-budget")?.unwrap_or(defaults.shrink_budget),
+        fuel: a.req.fuel,
+        ..defaults
     };
-    fn parse<T: std::str::FromStr>(v: String, flag: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        v.parse().map_err(|e| format!("{flag}: {e}"))
+    let repro_dir = a.get("repro-dir").unwrap_or(".");
+    if a.on("inject-solver-spin") {
+        fcc::opt::fault::inject_solver_spin(true);
     }
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => cfg.seeds = parse(need(&mut args, "--seeds")?, "--seeds")?,
-            "--start" => cfg.start = parse(need(&mut args, "--start")?, "--start")?,
-            "--jobs" => cfg.jobs = parse(need(&mut args, "--jobs")?, "--jobs")?,
-            "--no-opt" => cfg.opt = false,
-            "--shrink-budget" => {
-                cfg.shrink_budget = parse(need(&mut args, "--shrink-budget")?, "--shrink-budget")?
-            }
-            "--fuel" => cfg.fuel = Some(parse(need(&mut args, "--fuel")?, "--fuel")?),
-            "--repro-dir" => repro_dir = need(&mut args, "--repro-dir")?,
-            "--inject-phi-bug" => inject = true,
-            "--inject-solver-spin" => fcc::opt::fault::inject_solver_spin(true),
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
-        }
-    }
-    if inject {
+    if a.on("inject-phi-bug") {
         fcc::opt::fault::disable_phi_restore(true);
     }
 
@@ -926,107 +686,29 @@ fn fuzz_main(args: Vec<String>) -> Result<bool, String> {
 
 /// `fcc serve`: run the compile service over stdin/stdout (default) or a
 /// Unix socket (`--socket PATH`) until EOF or a `shutdown` request. The
-/// build flags set the daemon-default [`CompileRequest`]; request lines
+/// request flags set the daemon-default [`CompileRequest`]; request lines
 /// override field-by-field. `--cache-dir` makes the function cache
 /// survive restarts; `--inject-disk-fault` arms the disk-fault shim for
 /// the durability test matrix.
-fn serve_main(args: Vec<String>) -> Result<bool, String> {
-    let mut req = CompileRequest::new();
-    let mut opts = fcc::serve::ServeOptions::default();
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut args = args.into_iter();
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
+fn serve_main(a: Args) -> Result<bool, String> {
+    a.req.validate().map_err(|e| e.to_string())?;
+    let defaults = fcc::serve::ServeOptions::default();
+    let opts = fcc::serve::ServeOptions {
+        defaults: a.req.clone(),
+        cache_budget: a.parse("cache-budget")?.unwrap_or(defaults.cache_budget),
+        cache_dir: a.get("cache-dir").map(std::path::PathBuf::from),
+        max_queue: a.parse("max-queue")?.unwrap_or(defaults.max_queue),
+        max_line_bytes: a
+            .parse("max-line-bytes")?
+            .unwrap_or(defaults.max_line_bytes),
     };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--pipeline" => {
-                req.pipeline = need(&mut args, "--pipeline")?
-                    .parse()
-                    .map_err(|e: RequestError| e.to_string())?
-            }
-            "--no-fold" => req.fold = false,
-            "--opt" => req.opt = true,
-            "--verify-each" => req.verify_each = true,
-            "--simplify" => req.simplify = true,
-            "--alloc" => {
-                req.alloc = Some(
-                    need(&mut args, "--alloc")?
-                        .parse()
-                        .map_err(|e| format!("--alloc: {e}"))?,
-                )
-            }
-            "--k-registers" => {
-                req.k_registers = Some(
-                    need(&mut args, "--k-registers")?
-                        .parse()
-                        .map_err(|e| format!("--k-registers: {e}"))?,
-                )
-            }
-            "--fail-mode" => {
-                req.fail_mode = need(&mut args, "--fail-mode")?
-                    .parse()
-                    .map_err(|e: RequestError| e.to_string())?
-            }
-            "--fuel" => {
-                req.fuel = Some(
-                    need(&mut args, "--fuel")?
-                        .parse()
-                        .map_err(|e| format!("--fuel: {e}"))?,
-                )
-            }
-            "--jobs" => {
-                req.jobs = need(&mut args, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--format" => {
-                req.format = need(&mut args, "--format")?
-                    .parse()
-                    .map_err(|e: RequestError| e.to_string())?
-            }
-            "--deadline-ms" => {
-                req.deadline_ms = Some(
-                    need(&mut args, "--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
-            "--cache-budget" => {
-                opts.cache_budget = need(&mut args, "--cache-budget")?
-                    .parse()
-                    .map_err(|e| format!("--cache-budget: {e}"))?
-            }
-            "--cache-dir" => {
-                opts.cache_dir = Some(std::path::PathBuf::from(need(&mut args, "--cache-dir")?))
-            }
-            "--socket" => socket = Some(std::path::PathBuf::from(need(&mut args, "--socket")?)),
-            "--max-queue" => {
-                opts.max_queue = need(&mut args, "--max-queue")?
-                    .parse()
-                    .map_err(|e| format!("--max-queue: {e}"))?
-            }
-            "--max-line-bytes" => {
-                opts.max_line_bytes = need(&mut args, "--max-line-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--max-line-bytes: {e}"))?
-            }
-            "--inject-disk-fault" => {
-                let fault: fcc::serve::DiskFault =
-                    need(&mut args, "--inject-disk-fault")?.parse()?;
-                fcc::serve::fsio::inject(fault);
-            }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
-        }
+    if let Some(fault) = a.parse::<fcc::serve::DiskFault>("inject-disk-fault")? {
+        fcc::serve::fsio::inject(fault);
     }
-    req.validate().map_err(|e| e.to_string())?;
-    opts.defaults = req;
-    match socket {
-        Some(path) => fcc::serve::serve_socket(&path, opts).map_err(|e| e.to_string())?,
+    match a.get("socket") {
+        Some(path) => {
+            fcc::serve::serve_socket(std::path::Path::new(path), opts).map_err(|e| e.to_string())?
+        }
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
@@ -1036,112 +718,64 @@ fn serve_main(args: Vec<String>) -> Result<bool, String> {
     Ok(true)
 }
 
-/// `fcc bench-serve`: the serve load generator. Prints the human summary
-/// to stderr and the JSON report to `--out` (or stdout).
-fn bench_serve_main(args: Vec<String>) -> Result<bool, String> {
-    let mut cfg = fcc::serve::BenchConfig::default();
-    let mut out_path: Option<String> = None;
-    let mut args = args.into_iter();
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    fn parse<T: std::str::FromStr>(v: String, flag: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        v.parse().map_err(|e| format!("{flag}: {e}"))
-    }
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--modules" => cfg.modules = parse(need(&mut args, "--modules")?, "--modules")?,
-            "--requests" => cfg.requests = parse(need(&mut args, "--requests")?, "--requests")?,
-            "--resubmit" => cfg.resubmit = parse(need(&mut args, "--resubmit")?, "--resubmit")?,
-            "--max-fns" => cfg.max_fns = parse(need(&mut args, "--max-fns")?, "--max-fns")?,
-            "--seed" => cfg.seed = parse(need(&mut args, "--seed")?, "--seed")?,
-            "--jobs" => cfg.jobs = parse(need(&mut args, "--jobs")?, "--jobs")?,
-            "--cache-budget" => {
-                cfg.cache_budget = parse(need(&mut args, "--cache-budget")?, "--cache-budget")?
-            }
-            "--out" => out_path = Some(need(&mut args, "--out")?),
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
+/// `fcc [build]`: compile the input through the request's pipeline and
+/// print the final IR, an execution (`--run`) or the reports.
+fn build_main(a: Args) -> Result<bool, String> {
+    if a.on("list-kernels") {
+        for k in fcc::workloads::kernels() {
+            emit(format_args!("{:10} {}", k.name, k.description));
         }
+        return Ok(true);
     }
-    if !(0.0..=1.0).contains(&cfg.resubmit) {
-        return Err(format!("--resubmit must be in [0,1], got {}", cfg.resubmit));
-    }
-    if cfg.modules == 0 || cfg.requests == 0 {
-        return Err("--modules and --requests must be positive".into());
-    }
-    let report = fcc::serve::run_bench(&cfg);
-    eprintln!("; bench-serve: {}", report.summary());
-    let json = report.to_json();
-    match out_path {
-        Some(path) => std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?,
-        None => emit(json.trim_end()),
-    }
-    Ok(report.ok_responses == cfg.requests)
-}
-
-fn real_main(raw: Vec<String>) -> Result<(), String> {
-    let o = parse_args(raw)?;
-    if !matches!(o.format.as_str(), "text" | "json") {
-        return Err(format!("--format must be text or json, got {}", o.format));
-    }
+    let run: Option<Vec<i64>> = a
+        .get("run")
+        .map(|list| {
+            let args = list.split(',').filter(|s| !s.is_empty());
+            args.map(str::parse).collect::<Result<_, _>>()
+        })
+        .transpose()
+        .map_err(|e| bad("run", e))?;
+    let repro_dir = a.get("repro-dir").unwrap_or(".");
+    let req = &a.req;
     // Arm any requested fault injections before anything compiles.
-    if o.inject_panic.is_some() {
-        fcc::opt::fault::inject_panic_in(o.inject_panic.as_deref());
+    if let Some(pass) = a.get("inject-panic") {
+        fcc::opt::fault::inject_panic_in(Some(pass));
     }
-    if o.inject_spin {
+    if a.on("inject-solver-spin") {
         fcc::opt::fault::inject_solver_spin(true);
     }
-    if o.inject_violation.is_some() {
-        fcc::opt::fault::inject_verifier_violation_after(o.inject_violation.as_deref());
+    if let Some(pass) = a.get("inject-verifier-violation") {
+        fcc::opt::fault::inject_verifier_violation_after(Some(pass));
     }
-    let src = load_source(&o.input)?;
+    let src = load_source(a.input()?)?;
     let module = fcc::frontend::compile_module(&src)?;
     let single = module.len() == 1;
 
-    if o.emit == "cfg" {
+    let stage = a.get("emit").unwrap_or("final");
+    if stage == "cfg" {
         emit(&module);
-        return Ok(());
+        return Ok(true);
     }
-    let pipeline: PipelineSpec = o
-        .pipeline
-        .parse()
-        .map_err(|e: RequestError| e.to_string())?;
-    if !matches!(o.emit.as_str(), "ssa" | "final") {
-        return Err(format!("unknown emit stage {}\n{}", o.emit, usage()));
+    if !matches!(stage, "ssa" | "final") {
+        return Err(bad(
+            "emit",
+            format!("unknown stage {stage} (expected cfg, ssa or final)"),
+        ));
     }
-    let req = CompileRequest::new()
-        .pipeline(pipeline)
-        .fold(o.fold)
-        .opt(o.opt)
-        .verify_each(o.verify_each)
-        .simplify(o.simplify)
-        .alloc(o.alloc)
-        .k_registers(o.k_registers)
-        .fail_mode(o.fail_mode)
-        .fuel(o.fuel)
-        .jobs(o.jobs)
-        .format(o.format.parse().map_err(|e: RequestError| e.to_string())?)
-        .deny_warnings(o.deny_warnings);
 
-    if o.emit == "ssa" {
+    if stage == "ssa" {
         // Stop the pipeline at verified SSA, per function on the pool.
         let funcs = module.into_functions();
-        let (results, _timing) = par_map(funcs.len(), o.jobs, |i| {
+        let (results, _timing) = par_map(funcs.len(), req.jobs, |i| {
             let mut func = funcs[i].clone();
-            ssa_stage(
-                &mut func,
-                &req,
-                &mut AnalysisManager::new(),
-                &mut Vec::new(),
-            )
-            .map_err(|v| format!("--verify-each: {v}\n{}", v.report.render_text(&func)))?;
+            ssa_stage(&mut func, req, &mut AnalysisManager::new(), &mut Vec::new()).map_err(
+                |v| {
+                    bad(
+                        "verify-each",
+                        format!("{v}\n{}", v.report.render_text(&func)),
+                    )
+                },
+            )?;
             verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
             Ok::<Function, String>(func)
         });
@@ -1150,18 +784,18 @@ fn real_main(raw: Vec<String>) -> Result<(), String> {
             funcs.push(r?);
         }
         emit(Module::from_functions(funcs).expect("names unchanged"));
-        return Ok(());
+        return Ok(true);
     }
 
-    let batch = compile_module(module, &req).map_err(|e| e.to_string())?;
-    if o.fail_mode == FailMode::Abort {
+    let batch = compile_module(module, req).map_err(|e| e.to_string())?;
+    if req.fail_mode == FailMode::Abort {
         if let Some((name, e)) = batch.first_error() {
             return Err(format!("@{name}: {e}"));
         }
     }
     let (ok_n, recovered_n, failed_n) = batch.counts();
 
-    if o.stats {
+    if a.on("stats") {
         for f in &batch.functions {
             match &f.outcome {
                 Some(out) => {
@@ -1188,13 +822,13 @@ fn real_main(raw: Vec<String>) -> Result<(), String> {
         }
     }
 
-    if o.report {
-        if o.format == "json" {
-            emit(batch.outcome_table_json(o.fail_mode).trim_end());
+    if a.on("report") {
+        if req.format == ReportFormat::Json {
+            emit(batch.outcome_table_json(req.fail_mode).trim_end());
         } else {
             emit(format_args!(
                 "pipeline report ({}; analysis cache peak {} B):\n{}",
-                o.pipeline,
+                req.pipeline,
                 batch.analysis_peak_bytes(),
                 render_phases(&batch.merged_phases())
             ));
@@ -1203,7 +837,7 @@ fn real_main(raw: Vec<String>) -> Result<(), String> {
             }
             emit(format_args!(
                 "outcomes ({}):\n{}",
-                o.fail_mode.label(),
+                req.fail_mode.label(),
                 batch.outcome_table_text().trim_end()
             ));
             if !single {
@@ -1213,25 +847,28 @@ fn real_main(raw: Vec<String>) -> Result<(), String> {
     }
 
     if failed_n > 0 {
-        quarantine_repros(&batch, &src, &req, &o.repro_dir);
+        quarantine_repros(&batch, &src, req, repro_dir);
     }
 
-    match o.run {
+    match run {
         Some(args) => {
             let final_module = batch.into_surviving_module();
-            let func = match (&o.entry, final_module.len()) {
+            let func = match (a.get("entry"), final_module.len()) {
                 (Some(name), _) => final_module
                     .get(name)
-                    .ok_or_else(|| format!("--entry: no function @{name} in the module"))?,
+                    .ok_or_else(|| bad("entry", format!("no function @{name} in the module")))?,
                 (None, 1) => &final_module.functions()[0],
                 (None, n) => {
-                    return Err(format!("--run on a {n}-function module needs --entry NAME"))
+                    return Err(bad(
+                        "run",
+                        format!("a {n}-function module needs --entry NAME"),
+                    ))
                 }
             };
             let out = run_with_memory(func, &args, vec![0; 1 << 21], 1_000_000_000)
                 .map_err(|e| format!("execution failed: {e}"))?;
             emit(format_args!("{:?}", out.ret));
-            if o.stats {
+            if a.on("stats") {
                 eprintln!(
                     "; executed {} instructions, {} dynamic copies",
                     out.executed, out.dynamic_copies
@@ -1242,11 +879,10 @@ fn real_main(raw: Vec<String>) -> Result<(), String> {
     }
     if failed_n > 0 {
         return Err(format!(
-            "{failed_n} function(s) failed every rung ({ok_n} ok, {recovered_n} recovered); repros in {}",
-            o.repro_dir
+            "{failed_n} function(s) failed every rung ({ok_n} ok, {recovered_n} recovered); repros in {repro_dir}",
         ));
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Shrink each quarantined function to a minimal `.ml` repro (via the
