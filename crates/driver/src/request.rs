@@ -127,7 +127,7 @@ impl fmt::Display for RequestError {
         match self {
             RequestError::UnknownPipeline(s) => write!(
                 f,
-                "unknown pipeline {s:?} (expected new, new-cut, standard, sreedhar, briggs, or briggs-star)"
+                "unknown pipeline {s:?} (expected new, standard, briggs, or briggs-star)"
             ),
             RequestError::UnknownFailMode(s) => write!(
                 f,

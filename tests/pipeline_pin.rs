@@ -84,12 +84,8 @@ fn measurements_are_pinned_for_every_kernel_and_table_pipeline() {
 const LINT_DIGESTS: &str = "\
 new         -   3100c785ddde31c0
 new         opt b327daf8d66a016c
-new-cut     -   3100c785ddde31c0
-new-cut     opt b327daf8d66a016c
 standard    -   48a19a5b36333371
 standard    opt b327daf8d66a016c
-sreedhar    -   48a19a5b36333371
-sreedhar    opt b327daf8d66a016c
 briggs      -   d54de475bd8c2497
 briggs      opt 40fb14fc5b3d2c77
 briggs-star -   d54de475bd8c2497

@@ -17,19 +17,9 @@ fn every_pipeline_spelling_round_trips() {
         });
         assert_eq!(reparsed, p, "{printed:?} round-trips");
     }
-    // The canonical set is exactly the six pipelines, spelled kebab-case.
+    // The canonical set is exactly the four pipelines, spelled kebab-case.
     let labels: Vec<&str> = PipelineSpec::ALL.iter().map(|p| p.label()).collect();
-    assert_eq!(
-        labels,
-        [
-            "new",
-            "new-cut",
-            "standard",
-            "sreedhar",
-            "briggs",
-            "briggs-star"
-        ]
-    );
+    assert_eq!(labels, ["new", "standard", "briggs", "briggs-star"]);
 }
 
 #[test]
@@ -142,11 +132,7 @@ fn validate_is_the_single_precondition_gate() {
             .is_ok());
     }
     // Non-briggs pipelines accept both fold settings.
-    for p in [
-        PipelineSpec::New,
-        PipelineSpec::Standard,
-        PipelineSpec::Sreedhar,
-    ] {
+    for p in [PipelineSpec::New, PipelineSpec::Standard] {
         for fold in [true, false] {
             assert!(CompileRequest::new()
                 .pipeline(p)
