@@ -111,7 +111,6 @@ fn main() {
                 &mut f,
                 &BriggsOptions {
                     mode: GraphMode::Restricted,
-                    ..Default::default()
                 },
                 &mut am,
             );
@@ -145,7 +144,6 @@ fn main() {
                 &mut f,
                 &BriggsOptions {
                     mode: GraphMode::Restricted,
-                    ..Default::default()
                 },
                 &mut am,
             );

@@ -111,7 +111,6 @@ fn main() {
                 &mut g,
                 &BriggsOptions {
                     mode: GraphMode::Full,
-                    ..Default::default()
                 },
             );
             briggs_time += t1.elapsed().as_secs_f64();

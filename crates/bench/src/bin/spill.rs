@@ -107,7 +107,6 @@ fn main() {
                         &mut func,
                         &AllocOptions {
                             registers: k as usize,
-                            ..Default::default()
                         },
                     ) {
                         Ok(a) => a,

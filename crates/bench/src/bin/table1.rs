@@ -47,14 +47,7 @@ fn main() {
             for _ in 0..repeats {
                 let mut f = pre.clone();
                 let mut am = AnalysisManager::new();
-                let s = coalesce_copies_managed(
-                    &mut f,
-                    &BriggsOptions {
-                        mode,
-                        ..Default::default()
-                    },
-                    &mut am,
-                );
+                let s = coalesce_copies_managed(&mut f, &BriggsOptions { mode }, &mut am);
                 let t = s.total_time().as_secs_f64();
                 if t < best_time {
                     best_time = t;

@@ -272,7 +272,6 @@ fn check_program_inner(prog: &Program, opt: bool) -> Result<(), String> {
                 &mut f,
                 &AllocOptions {
                     registers: k as usize,
-                    ..Default::default()
                 },
                 &mut am,
             )

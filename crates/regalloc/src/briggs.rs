@@ -29,22 +29,14 @@ pub enum GraphMode {
     Restricted,
 }
 
+/// Safety bound on build/coalesce iterations.
+const MAX_PASSES: usize = 64;
+
 /// Options for [`coalesce_copies`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BriggsOptions {
     /// Full (Briggs) or restricted (Briggs\*) graph construction.
     pub mode: GraphMode,
-    /// Safety bound on build/coalesce iterations.
-    pub max_passes: usize,
-}
-
-impl Default for BriggsOptions {
-    fn default() -> Self {
-        BriggsOptions {
-            mode: GraphMode::Full,
-            max_passes: 64,
-        }
-    }
 }
 
 /// Per-pass measurements (Table 1 reports the first two passes).
@@ -115,7 +107,7 @@ pub fn coalesce_copies_managed(
     assert!(!func.has_phis(), "coalesce_copies expects phi-free code");
     let mut stats = BriggsStats::default();
 
-    for _pass in 0..opts.max_passes {
+    for _pass in 0..MAX_PASSES {
         let t0 = Instant::now();
         let cfg = am.cfg(func);
         let live = am.liveness(func);
@@ -230,13 +222,7 @@ mod tests {
         let mut f = parse_function(src).unwrap();
         build_ssa(&mut f, SsaFlavor::Pruned, false);
         destruct_via_webs(&mut f);
-        let stats = coalesce_copies(
-            &mut f,
-            &BriggsOptions {
-                mode,
-                ..Default::default()
-            },
-        );
+        let stats = coalesce_copies(&mut f, &BriggsOptions { mode });
         verify_function(&f).unwrap();
         (f, stats)
     }
@@ -374,14 +360,12 @@ mod tests {
             &mut f_full,
             &BriggsOptions {
                 mode: GraphMode::Full,
-                ..Default::default()
             },
         );
         let rs = coalesce_copies(
             &mut f_star,
             &BriggsOptions {
                 mode: GraphMode::Restricted,
-                ..Default::default()
             },
         );
         assert_eq!(fs.copies_removed, rs.copies_removed);

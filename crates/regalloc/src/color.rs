@@ -42,38 +42,19 @@ use fcc_pressure::SpillCosts;
 use crate::igraph::InterferenceGraph;
 use crate::spill::{link_placed, Placed};
 
-/// Copy-coalescing policy inside the allocator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AllocCoalesce {
-    /// Leave copies alone (coalescing was done by an earlier phase, e.g.
-    /// the paper's SSA-destruction coalescer).
-    #[default]
-    None,
-    /// Briggs-conservative coalescing: merge a copy's endpoints only when
-    /// the combined node has fewer than K neighbours of significant
-    /// degree (≥ K), so the merge can never turn a colourable graph
-    /// uncolourable.
-    Conservative,
-}
+/// Safety bound on build/spill rounds.
+const MAX_ROUNDS: usize = 16;
 
 /// Options for [`allocate`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AllocOptions {
     /// Number of machine registers (colours) available.
     pub registers: usize,
-    /// Safety bound on build/spill rounds.
-    pub max_rounds: usize,
-    /// In-allocator copy coalescing policy.
-    pub coalesce: AllocCoalesce,
 }
 
 impl Default for AllocOptions {
     fn default() -> Self {
-        AllocOptions {
-            registers: 8,
-            max_rounds: 16,
-            coalesce: AllocCoalesce::None,
-        }
+        AllocOptions { registers: 8 }
     }
 }
 
@@ -91,8 +72,6 @@ pub struct Allocation {
     pub slot_of: HashMap<Value, u32>,
     /// Build/colour rounds performed.
     pub rounds: usize,
-    /// Copies removed by in-allocator conservative coalescing.
-    pub copies_coalesced: usize,
 }
 
 impl Allocation {
@@ -109,7 +88,7 @@ impl Allocation {
 /// Allocation failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AllocError {
-    /// Even after `max_rounds` of spilling the graph would not colour.
+    /// Even after 16 rounds of spilling the graph would not colour.
     DidNotConverge,
     /// Fewer than two registers requested. A binary instruction needs two
     /// operand registers at once even after maximal spilling, so K < 2
@@ -141,7 +120,7 @@ impl std::error::Error for AllocError {}
 ///
 /// # Errors
 /// [`AllocError::TooFewRegisters`] if `opts.registers < 2`;
-/// [`AllocError::DidNotConverge`] if `max_rounds` rounds of spilling do
+/// [`AllocError::DidNotConverge`] if 16 rounds of spilling do
 /// not reach a colourable graph (with K ≥ 2 this indicates a degenerate
 /// input, since spilled ranges become tiny).
 ///
@@ -186,11 +165,6 @@ pub fn allocate_observed(
     // Never reuse a slot an earlier spilling pass (or a previous round)
     // already claimed.
     let slot_base = func.spill_slot_count();
-    let mut copies_coalesced = 0usize;
-
-    if opts.coalesce == AllocCoalesce::Conservative {
-        copies_coalesced = conservative_coalesce(func, k, am);
-    }
 
     // Values whose live range is already minimal — reload temporaries and
     // once-spilled originals (def → spill, reload → use). Spilling one
@@ -201,7 +175,7 @@ pub fn allocate_observed(
     let loops = am.loops(func);
     let mut live = Rc::unwrap_or_clone(am.liveness(func));
 
-    for round in 1..=opts.max_rounds {
+    for round in 1..=MAX_ROUNDS {
         let graph = Graph::build(func, &cfg, &live);
         observe(func, &live, &graph);
 
@@ -294,7 +268,6 @@ pub fn allocate_observed(
                 spill_slots,
                 slot_of,
                 rounds: round,
-                copies_coalesced,
             });
         }
 
@@ -462,87 +435,6 @@ impl Graph {
     /// The number of neighbours of value index `v`.
     pub fn degree(&self, v: usize) -> usize {
         (self.start[v + 1] - self.start[v]) as usize
-    }
-}
-
-/// Briggs-conservative coalescing: iterate until no copy can be merged
-/// without risking colourability. A copy `d = copy s` merges when `d` and
-/// `s` do not interfere and the union of their neighbourhoods contains
-/// fewer than `k` nodes of degree ≥ `k` — such a merged node is
-/// guaranteed to simplify, so the merge can never cause a spill that the
-/// unmerged graph would have avoided.
-fn conservative_coalesce(func: &mut Function, k: usize, am: &mut AnalysisManager) -> usize {
-    let mut total = 0usize;
-    loop {
-        let cfg = am.cfg(func);
-        let live = am.liveness(func);
-        let ig = InterferenceGraph::build(func, &cfg, &live, None);
-
-        // Candidate copies under the Briggs criterion.
-        let mut merged: HashMap<Value, Value> = HashMap::new();
-        let mut blocks_with_merge: Vec<(Block, Inst)> = Vec::new();
-        'outer: for b in func.blocks() {
-            if !cfg.is_reachable(b) {
-                continue;
-            }
-            for &inst in func.block_insts(b) {
-                let InstKind::Copy { src } = func.inst(inst).kind else {
-                    continue;
-                };
-                let dst = func.inst(inst).dst.expect("copy defines");
-                if dst == src || ig.interferes(dst, src) {
-                    continue;
-                }
-                // Combined significant-degree neighbour count.
-                let mut neighbors: Vec<Value> = ig.neighbors(dst);
-                for nb in ig.neighbors(src) {
-                    if !neighbors.contains(&nb) {
-                        neighbors.push(nb);
-                    }
-                }
-                let significant = neighbors.iter().filter(|&&nb| ig.degree(nb) >= k).count();
-                if significant < k {
-                    // Merge one copy per graph build (the graph is stale
-                    // after a merge), then rebuild.
-                    merged.insert(dst, src);
-                    blocks_with_merge.push((b, inst));
-                    break 'outer;
-                }
-            }
-        }
-
-        if merged.is_empty() {
-            return total;
-        }
-        total += merged.len();
-        let blocks: Vec<Block> = func.blocks().collect();
-        for &bb in &blocks {
-            let insts: Vec<Inst> = func.block_insts(bb).to_vec();
-            for inst in insts {
-                let data = func.inst_mut(inst);
-                if let Some(d) = data.dst {
-                    if let Some(&r) = merged.get(&d) {
-                        data.dst = Some(r);
-                    }
-                }
-                data.kind.for_each_use_mut(|v| {
-                    if let Some(&r) = merged.get(v) {
-                        *v = r;
-                    }
-                });
-            }
-        }
-        for (b, inst) in blocks_with_merge {
-            func.remove_inst(b, inst);
-        }
-        // A duplicate of the merged copy elsewhere just became a
-        // self-copy; drop those too rather than leaving dead moves.
-        for &bb in &blocks {
-            func.retain_insts(
-                bb,
-                |_, data| !matches!(data.kind, InstKind::Copy { src } if data.dst == Some(src)),
-            );
-        }
     }
 }
 
@@ -723,14 +615,7 @@ mod tests {
     #[test]
     fn colors_without_spills_when_k_large() {
         let mut f = parse_function(PRESSURE).unwrap();
-        let alloc = allocate(
-            &mut f,
-            &AllocOptions {
-                registers: 16,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let alloc = allocate(&mut f, &AllocOptions { registers: 16 }).unwrap();
         assert!(alloc.spilled.is_empty());
         assert_eq!(alloc.rounds, 1);
         verify_coloring(&f, &alloc.coloring, 16).unwrap();
@@ -740,14 +625,7 @@ mod tests {
     fn spills_under_pressure_and_stays_correct() {
         let mut f = parse_function(PRESSURE).unwrap();
         let reference = run_with(&f, &[3], &alloc_config()).unwrap();
-        let alloc = allocate(
-            &mut f,
-            &AllocOptions {
-                registers: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let alloc = allocate(&mut f, &AllocOptions { registers: 3 }).unwrap();
         assert!(!alloc.spilled.is_empty(), "k=3 must force spills");
         verify_coloring(&f, &alloc.coloring, 3).unwrap();
         let out = run_with(&f, &[3], &alloc_config()).unwrap();
@@ -781,14 +659,8 @@ mod tests {
         let reference = run_with(&f, &[10], &alloc_config()).unwrap();
         for k in [2usize, 3, 8] {
             let mut g = f.clone();
-            let alloc = allocate(
-                &mut g,
-                &AllocOptions {
-                    registers: k,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("k={k}: {e}"));
+            let alloc = allocate(&mut g, &AllocOptions { registers: k })
+                .unwrap_or_else(|e| panic!("k={k}: {e}"));
             verify_coloring(&g, &alloc.coloring, k).unwrap();
             let out = run_with(&g, &[10], &alloc_config()).unwrap();
             assert_eq!(reference.ret, out.ret, "k={k}");
@@ -796,109 +668,10 @@ mod tests {
     }
 
     #[test]
-    fn conservative_coalescing_removes_safe_copies() {
-        let src = "
-            function @cc(1) {
-            b0:
-                v0 = param 0
-                v1 = add v0, v0
-                v2 = copy v1
-                v3 = mul v2, v0
-                return v3
-            }";
-        let mut f = parse_function(src).unwrap();
-        let reference = run_with(&f, &[6], &alloc_config()).unwrap();
-        let alloc = allocate(
-            &mut f,
-            &AllocOptions {
-                registers: 8,
-                coalesce: AllocCoalesce::Conservative,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(alloc.copies_coalesced, 1);
-        assert_eq!(f.static_copy_count(), 0);
-        verify_coloring(&f, &alloc.coloring, 8).unwrap();
-        let out = run_with(&f, &[6], &alloc_config()).unwrap();
-        assert_eq!(reference.ret, out.ret);
-    }
-
-    #[test]
-    fn conservative_coalescing_respects_interference() {
-        // src redefined while dst lives: must NOT merge.
-        let src = "
-            function @ni(1) {
-            b0:
-                v0 = param 0
-                v1 = const 3
-                v2 = copy v1
-                v1 = add v0, v0
-                v3 = add v1, v2
-                return v3
-            }";
-        let mut f = parse_function(src).unwrap();
-        let reference = run_with(&f, &[4], &alloc_config()).unwrap();
-        let alloc = allocate(
-            &mut f,
-            &AllocOptions {
-                registers: 8,
-                coalesce: AllocCoalesce::Conservative,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(alloc.copies_coalesced, 0);
-        assert_eq!(f.static_copy_count(), 1);
-        let out = run_with(&f, &[4], &alloc_config()).unwrap();
-        assert_eq!(reference.ret, out.ret);
-    }
-
-    #[test]
-    fn conservative_never_increases_spills() {
-        // Under tight K, coalescing must not make colouring worse (that
-        // is the whole point of the Briggs criterion).
-        let mut base = parse_function(PRESSURE).unwrap();
-        // Add a few removable copies.
-        let entry = base.entry();
-        let v1 = fcc_ir::Value::new(1);
-        let c = base.new_value();
-        base.insert_before_terminator(entry, fcc_ir::InstKind::Copy { src: v1 }, Some(c));
-        let k = 4;
-        let plain = allocate(
-            &mut base.clone(),
-            &AllocOptions {
-                registers: k,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut with_cc = base.clone();
-        let cc = allocate(
-            &mut with_cc,
-            &AllocOptions {
-                registers: k,
-                coalesce: AllocCoalesce::Conservative,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(cc.spilled.len() <= plain.spilled.len() + 1);
-        verify_coloring(&with_cc, &cc.coloring, k).unwrap();
-    }
-
-    #[test]
     fn too_few_registers_is_a_clean_error() {
         let mut f = parse_function(PRESSURE).unwrap();
         for k in [0usize, 1] {
-            let e = allocate(
-                &mut f,
-                &AllocOptions {
-                    registers: k,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
+            let e = allocate(&mut f, &AllocOptions { registers: k }).unwrap_err();
             assert_eq!(e, AllocError::TooFewRegisters, "k={k}");
         }
     }
@@ -907,14 +680,7 @@ mod tests {
     fn coloring_uses_at_most_k_colors() {
         let mut f = parse_function(PRESSURE).unwrap();
         let k = 4;
-        let alloc = allocate(
-            &mut f,
-            &AllocOptions {
-                registers: k,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let alloc = allocate(&mut f, &AllocOptions { registers: k }).unwrap();
         let max = alloc.coloring.values().max().copied().unwrap_or(0);
         assert!((max as usize) < k);
     }

@@ -41,7 +41,6 @@
 //! destruct_via_webs(&mut f);
 //! let stats = coalesce_copies(&mut f, &BriggsOptions {
 //!     mode: GraphMode::Restricted,
-//!     ..Default::default()
 //! });
 //! assert_eq!(stats.copies_removed, 1);
 //! assert_eq!(f.static_copy_count(), 0);

@@ -135,14 +135,12 @@ fn briggs_and_briggs_star_identical_on_generated_programs() {
             &mut full,
             &BriggsOptions {
                 mode: GraphMode::Full,
-                ..Default::default()
             },
         );
         let ss = coalesce_copies(
             &mut star,
             &BriggsOptions {
                 mode: GraphMode::Restricted,
-                ..Default::default()
             },
         );
         assert_eq!(fs.copies_removed, ss.copies_removed, "seed {seed}");

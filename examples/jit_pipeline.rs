@@ -57,14 +57,7 @@ fn main() {
 
     let t_ra = Instant::now();
     let k = 6;
-    let alloc = allocate(
-        &mut func,
-        &AllocOptions {
-            registers: k,
-            ..Default::default()
-        },
-    )
-    .expect("allocation converges");
+    let alloc = allocate(&mut func, &AllocOptions { registers: k }).expect("allocation converges");
     let ra_us = t_ra.elapsed().as_secs_f64() * 1e6;
 
     println!("JIT pipeline phase times:");

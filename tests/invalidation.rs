@@ -157,14 +157,7 @@ fn destruction_paths_leave_cache_consistent() {
             let mut am = AnalysisManager::new();
             build_ssa_with(&mut f, SsaFlavor::Pruned, false, &mut am);
             destruct_via_webs(&mut f);
-            coalesce_copies_managed(
-                &mut f,
-                &BriggsOptions {
-                    mode,
-                    ..Default::default()
-                },
-                &mut am,
-            );
+            coalesce_copies_managed(&mut f, &BriggsOptions { mode }, &mut am);
             assert_cache_fresh(&f, &mut am, false);
         }
 
@@ -173,15 +166,8 @@ fn destruction_paths_leave_cache_consistent() {
         let mut am = AnalysisManager::new();
         build_ssa_with(&mut f, SsaFlavor::Pruned, true, &mut am);
         coalesce_ssa_managed(&mut f, &CoalesceOptions::default(), &mut am);
-        allocate_managed(
-            &mut f,
-            &AllocOptions {
-                registers: 8,
-                ..Default::default()
-            },
-            &mut am,
-        )
-        .expect("8 registers suffice for the small kernels");
+        allocate_managed(&mut f, &AllocOptions { registers: 8 }, &mut am)
+            .expect("8 registers suffice for the small kernels");
         assert_cache_fresh(&f, &mut am, false);
     }
 }

@@ -24,7 +24,6 @@ fn pipelines() -> Vec<NamedPipeline> {
             &mut f,
             &BriggsOptions {
                 mode: GraphMode::Full,
-                ..Default::default()
             },
         );
         f
@@ -36,7 +35,6 @@ fn pipelines() -> Vec<NamedPipeline> {
             &mut f,
             &BriggsOptions {
                 mode: GraphMode::Restricted,
-                ..Default::default()
             },
         );
         f

@@ -94,13 +94,7 @@ fn auditor_accepts_every_allocator_output_that_fits() {
         assert!(!base.has_phis());
         for registers in [4usize, 8, 16] {
             let mut func = base.clone();
-            let alloc = match allocate(
-                &mut func,
-                &AllocOptions {
-                    registers,
-                    ..Default::default()
-                },
-            ) {
+            let alloc = match allocate(&mut func, &AllocOptions { registers }) {
                 Ok(a) => a,
                 Err(e) => panic!("{} (k={registers}): allocation failed: {e:?}", k.name),
             };
@@ -129,14 +123,8 @@ fn auditor_rejects_corrupted_allocations() {
     let mut am = AnalysisManager::new();
     build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
     coalesce_ssa_managed(&mut func, &CoalesceOptions::default(), &mut am);
-    let alloc = allocate(
-        &mut func,
-        &AllocOptions {
-            registers: 8,
-            ..Default::default()
-        },
-    )
-    .expect("saxpy allocates in 8 registers");
+    let alloc = allocate(&mut func, &AllocOptions { registers: 8 })
+        .expect("saxpy allocates in 8 registers");
     assert!(audit_allocation(&func, &alloc.coloring, 8, func.spill_slot_count()).is_empty());
 
     // Everyone in register 0: values live together now clash.

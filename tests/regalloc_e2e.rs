@@ -23,14 +23,8 @@ fn allocate_after_new_coalescing() {
         coalesce_ssa(&mut f);
         for regs in [4usize, 8] {
             let mut g = f.clone();
-            let alloc = allocate(
-                &mut g,
-                &AllocOptions {
-                    registers: regs,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{} k={regs}: {e}", k.name));
+            let alloc = allocate(&mut g, &AllocOptions { registers: regs })
+                .unwrap_or_else(|e| panic!("{} k={regs}: {e}", k.name));
             fcc::regalloc::verify_coloring(&g, &alloc.coloring, regs)
                 .unwrap_or_else(|e| panic!("{} k={regs}: {e}", k.name));
             let (out, _) = run_spilled(&g, k.args);
@@ -50,26 +44,12 @@ fn coalescing_reduces_register_pressure_work() {
     let mut std_f = compile_kernel(k);
     build_ssa(&mut std_f, SsaFlavor::Pruned, true);
     destruct_standard(&mut std_f);
-    let std_alloc = allocate(
-        &mut std_f,
-        &AllocOptions {
-            registers: regs,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let std_alloc = allocate(&mut std_f, &AllocOptions { registers: regs }).unwrap();
 
     let mut new_f = compile_kernel(k);
     build_ssa(&mut new_f, SsaFlavor::Pruned, true);
     coalesce_ssa(&mut new_f);
-    let new_alloc = allocate(
-        &mut new_f,
-        &AllocOptions {
-            registers: regs,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let new_alloc = allocate(&mut new_f, &AllocOptions { registers: regs }).unwrap();
 
     assert!(
         new_alloc.spilled.len() <= std_alloc.spilled.len() + 1,
@@ -86,14 +66,8 @@ fn tiny_register_files_still_converge() {
     let (reference, _) = run_spilled(&f, k.args);
     build_ssa(&mut f, SsaFlavor::Pruned, true);
     coalesce_ssa(&mut f);
-    let alloc = allocate(
-        &mut f,
-        &AllocOptions {
-            registers: 3,
-            ..Default::default()
-        },
-    )
-    .expect("k=3 converges via spilling");
+    let alloc =
+        allocate(&mut f, &AllocOptions { registers: 3 }).expect("k=3 converges via spilling");
     assert!(!alloc.spilled.is_empty(), "fpppp at k=3 must spill");
     fcc::regalloc::verify_coloring(&f, &alloc.coloring, 3).unwrap();
     let (out, _) = run_spilled(&f, k.args);

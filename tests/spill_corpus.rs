@@ -246,7 +246,6 @@ fn audit_accepts_every_k_constrained_allocation() {
                             &mut func,
                             &BriggsOptions {
                                 mode: GraphMode::Restricted,
-                                ..Default::default()
                             },
                             &mut am,
                         );
@@ -256,7 +255,6 @@ fn audit_accepts_every_k_constrained_allocation() {
                     &mut func,
                     &AllocOptions {
                         registers: k as usize,
-                        ..Default::default()
                     },
                 )
                 .unwrap_or_else(|e| {

@@ -116,7 +116,6 @@ fn briggs_star_destruction(f: &mut Function) {
         f,
         &BriggsOptions {
             mode: GraphMode::Restricted,
-            ..Default::default()
         },
     );
 }
@@ -254,7 +253,6 @@ fn allocate_checked(
 ) -> Result<Allocation, AllocError> {
     let opts = AllocOptions {
         registers: k as usize,
-        ..Default::default()
     };
     let mut round = 0;
     allocate_observed(f, &opts, &mut AnalysisManager::new(), |g, live, graph| {
