@@ -7,9 +7,8 @@ use fcc_analysis::{BitSet, DomTree, DominanceFrontiers, Liveness, TriangularBitM
 use fcc_ir::{Block, ControlFlowGraph, Function, InstKind, Value};
 use fcc_workloads::SplitMix64;
 
-/// Seeded-case count: the default covers CI; `--features heavy` sweeps
-/// wider.
-const CASES: u64 = if cfg!(feature = "heavy") { 4096 } else { 256 };
+/// Seeded-case count.
+const CASES: u64 = 256;
 
 // ---------- BitSet vs HashSet ----------
 

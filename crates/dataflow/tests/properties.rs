@@ -236,11 +236,7 @@ fn interval_binop_contains_concrete_results() {
         BinOp::Shr,
     ];
     let mut rng = SplitMix64::seed_from_u64(0x0b0e);
-    let cases = if cfg!(feature = "heavy") {
-        20_000
-    } else {
-        4_000
-    };
+    let cases = 4_000;
     for _ in 0..cases {
         let a = rand_interval(&mut rng);
         let b = rand_interval(&mut rng);
@@ -287,7 +283,7 @@ fn return_prediction(func: &fcc_ir::Function, fa: &FunctionAnalysis) -> (Interva
 
 #[test]
 fn solver_is_sound_on_generated_loopy_programs() {
-    let seeds: u64 = if cfg!(feature = "heavy") { 120 } else { 40 };
+    let seeds: u64 = 40;
     for seed in 0..seeds {
         let cfg = GenConfig {
             stmts: 20 + (seed as usize % 5) * 15,

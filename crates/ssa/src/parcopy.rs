@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn random_permutations_match_parallel_semantics() {
         use fcc_workloads::SplitMix64;
-        let rounds = if cfg!(feature = "heavy") { 500 } else { 100 };
+        let rounds = 100;
         let mut rng = SplitMix64::seed_from_u64(0xC0A1E5CE);
         for _ in 0..rounds {
             let n = rng.gen_range(1..=9usize);
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn random_move_sets_match_parallel_semantics() {
         use fcc_workloads::SplitMix64;
-        let rounds = if cfg!(feature = "heavy") { 1000 } else { 200 };
+        let rounds = 200;
         let mut rng = SplitMix64::seed_from_u64(0x5E9_0E17);
         for _ in 0..rounds {
             let universe = rng.gen_range(2..=8usize);

@@ -9,9 +9,8 @@ use fcc_ssa::parcopy::{apply_parallel, apply_sequential, sequentialize};
 use fcc_ssa::{build_ssa, destruct_standard, verify_ssa, SsaFlavor};
 use fcc_workloads::SplitMix64;
 
-/// Seeded-case count: the default covers CI; `--features heavy` sweeps
-/// wider (the old proptest case counts, several times over).
-const CASES: u64 = if cfg!(feature = "heavy") { 4096 } else { 256 };
+/// Seeded-case count.
+const CASES: u64 = 256;
 
 // ---------- parallel copies ----------
 

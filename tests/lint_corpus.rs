@@ -181,7 +181,7 @@ fn kernel_suite_lints_clean() {
 
 #[test]
 fn generated_corpus_lints_clean() {
-    let seeds: u64 = if cfg!(feature = "heavy") { 25 } else { 8 };
+    let seeds: u64 = 8;
     for seed in 0..seeds {
         let cfg = fcc::workloads::GenConfig {
             stmts: 30 + (seed as usize % 4) * 25,
