@@ -174,7 +174,7 @@ fn fold_once(func: &mut Function, am: &mut AnalysisManager, stats: &mut FoldStat
 /// Re-link any block whose φs no longer lead it (a φ rewritten in place
 /// to `const`/`copy` leaves a non-φ above its sibling φs).
 pub(crate) fn restore_phis_first(func: &mut Function) {
-    if crate::fault::phi_restore_disabled() {
+    if fcc_analysis::fault::phi_restore_disabled() {
         return;
     }
     for b in func.blocks().collect::<Vec<_>>() {

@@ -788,7 +788,7 @@ mod tests {
 
     #[test]
     fn an_attached_disk_mirrors_memory_across_restarts() {
-        let _g = crate::fsio::tests::arm(None);
+        let _g = fcc_analysis::fault::Guard::lock();
         let dir = std::env::temp_dir().join(format!("fcc-cache-mirror-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let req = CompileRequest::new();

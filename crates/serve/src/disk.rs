@@ -292,8 +292,7 @@ impl DiskCache {
 mod tests {
     use super::*;
     use crate::cache::cache_key;
-    use crate::fsio::tests::arm;
-    use crate::fsio::DiskFault;
+    use fcc_analysis::fault::{Fault, Guard};
     use fcc_driver::{compile_function_report, CompileRequest};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -313,7 +312,7 @@ mod tests {
 
     #[test]
     fn store_then_reload_round_trips() {
-        let _g = arm(None);
+        let _g = Guard::lock();
         let dir = tmpdir("roundtrip");
         let mut disk = DiskCache::open(&dir).unwrap();
         let (key, report) = sample(1);
@@ -335,7 +334,7 @@ mod tests {
 
     #[test]
     fn every_corruption_class_is_quarantined_not_served() {
-        let _g = arm(None);
+        let _g = Guard::lock();
         let dir = tmpdir("corrupt");
         let mut disk = DiskCache::open(&dir).unwrap();
         let (key, report) = sample(2);
@@ -387,26 +386,26 @@ mod tests {
     fn torn_and_short_writes_never_serve_bad_data() {
         let dir = tmpdir("faultwrite");
         {
-            let _g = arm(Some(DiskFault::TornWrite));
+            let _g = Guard::arm(Fault::TornWrite);
             let mut disk = DiskCache::open(&dir).unwrap();
             let (key, report) = sample(3);
             disk.store(&key, &report); // rename lands, payload is half
         }
         {
-            let _g = arm(None);
+            let _g = Guard::lock();
             let mut disk = DiskCache::open(&dir).unwrap();
             assert_eq!(disk.load_all().len(), 0, "torn entry must not load");
             assert_eq!(disk.stats().quarantined, 1);
         }
         {
-            let _g = arm(Some(DiskFault::ShortWrite));
+            let _g = Guard::arm(Fault::ShortWrite);
             let mut disk = DiskCache::open(&dir).unwrap();
             let (key, report) = sample(4);
             disk.store(&key, &report);
             assert_eq!(disk.stats().write_errors, 1);
         }
         {
-            let _g = arm(None);
+            let _g = Guard::lock();
             let mut disk = DiskCache::open(&dir).unwrap();
             assert_eq!(disk.load_all().len(), 0, "short write left nothing visible");
             assert_eq!(disk.stats().quarantined, 0, "nothing to quarantine either");
@@ -417,7 +416,7 @@ mod tests {
     #[test]
     fn enospc_counts_and_degrades_gracefully() {
         let dir = tmpdir("enospc");
-        let _g = arm(Some(DiskFault::Enospc));
+        let _g = Guard::arm(Fault::Enospc);
         let mut disk = DiskCache::open(&dir).unwrap();
         let (key, report) = sample(5);
         disk.store(&key, &report);
@@ -431,13 +430,13 @@ mod tests {
     fn bit_flip_on_read_is_caught_by_the_checksum() {
         let dir = tmpdir("bitflip");
         {
-            let _g = arm(None);
+            let _g = Guard::lock();
             let mut disk = DiskCache::open(&dir).unwrap();
             let (key, report) = sample(6);
             disk.store(&key, &report);
         }
         {
-            let _g = arm(Some(DiskFault::BitFlipRead));
+            let _g = Guard::arm(Fault::BitFlip);
             let mut disk = DiskCache::open(&dir).unwrap();
             assert_eq!(disk.load_all().len(), 0);
             assert_eq!(disk.stats().quarantined, 1);
@@ -447,7 +446,7 @@ mod tests {
 
     #[test]
     fn the_index_orders_warming_and_removal_tracks_eviction() {
-        let _g = arm(None);
+        let _g = Guard::lock();
         let dir = tmpdir("index");
         let mut disk = DiskCache::open(&dir).unwrap();
         let pairs: Vec<_> = (0..3).map(|i| sample(10 + i)).collect();

@@ -1,4 +1,4 @@
-//! Crash-safe file primitives behind an injectable disk-fault shim.
+//! Crash-safe file primitives, with the disk-fault injection points.
 //!
 //! Every byte the persistent cache puts on or takes off disk goes
 //! through this module, for two reasons:
@@ -12,128 +12,45 @@
 //!    swept on startup) or, on filesystems that reorder data vs.
 //!    rename, a renamed file with truncated payload — which is exactly
 //!    what the store's checksum exists to catch.
-//! 2. **Faults are injectable.** In the zero-deps spirit of
-//!    `fcc_analysis::fault`, a process-global registry arms one
-//!    [`DiskFault`] at a time; the fast path is a single relaxed atomic
-//!    load when nothing is armed. The four faults model the real
-//!    failure classes a durable store must survive:
+//! 2. **Faults are injectable.** The four disk faults of the one
+//!    registry, `fcc_analysis::fault`, model the failure classes a
+//!    durable store must survive; with none armed, each file operation
+//!    pays one relaxed atomic load for them:
 //!
 //!    | fault | models | observable state |
 //!    |---|---|---|
-//!    | [`DiskFault::TornWrite`] | crash/reorder between rename and data blocks | renamed file with truncated payload |
-//!    | [`DiskFault::ShortWrite`] | crash before rename | stale temp file, final path untouched |
-//!    | [`DiskFault::Enospc`] | disk full | write fails with `ENOSPC`, nothing renamed |
-//!    | [`DiskFault::BitFlipRead`] | media corruption | one payload bit flipped on read |
+//!    | [`Fault::TornWrite`] | crash/reorder between rename and data blocks | renamed file with truncated payload |
+//!    | [`Fault::ShortWrite`] | crash before rename | stale temp file, final path untouched |
+//!    | [`Fault::Enospc`] | disk full | write fails with `ENOSPC`, nothing renamed |
+//!    | [`Fault::BitFlip`] | media corruption | one payload bit flipped on read |
 //!
-//! Tests (and the CI fault matrix, via `fcc serve
-//! --inject-disk-fault`) arm a fault, drive the daemon, and assert the
-//! store's invariant: a faulted entry is either invisible or detected
-//! and quarantined — never served.
+//! Tests (and the CI fault matrix, via `fcc serve --inject FAULT`) arm a
+//! fault, drive the daemon, and assert the store's invariant: a faulted
+//! entry is either invisible or detected and quarantined — never served.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// One injectable disk failure. Sticky: stays armed until [`clear`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiskFault {
-    /// The rename lands but only half the payload's bytes do.
-    TornWrite,
-    /// The write dies before the rename: a temp file is abandoned and
-    /// the final path is never touched.
-    ShortWrite,
-    /// Every write fails with `ENOSPC` before touching the disk.
-    Enospc,
-    /// Reads succeed but one payload bit comes back flipped.
-    BitFlipRead,
-}
-
-impl DiskFault {
-    /// Every fault, in the order the CI matrix sweeps them.
-    pub const ALL: [DiskFault; 4] = [
-        DiskFault::TornWrite,
-        DiskFault::ShortWrite,
-        DiskFault::Enospc,
-        DiskFault::BitFlipRead,
-    ];
-
-    /// The canonical spelling (`--inject-disk-fault` takes these).
-    pub fn label(self) -> &'static str {
-        match self {
-            DiskFault::TornWrite => "torn-write",
-            DiskFault::ShortWrite => "short-write",
-            DiskFault::Enospc => "enospc",
-            DiskFault::BitFlipRead => "bit-flip",
-        }
-    }
-}
-
-impl std::fmt::Display for DiskFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for DiskFault {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        DiskFault::ALL
-            .into_iter()
-            .find(|f| f.label() == s)
-            .ok_or_else(|| {
-                format!("unknown disk fault {s:?} (expected torn-write, short-write, enospc, or bit-flip)")
-            })
-    }
-}
-
-/// Fast-path flag: non-zero iff a fault is armed. Checked with one
-/// relaxed load per file operation, so an unfaulted daemon pays nothing
-/// for the shim's existence.
-static ARMED: AtomicUsize = AtomicUsize::new(0);
-static FAULT: Mutex<Option<DiskFault>> = Mutex::new(None);
-
-/// Arm `fault` process-wide (replacing any armed fault) until [`clear`].
-pub fn inject(fault: DiskFault) {
-    *FAULT.lock().unwrap() = Some(fault);
-    ARMED.store(1, Ordering::SeqCst);
-}
-
-/// Disarm. Tests serialize on their own lock and call this from a drop
-/// guard, so a panicking test cannot leak a fault into its successors.
-pub fn clear() {
-    ARMED.store(0, Ordering::SeqCst);
-    *FAULT.lock().unwrap() = None;
-}
-
-/// The armed fault, if any (one relaxed load when nothing is armed).
-pub fn armed() -> Option<DiskFault> {
-    if ARMED.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    *FAULT.lock().unwrap()
-}
+use fcc_analysis::fault::{self, Fault};
 
 /// Write `bytes` to `path` via temp-file + `sync_all` + atomic rename.
 /// The temp file lives in `path`'s directory (rename must not cross a
 /// filesystem) and is named after the destination plus the process id,
 /// so concurrent daemons sharing a cache dir cannot collide.
 ///
-/// Under an armed fault this misbehaves exactly as documented on
-/// [`DiskFault`]; the caller treats any `Err` as a failed (skipped)
+/// Under an armed disk fault this misbehaves exactly as the module
+/// documentation says; the caller treats any `Err` as a failed (skipped)
 /// store, never as fatal.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    match armed() {
-        Some(DiskFault::Enospc) => {
+    match fault::disk() {
+        Some(Fault::Enospc) => {
             return Err(io::Error::new(
                 io::ErrorKind::StorageFull,
                 "injected ENOSPC",
             ));
         }
-        Some(DiskFault::TornWrite) => {
+        Some(Fault::TornWrite) => {
             // The crash window that atomic rename cannot close: the
             // rename is durable but the data blocks never all landed.
             let tmp = temp_path(path);
@@ -144,7 +61,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
             fs::rename(&tmp, path)?;
             return Ok(());
         }
-        Some(DiskFault::ShortWrite) => {
+        Some(Fault::ShortWrite) => {
             // Crash before rename: the abandoned temp file is the only
             // trace; the final path is never touched.
             let tmp = temp_path(path);
@@ -162,12 +79,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Read the whole file at `path`, applying an armed
-/// [`DiskFault::BitFlipRead`] (one bit of the middle byte flips).
+/// Read the whole file at `path`, applying an armed [`Fault::BitFlip`]
+/// (one bit of the middle byte flips).
 pub fn read(path: &Path) -> io::Result<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if armed() == Some(DiskFault::BitFlipRead) && !bytes.is_empty() {
+    if fault::disk() == Some(Fault::BitFlip) && !bytes.is_empty() {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
     }
@@ -189,28 +106,9 @@ pub fn is_temp_name(name: &str) -> bool {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Serialize every unit test that touches the disk (the fault
-    /// registry is process-global, so an unlocked test can write while
-    /// another has a fault armed) and guarantee disarming even on panic.
-    pub(crate) fn arm(fault: Option<DiskFault>) -> impl Drop {
-        static LOCK: Mutex<()> = Mutex::new(());
-        struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-        impl Drop for Armed {
-            fn drop(&mut self) {
-                clear();
-            }
-        }
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        clear();
-        if let Some(f) = fault {
-            inject(f);
-        }
-        Armed(guard)
-    }
+    use fcc_analysis::fault::Guard;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("fcc-fsio-{tag}-{}", std::process::id()));
@@ -221,7 +119,7 @@ pub(crate) mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_leaves_no_temp() {
-        let _g = arm(None);
+        let _g = Guard::lock();
         let dir = tmpdir("clean");
         let p = dir.join("x.fnc");
         write_atomic(&p, b"hello world").unwrap();
@@ -239,13 +137,13 @@ pub(crate) mod tests {
         let dir = tmpdir("faults");
 
         {
-            let _g = arm(Some(DiskFault::Enospc));
+            let _g = Guard::arm(Fault::Enospc);
             let p = dir.join("enospc.fnc");
             assert!(write_atomic(&p, b"0123456789").is_err());
             assert!(!p.exists(), "ENOSPC must not touch the final path");
         }
         {
-            let _g = arm(Some(DiskFault::ShortWrite));
+            let _g = Guard::arm(Fault::ShortWrite);
             let p = dir.join("short.fnc");
             assert!(write_atomic(&p, b"0123456789").is_err());
             assert!(!p.exists(), "short write dies before rename");
@@ -256,30 +154,22 @@ pub(crate) mod tests {
             assert_eq!(temps, 1, "the abandoned temp file is the only trace");
         }
         {
-            let _g = arm(Some(DiskFault::TornWrite));
+            let _g = Guard::arm(Fault::TornWrite);
             let p = dir.join("torn.fnc");
             write_atomic(&p, b"0123456789").unwrap();
-            clear();
+            fault::clear();
             assert_eq!(read(&p).unwrap(), b"01234", "half the payload landed");
         }
         {
-            let _g = arm(None);
+            let _g = Guard::lock();
             let p = dir.join("flip.fnc");
             write_atomic(&p, b"0123456789").unwrap();
-            inject(DiskFault::BitFlipRead);
+            fault::inject(Fault::BitFlip);
             let corrupt = read(&p).unwrap();
-            clear();
+            fault::clear();
             assert_ne!(corrupt, b"0123456789");
             assert_eq!(corrupt.len(), 10, "bit flip corrupts, never truncates");
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fault_spellings_round_trip() {
-        for f in DiskFault::ALL {
-            assert_eq!(f.label().parse::<DiskFault>().unwrap(), f);
-        }
-        assert!("gamma-ray".parse::<DiskFault>().is_err());
     }
 }

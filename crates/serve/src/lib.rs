@@ -11,7 +11,7 @@
 //! | [`protocol`] | request parsing, error taxonomy, response rendering |
 //! | [`cache`] | FNV-1a content-addressed [`FnCache`] with LRU byte-budget eviction, shared single-flight by [`SharedCache`] |
 //! | [`codec`] | [`FunctionReport`](fcc_driver::FunctionReport) ⇄ JSON, for the persistent store |
-//! | [`fsio`] | crash-safe file primitives behind the [`DiskFault`] injection shim |
+//! | [`fsio`] | crash-safe file primitives, with the disk-fault injection points |
 //! | [`disk`] | the checksummed, quarantining on-disk entry store (`--cache-dir`) |
 //! | [`daemon`] | the [`Daemon`] state machine and the [`serve_loop`] transport |
 //! | [`socket`] | the Unix-domain-socket transport (`--socket`), serving connections in parallel |
@@ -52,6 +52,5 @@ pub use cache::{
 pub use codec::{decode_report, encode_report};
 pub use daemon::{serve_loop, Daemon, ServeOptions};
 pub use disk::{DiskCache, DiskStats};
-pub use fsio::DiskFault;
 pub use protocol::{parse_request, Request, ServeError, Verb, PROTOCOL_VERSION};
 pub use socket::serve_socket;

@@ -3,10 +3,11 @@
 //! unified `CompileRequest` entry point (`fail_mode` selects the
 //! abort/skip/degrade behaviour that used to take three functions).
 //!
-//! The fault-injection switches are process-global, so every test takes
-//! `arm()` — a mutex guard that clears all injections when it drops,
-//! even on assertion failure — and the tests serialize on it.
+//! Faults are process-global, so every test holds a
+//! `fcc::analysis::fault::Guard`, which serialises the tests and
+//! disarms every fault when it drops, even on assertion failure.
 
+use fcc::analysis::fault::{self, Fault, Guard};
 use fcc::core::CompileError;
 use fcc::driver::{
     compile_function_report, compile_module, failure_class, fuzz, CompileRequest, FailMode,
@@ -15,24 +16,6 @@ use fcc::driver::{
 use fcc::ir::verify::verify_function;
 use fcc::ir::Module;
 use fcc::workloads::{compile_kernel, kernels};
-use std::sync::{Mutex, MutexGuard};
-
-static INJECTION_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fcc::opt::fault::clear_injections();
-    }
-}
-
-/// Serialize on the injection registry and start from a clean slate.
-fn arm() -> Armed {
-    let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fcc::opt::fault::clear_injections();
-    Armed(guard)
-}
 
 /// A small batch: the first few paper kernels as one module.
 fn module() -> Module {
@@ -42,8 +25,7 @@ fn module() -> Module {
 
 #[test]
 fn injected_panic_recovers_to_standard_at_every_jobs_width() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
+    let _armed = Guard::arm(Fault::Panic("coalesce-new".into()));
     let req = CompileRequest::new().opt(true).fail_mode(FailMode::Degrade);
 
     let mut rendered = Vec::new();
@@ -74,7 +56,7 @@ fn injected_panic_recovers_to_standard_at_every_jobs_width() {
 
     // And the recovered module is byte-identical to an honest compile on
     // the rung the ladder landed on (standard, verify forced).
-    fcc::opt::fault::clear_injections();
+    fault::clear();
     let standard = CompileRequest::new()
         .pipeline(PipelineSpec::Standard)
         .opt(true)
@@ -93,8 +75,7 @@ fn injected_panic_recovers_to_standard_at_every_jobs_width() {
 
 #[test]
 fn solver_spin_trips_fuel_exhaustion_naming_the_pass() {
-    let _armed = arm();
-    fcc::opt::fault::inject_solver_spin(true);
+    let _armed = Guard::arm(Fault::SolverSpin);
     let req = CompileRequest::new()
         .opt(true)
         .fail_mode(FailMode::Degrade)
@@ -124,8 +105,7 @@ fn solver_spin_trips_fuel_exhaustion_naming_the_pass() {
 
 #[test]
 fn verifier_violation_after_pass_is_rejected_and_recovers() {
-    let _armed = arm();
-    fcc::opt::fault::inject_verifier_violation_after(Some("range-fold"));
+    let _armed = Guard::arm(Fault::VerifierViolation("range-fold".into()));
     let req = CompileRequest::new()
         .opt(true)
         .verify_each(true)
@@ -149,8 +129,7 @@ fn verifier_violation_after_pass_is_rejected_and_recovers() {
 
 #[test]
 fn abort_mode_names_the_offending_function_and_pass() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
+    let _armed = Guard::arm(Fault::Panic("coalesce-new".into()));
     let batch = compile_module(module(), &CompileRequest::new().jobs(2)).expect("request is valid");
     let err = batch
         .into_module_outcome()
@@ -162,8 +141,7 @@ fn abort_mode_names_the_offending_function_and_pass() {
 
 #[test]
 fn skip_mode_quarantines_deterministically() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
+    let _armed = Guard::arm(Fault::Panic("coalesce-new".into()));
     let req = CompileRequest::new().fail_mode(FailMode::Skip);
 
     let mut outputs = Vec::new();
@@ -181,8 +159,7 @@ fn skip_mode_quarantines_deterministically() {
 
 #[test]
 fn fuzz_reports_fuel_exhaustion_as_a_shrinkable_failure_class() {
-    let _armed = arm();
-    fcc::opt::fault::inject_solver_spin(true);
+    let _armed = Guard::arm(Fault::SolverSpin);
     let cfg = FuzzConfig {
         seeds: 4,
         jobs: 1,

@@ -1,22 +1,25 @@
 //! Shrinker quality: the fuzzer must find a *known* miscompile and
 //! reduce it to a handful of statements.
 //!
-//! `fcc_opt::fault::disable_phi_restore(true)` re-opens a real bug this
-//! codebase once had (simplify-cfg merging blocks without restoring the
-//! successor's φs to the block head first, so destruction sees φs behind
-//! ordinary instructions). The differential oracle must flag seeds, and
-//! the greedy AST shrinker must converge to ≤ 10 statements within a
-//! fixed budget.
+//! `Fault::PhiOrderingBug` re-opens a real bug this codebase once had:
+//! constant and range folding rewrite a φ in place to a `const` or
+//! `copy`, and `fcc-opt`'s `constfold::restore_phis_first` is what moves
+//! the remaining φs back to the block head; with it switched off,
+//! destruction sees φs behind ordinary instructions. The differential
+//! oracle must flag seeds, and the greedy AST shrinker must converge to
+//! ≤ 10 statements within a fixed budget.
 //!
-//! The fault toggle is process-global, so the off/on phases run inside
-//! one `#[test]` — integration-test binaries are separate processes, but
-//! tests inside one binary are not.
+//! Faults are process-global, so the off/on phases run inside one
+//! `#[test]` that holds a `fcc::analysis::fault::Guard`, which disarms
+//! the fault when it drops, even on assertion failure.
 
+use fcc::analysis::fault::{self, Fault, Guard};
 use fcc::driver::{check_program, fuzz, FuzzConfig};
 use fcc::workloads::statement_count;
 
 #[test]
 fn injected_phi_ordering_bug_is_found_and_shrunk_small() {
+    let _held = Guard::lock();
     let cfg = FuzzConfig {
         seeds: 8,
         jobs: 2,
@@ -37,7 +40,7 @@ fn injected_phi_ordering_bug_is_found_and_shrunk_small() {
     );
 
     // Re-open the bug; the same seed range must now produce findings.
-    fcc::opt::fault::disable_phi_restore(true);
+    fault::inject(Fault::PhiOrderingBug);
     let out = fuzz(&cfg);
     assert!(
         !out.failures.is_empty(),
@@ -70,7 +73,7 @@ fn injected_phi_ordering_bug_is_found_and_shrunk_small() {
             f.seed
         );
     }
-    fcc::opt::fault::disable_phi_restore(false);
+    fault::clear();
 
     // ... and every repro is healed by restoring the fix: the failure
     // really was the injected bug, not shrinker damage.

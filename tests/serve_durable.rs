@@ -9,33 +9,14 @@
 //! quarantined, writes skipped); they may never change a byte of a
 //! response.
 //!
-//! The disk-fault switch is process-global, so every test that arms it
-//! serializes on a mutex and disarms on drop (cargo runs separate test
-//! binaries one after another, so cross-binary races cannot happen).
+//! Faults are process-global, so every test holds a
+//! `fcc::analysis::fault::Guard`, which serialises the tests and disarms
+//! every fault when it drops (cargo runs separate test binaries one after
+//! another, so cross-binary races cannot happen).
 
-use fcc::serve::fsio;
-use fcc::serve::{serve_loop, serve_socket, Daemon, DiskFault, ServeOptions};
+use fcc::analysis::fault::{Fault, Guard};
+use fcc::serve::{serve_loop, serve_socket, Daemon, ServeOptions};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
-
-static INJECTION_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fsio::clear();
-    }
-}
-
-fn arm(fault: Option<DiskFault>) -> Armed {
-    let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fsio::clear();
-    if let Some(f) = fault {
-        fsio::inject(f);
-    }
-    Armed(guard)
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fcc-durable-{tag}-{}", std::process::id()));
@@ -89,20 +70,20 @@ fn cold_warm(opts: ServeOptions, jobs: usize) -> (String, String) {
 fn every_fault_cell_replays_byte_identical_responses() {
     // The reference bytes come from a memory-only daemon: what the
     // service says when no disk exists at all.
-    let _g = arm(None);
+    let _g = Guard::lock();
     let (reference, reference_warm) = cold_warm(ServeOptions::default(), 1);
     assert_eq!(reference, reference_warm);
     drop(_g);
 
-    let mut faults: Vec<Option<DiskFault>> = vec![None];
-    faults.extend(DiskFault::ALL.into_iter().map(Some));
+    let mut faults: Vec<Option<Fault>> = vec![None];
+    faults.extend(Fault::DISK.into_iter().map(Some));
     for fault in faults {
         for jobs in [1usize, 8] {
             let dir = tmpdir(&format!(
                 "matrix-{}-{jobs}",
-                fault.map(DiskFault::label).unwrap_or("clean")
+                fault.as_ref().map_or("clean".to_string(), Fault::to_string)
             ));
-            let _g = arm(fault);
+            let _g = fault.clone().map_or_else(Guard::lock, Guard::arm);
             // Cold then warm under the fault.
             let (cold, warm) = cold_warm(opts_with_dir(&dir), jobs);
             assert_eq!(
@@ -135,12 +116,12 @@ fn a_torn_write_crash_is_quarantined_on_restart_and_recompiled() {
         // Every store "crashes" mid-write: files are renamed into place
         // with half their payload missing — the worst case atomic
         // rename cannot prevent.
-        let _g = arm(Some(DiskFault::TornWrite));
+        let _g = Guard::arm(Fault::TornWrite);
         let (cold, warm) = cold_warm(opts_with_dir(&dir), 1);
         assert_eq!(cold, warm);
     }
     {
-        let _g = arm(None);
+        let _g = Guard::lock();
         let d = Daemon::new(opts_with_dir(&dir)).expect("restart");
         let (stats, _) = d.handle_line(r#"{"v":1,"verb":"stats"}"#);
         let doc = parse(&stats);
@@ -174,7 +155,7 @@ fn a_torn_write_crash_is_quarantined_on_restart_and_recompiled() {
 #[test]
 fn a_clean_restart_warms_entirely_from_disk() {
     let dir = tmpdir("warm-restart");
-    let _g = arm(None);
+    let _g = Guard::lock();
     {
         let (cold, warm) = cold_warm(opts_with_dir(&dir), 1);
         assert_eq!(cold, warm);
@@ -209,7 +190,7 @@ fn a_clean_restart_warms_entirely_from_disk() {
 #[test]
 fn enospc_degrades_to_memory_only_without_wrong_answers() {
     let dir = tmpdir("enospc");
-    let _g = arm(Some(DiskFault::Enospc));
+    let _g = Guard::arm(Fault::Enospc);
     let d = Daemon::new(opts_with_dir(&dir)).expect("open survives a full disk");
     let line = compile_line(&module_src(), 1);
     let (cold, _) = d.handle_line(&line);
@@ -226,7 +207,7 @@ fn enospc_degrades_to_memory_only_without_wrong_answers() {
 
 #[test]
 fn socket_and_stdio_transports_answer_byte_identically() {
-    let _g = arm(None);
+    let _g = Guard::lock();
     let src = module_src();
     let requests = [
         compile_line(&src, 1),

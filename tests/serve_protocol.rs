@@ -5,21 +5,21 @@
 //! socket transport, connections served in parallel with each key
 //! compiled once.
 //!
-//! The fault-injection switches are process-global, so every test
-//! holds one mutex while it runs and the test that arms them clears them
-//! on drop: a compile in another test must never run while they are
+//! Faults are process-global, so every test holds a
+//! `fcc::analysis::fault::Guard` while it runs, which disarms every fault
+//! when it drops: a compile in another test must never run while one is
 //! armed (cargo runs separate test binaries one after another, so
 //! cross-binary races cannot happen). The socket tests use the armed
 //! solver spin as a barrier: an `opt` compile holds inside the dataflow
 //! solver until the test disarms it, so what they check does not depend
 //! on timing.
 
+use fcc::analysis::fault::{self, Fault, Guard};
 use fcc::serve::{serve_loop, serve_socket, Daemon, ServeOptions, PROTOCOL_VERSION};
 use fcc::workloads::{generate, GenConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -58,7 +58,7 @@ fn module_64() -> String {
 
 #[test]
 fn malformed_and_unversioned_requests_get_400_and_the_daemon_lives() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let d = daemon();
     for (line, kind) in [
         ("{nope", "malformed-json"),
@@ -87,7 +87,7 @@ fn malformed_and_unversioned_requests_get_400_and_the_daemon_lives() {
 
 #[test]
 fn briggs_with_folding_is_a_422_typed_rejection() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let d = daemon();
     let line = compile_line(
         "fn f(x) { return x; }",
@@ -123,7 +123,7 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
 
 #[test]
 fn too_few_registers_is_a_422_typed_rejection_for_both_bounds() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let d = daemon();
     for (request, kind) in [
         ("{\"alloc\":1}", "alloc-too-few"),
@@ -148,7 +148,7 @@ fn too_few_registers_is_a_422_typed_rejection_for_both_bounds() {
 
 #[test]
 fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let src = module_64();
     // Byte-identical across jobs widths AND across cold/warm cache.
     let mut responses = Vec::new();
@@ -198,7 +198,7 @@ fn resubmitting_64_functions_compiles_zero_and_replays_bytes() {
 
 #[test]
 fn editing_one_function_recompiles_only_that_function() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let d = daemon();
     let src = module_64();
     let (_, _) = d.handle_line(&compile_line(&src, ""));
@@ -212,31 +212,9 @@ fn editing_one_function_recompiles_only_that_function() {
     assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
 }
 
-static INJECTION_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fcc::opt::fault::clear_injections();
-    }
-}
-
-fn arm() -> Armed {
-    let guard = INJECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fcc::opt::fault::clear_injections();
-    Armed(guard)
-}
-
-/// The lock with nothing armed, for every test that does not inject.
-fn quiet() -> Armed {
-    arm()
-}
-
 #[test]
 fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
-    let _armed = arm();
-    fcc::opt::fault::inject_panic_in(Some("coalesce-new"));
+    let _armed = Guard::arm(Fault::Panic("coalesce-new".into()));
     let d = daemon();
     let src = "fn f(x) { return x + 1; }\nfn g(y) { return y * 2; }";
 
@@ -283,14 +261,14 @@ fn injected_panic_degrades_per_fail_mode_without_killing_the_daemon() {
     assert!(doc.get("output").unwrap().as_str().unwrap().contains("@f"));
 
     // The daemon survives it all and still answers.
-    fcc::opt::fault::clear_injections();
+    fault::clear();
     let (resp, _) = d.handle_line(r#"{"v":1,"verb":"ping"}"#);
     assert_eq!(parse(&resp).get("ok").unwrap().as_bool(), Some(true));
 }
 
 #[test]
 fn a_tiny_byte_budget_forces_eviction_but_not_wrong_answers() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     // Big enough for a handful of the 64 entries, far too small for all
     // of them — every pass must insert and evict.
     let budget = 64 << 10;
@@ -321,7 +299,7 @@ fn a_tiny_byte_budget_forces_eviction_but_not_wrong_answers() {
 
 #[test]
 fn the_stats_verb_shape_is_pinned() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     // The CI durability harness scrapes these fields; adding is fine,
     // renaming or dropping any of them is a breaking change.
     let d = daemon();
@@ -363,7 +341,7 @@ fn the_stats_verb_shape_is_pinned() {
 
 #[test]
 fn an_expired_deadline_is_a_deterministic_504() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let d = daemon();
     let line = compile_line(
         "fn f(x) { return x + 1; }\nfn g(y) { return y; }",
@@ -404,7 +382,7 @@ fn an_expired_deadline_is_a_deterministic_504() {
 
 #[test]
 fn a_full_admission_queue_sheds_with_a_typed_503() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let d = Daemon::new(ServeOptions {
         max_queue: 0,
         ..ServeOptions::default()
@@ -431,7 +409,7 @@ fn a_full_admission_queue_sheds_with_a_typed_503() {
 
 #[test]
 fn oversized_lines_get_400_without_buffering_the_flood() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let opts = ServeOptions {
         max_line_bytes: 256,
         ..ServeOptions::default()
@@ -468,7 +446,7 @@ fn oversized_lines_get_400_without_buffering_the_flood() {
 
 #[test]
 fn serve_loop_replays_the_kernel_suite_deterministically() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     // The CI serve job does this through the real binary; here the same
     // double replay runs in-process over the loop transport.
     let suite: Vec<&str> = fcc::workloads::kernels().iter().map(|k| k.source).collect();
@@ -486,7 +464,7 @@ fn serve_loop_replays_the_kernel_suite_deterministically() {
 
 #[test]
 fn ir_that_ssa_construction_cannot_take_is_a_422_naming_its_rule() {
-    let _quiet = quiet();
+    let _quiet = Guard::lock();
     let ir_line = |id: u64, source: &str, extra: &str| {
         format!(
             "{{\"v\":1,\"id\":{id},\"verb\":\"compile\",\"lang\":\"ir\",\"source\":\"{}\"{extra}}}",
@@ -632,7 +610,7 @@ fn stop_socket(conn: &mut Conn, server: thread::JoinHandle<std::io::Result<()>>)
 
 #[test]
 fn a_hit_is_answered_while_two_other_connections_compile() {
-    let _armed = arm();
+    let _armed = Guard::lock();
     let cached = compile_line("fn f(x) { return x + 1; }\nfn g(y) { return y * 2; }", "");
     let opt = ",\"request\":{\"opt\":true,\"jobs\":1}";
     let slow_a = compile_line(
@@ -650,7 +628,7 @@ fn a_hit_is_answered_while_two_other_connections_compile() {
     let first = b.ask(&cached);
     assert_eq!(first, expected[0]);
 
-    fcc::opt::fault::inject_solver_spin(true);
+    fault::inject(Fault::SolverSpin);
     let (mut a, mut c) = (Conn::open(&path), Conn::open(&path));
     a.send(&slow_a);
     c.send(&slow_c);
@@ -673,7 +651,7 @@ fn a_hit_is_answered_while_two_other_connections_compile() {
     );
     assert_eq!(count(&doc, &["cache", "hits"]), 2, "{doc:?}");
 
-    fcc::opt::fault::inject_solver_spin(false);
+    fault::clear();
     assert_eq!(
         a.recv(),
         expected[1],
@@ -685,7 +663,7 @@ fn a_hit_is_answered_while_two_other_connections_compile() {
 
 #[test]
 fn four_clients_missing_one_module_compile_each_function_once() {
-    let _armed = arm();
+    let _armed = Guard::lock();
     let line = compile_line(
         "fn h(n) { let s = 0; for i = 0 to n { s = s + i; } return s; }\n\
          fn k(n) { let p = 1; while n > 0 { p = p * 2; n = n - 1; } return p; }",
@@ -695,7 +673,7 @@ fn four_clients_missing_one_module_compile_each_function_once() {
     let mut monitor = Conn::open(&path);
     let mut clients: Vec<Conn> = (0..4).map(|_| Conn::open(&path)).collect();
 
-    fcc::opt::fault::inject_solver_spin(true);
+    fault::inject(Fault::SolverSpin);
     for c in &mut clients {
         c.send(&line);
     }
@@ -703,7 +681,7 @@ fn four_clients_missing_one_module_compile_each_function_once() {
     // three wait on its flights.
     let doc = monitor.stats_when(|d| count(d, &["queued"]) == 3);
     assert_eq!(count(&doc, &["in_flight"]), 4, "{doc:?}");
-    fcc::opt::fault::inject_solver_spin(false);
+    fault::clear();
 
     let mut per_request = Vec::new();
     let mut bodies = Vec::new();
