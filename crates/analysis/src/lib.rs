@@ -24,8 +24,9 @@
 //! * [`fuel::Fuel`] — thread-installed step budgets that bound every
 //!   fixpoint loop in the workspace, unwinding with a typed
 //!   [`fuel::FuelExhausted`] payload the batch driver catches;
-//! * [`fault`] — the process-global fault-injection registry used to
-//!   exercise the driver's recovery ladder with real faults.
+//! * [`fault`] — the one process-global fault-injection registry: every
+//!   injectable failure, from a panic in a pass to a torn cache write,
+//!   with the guard that tests hold while one is armed.
 //!
 //! ## Example
 //!
