@@ -3,20 +3,23 @@
 //! Every kernel of the suite is compiled at k ∈ {4, 8, 16} through each
 //! destruction family (New, Standard, Briggs φ-webs), once per SSA
 //! spilling strategy (spill-everywhere baseline vs cost-guided): the
-//! family's SSA is spilled down to MaxLive ≤ k, destructed, allocated
-//! under a hard bound of k registers, and certified by the allocation
-//! auditor. The table reports aggregate spill/reload/copy counts; the
-//! binary exits non-zero if any kernel's allocation fails its audit or
-//! if the cost-guided strategy ever inserts more spill traffic
-//! (spills + reloads) than the spill-everywhere baseline.
+//! family's SSA goes through the driver's k-register stages — spilled
+//! down to MaxLive ≤ k, destructed, allocated under a hard bound of k
+//! registers and certified by the allocation auditor. The table reports
+//! aggregate spill/reload/copy counts; the binary exits non-zero if any
+//! kernel's allocation fails its audit or if the cost-guided strategy
+//! ever inserts more spill traffic (spills + reloads) than the
+//! spill-everywhere baseline.
 //!
 //! Run: `cargo run --release -p fcc-bench --bin spill [-- --out BENCH_spill.json]`
 
 use fcc_analysis::AnalysisManager;
 use fcc_driver::report::Table;
-use fcc_driver::{destruction_stage, ssa_stage, CompileRequest, PipelineSpec};
+use fcc_driver::{
+    allocation_stage, destruction_stage, spill_stage, ssa_stage, CompileRequest, PipelineSpec,
+};
 use fcc_ir::Function;
-use fcc_regalloc::{allocate, spill_to_k, weighted_spill_traffic, AllocOptions, SpillStrategy};
+use fcc_regalloc::{weighted_spill_traffic, SpillStrategy};
 use fcc_ssa::verify_ssa;
 
 const KS: [u32; 3] = [4, 8, 16];
@@ -92,27 +95,13 @@ fn main() {
                 let mut traffic = [0f64; 2];
                 for (si, &strategy) in STRATEGIES.iter().enumerate() {
                     let mut func = ssa.clone();
-                    let stats = spill_to_k(&mut func, k, strategy);
-                    verify_ssa(&func).expect("spilling must preserve strict SSA");
-                    let weighted = weighted_spill_traffic(&func);
-                    destruction_stage(
-                        &mut func,
-                        spec,
-                        false,
-                        &mut AnalysisManager::new(),
-                        &mut Vec::new(),
-                    );
-                    let copies = func.static_copy_count();
-                    let alloc = match allocate(
-                        &mut func,
-                        &AllocOptions {
-                            registers: k as usize,
-                        },
-                    ) {
-                        Ok(a) => a,
+                    let mut am = AnalysisManager::new();
+                    let phases = &mut Vec::new();
+                    let stats = match spill_stage(&mut func, k, strategy, &am, phases) {
+                        Ok(stats) => stats,
                         Err(e) => {
                             eprintln!(
-                                "{} ({family}, k={k}, {}): allocation failed: {e}",
+                                "{} ({family}, k={k}, {}): {e}",
                                 kernel.name,
                                 strategy.label()
                             );
@@ -120,20 +109,21 @@ fn main() {
                             continue;
                         }
                     };
-                    let diags = fcc_pressure::audit_allocation(
-                        &func,
-                        &alloc.coloring,
-                        k,
-                        func.spill_slot_count(),
-                    );
-                    if let Some(d) = diags.first() {
-                        eprintln!(
-                            "{} ({family}, k={k}, {}): audit rejected the allocation: {d}",
-                            kernel.name,
-                            strategy.label()
-                        );
-                        failures += 1;
-                    }
+                    let weighted = weighted_spill_traffic(&func);
+                    destruction_stage(&mut func, spec, false, &mut am, phases);
+                    let copies = func.static_copy_count();
+                    let alloc = match allocation_stage(&mut func, k, &mut am, phases) {
+                        Ok(a) => a,
+                        Err(e) => {
+                            eprintln!(
+                                "{} ({family}, k={k}, {}): {e}",
+                                kernel.name,
+                                strategy.label()
+                            );
+                            failures += 1;
+                            continue;
+                        }
+                    };
                     traffic[si] = weighted;
                     let c = &mut per_strategy[si];
                     c.spills += stats.spills;

@@ -1,21 +1,23 @@
 //! Per-function pipeline execution and the parallel batch driver.
 //!
-//! [`PipelineSpec`] is the one pipeline enum, and two stages hold the
-//! one definition of each pipeline's recipe:
+//! [`PipelineSpec`] is the one pipeline enum, and four stages hold the
+//! one definition of each pipeline's recipe and of the k-register path:
 //!
 //! * [`ssa_stage`] builds pruned SSA with the request's copy folding,
 //!   then runs the pipeline's optimiser pass set;
+//! * [`spill_stage`] lowers the SSA form's MaxLive towards k;
 //! * [`destruction_stage`] takes the SSA form back out of SSA by the
-//!   pipeline's algorithm — the single `match` over [`PipelineSpec`].
+//!   pipeline's algorithm — the single `match` over [`PipelineSpec`];
+//! * [`allocation_stage`] colours the result with k registers and hands
+//!   it on only when the feasibility auditor certifies it.
 //!
-//! [`compile_function`] composes the two (with spilling between them and
-//! allocation after) and is the code path behind `fcc` and `fcc serve`;
-//! [`lint_pipeline`] drives them for `fcc lint` and the bench tables'
-//! certification gate; the fuzzer and the bench tables call them
-//! directly. The CLI calls [`compile_function`] once for a
-//! single-function file and through [`crate::compile_module`] for
-//! multi-function files, where the module's functions are sharded
-//! across a scoped thread pool.
+//! [`compile_function`] composes them and is the code path behind `fcc`
+//! and `fcc serve`; [`lint_pipeline`] drives the SSA and destruction
+//! stages for `fcc lint` and the bench tables' certification gate; the
+//! fuzzer and the bench tables call the stages directly. The CLI calls
+//! [`compile_function`] once for a single-function file and through
+//! [`crate::compile_module`] for multi-function files, where the
+//! module's functions are sharded across a scoped thread pool.
 //!
 //! Parallelism never changes output. Each worker invocation builds its
 //! own [`AnalysisManager`] and pass manager (per-function analyses share
@@ -38,7 +40,7 @@ use fcc_opt::{
 use fcc_pressure::audit_allocation;
 use fcc_regalloc::{
     allocate_managed, coalesce_copies_managed, destruct_via_webs, destruct_via_webs_traced,
-    spill_to_k, AllocOptions, BriggsOptions, GraphMode, SpillStrategy,
+    spill_to_k, AllocOptions, Allocation, BriggsOptions, GraphMode, SpillStats, SpillStrategy,
 };
 use fcc_ssa::{
     build_ssa_with, destruct_standard_traced, destruct_standard_with, verify_ssa, DestructionTrace,
@@ -160,6 +162,29 @@ pub fn ssa_stage(
     })
 }
 
+/// The spill stage of the k-register path: lower the strict-SSA
+/// `func`'s MaxLive towards `k` by `strategy`, recorded as one "spill"
+/// phase. Reloads define fresh names, so the program stays strict SSA
+/// (and therefore chordal) and the destruction stage after it is
+/// unchanged; the stage checks that with `verify_ssa`, outside the timed
+/// interval.
+///
+/// # Errors
+/// The spilled function is not valid SSA.
+pub fn spill_stage(
+    func: &mut Function,
+    k: u32,
+    strategy: SpillStrategy,
+    am: &AnalysisManager,
+    phases: &mut Vec<PhaseRecord>,
+) -> Result<SpillStats, String> {
+    let timer = PhaseTimer::start("spill", am);
+    let stats = spill_to_k(func, k, strategy);
+    phases.push(timer.finish(am));
+    verify_ssa(func).map_err(|e| format!("internal: spilling broke SSA: {e}"))?;
+    Ok(stats)
+}
+
 /// What the destruction stage did to one function.
 #[derive(Clone, Debug)]
 pub struct Destruction {
@@ -242,6 +267,38 @@ pub fn destruction_stage(
         }
     };
     Destruction { stat_line, trace }
+}
+
+/// The allocation stage of the k-register path: colour the φ-free `func`
+/// with exactly `k` registers, spilling residually where it must,
+/// recorded as one "allocate" phase. Outside the timed interval the
+/// auditor certifies the hard bound from the program text alone: it
+/// recomputes liveness and checks that every point fits in `k`
+/// registers with no clashes and that the spill code obeys the
+/// one-slot-one-value discipline.
+///
+/// # Errors
+/// The allocator did not converge, or its result failed the audit.
+pub fn allocation_stage(
+    func: &mut Function,
+    k: u32,
+    am: &mut AnalysisManager,
+    phases: &mut Vec<PhaseRecord>,
+) -> Result<Allocation, String> {
+    let timer = PhaseTimer::start("allocate", am);
+    let opts = AllocOptions {
+        registers: k as usize,
+    };
+    let alloc = allocate_managed(func, &opts, am).map_err(|e| format!("allocation failed: {e}"))?;
+    phases.push(timer.finish(am));
+    let diags = audit_allocation(func, &alloc.coloring, k, func.spill_slot_count());
+    if let Some(first) = diags.first() {
+        return Err(format!(
+            "internal: k={k} allocation failed its audit with {} violation(s); first: {first}",
+            diags.len()
+        ));
+    }
+    Ok(alloc)
 }
 
 /// One function linted through a pipeline by [`lint_pipeline`].
@@ -347,8 +404,9 @@ pub struct FunctionOutcome {
 /// Run the configured pipeline on one pre-SSA function.
 ///
 /// This is `fcc`'s whole middle: SSA construction (with optional
-/// optimisation and `--verify-each` gating), destruction by the chosen
-/// algorithm, then optional CFG simplification and register allocation.
+/// optimisation and `--verify-each` gating), spilling under
+/// `--k-registers`, destruction by the chosen algorithm, optional CFG
+/// simplification, then under `--k-registers` audited allocation.
 ///
 /// # Errors
 /// Any phase failure — invalid SSA, a failing `--verify-each` lint
@@ -377,21 +435,16 @@ pub fn compile_function(
     verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
     let maxlive = am.pressure(&func).maxlive();
 
-    // The k-register path spills on strict SSA, before destruction:
-    // reloads define fresh names, so the program stays strict SSA (and
-    // therefore chordal) and the downstream pipeline is unchanged.
+    // The k-register path spills on strict SSA, before destruction.
     let mut spill_summary: Option<SpillSummary> = None;
-    if let Some(kr) = cfg.k_registers {
-        let timer = PhaseTimer::start("spill", &am);
-        let s = spill_to_k(&mut func, kr, SpillStrategy::CostGuided);
-        phases.push(timer.finish(&am));
-        verify_ssa(&func).map_err(|e| format!("internal: spilling broke SSA: {e}"))?;
+    if let Some(k) = cfg.k_registers {
+        let s = spill_stage(&mut func, k, SpillStrategy::CostGuided, &am, &mut phases)?;
         stat_lines.push(format!(
-            "spill: k={kr}, {} spills, {} reloads, {} slots, maxlive {} -> {} in {} round(s)",
+            "spill: k={k}, {} spills, {} reloads, {} slots, maxlive {} -> {} in {} round(s)",
             s.spills, s.reloads, s.slots, s.maxlive_before, s.maxlive_after, s.rounds
         ));
         spill_summary = Some(SpillSummary {
-            k: kr,
+            k,
             ssa_spills: s.spills,
             ssa_reloads: s.reloads,
             maxlive_before: s.maxlive_before,
@@ -448,37 +501,20 @@ pub fn compile_function(
         compile_time.as_secs_f64() * 1e6
     ));
 
-    let alloc_k = cfg.k_registers.map(|k| k as usize).or(cfg.alloc);
-    if let Some(k) = alloc_k {
-        let timer = PhaseTimer::start("allocate", &am);
-        let alloc = allocate_managed(&mut func, &AllocOptions { registers: k }, &mut am)
-            .map_err(|e| format!("allocation failed: {e}"))?;
-        phases.push(timer.finish(&am));
+    if let Some(summary) = spill_summary.as_mut() {
+        let k = summary.k;
+        let alloc = allocation_stage(&mut func, k, &mut am, &mut phases)?;
+        summary.residual_spills = alloc.spilled.len();
+        summary.slots = func.spill_slot_count();
         stat_lines.push(format!(
             "allocated {k} registers, {} spilled in {} rounds",
             alloc.spilled.len(),
             alloc.rounds
         ));
-        if let Some(summary) = spill_summary.as_mut() {
-            summary.residual_spills = alloc.spilled.len();
-            summary.slots = func.spill_slot_count();
-            // Certify the hard bound from the program text alone: the
-            // auditor recomputes liveness and checks every point fits in
-            // k registers with no clashes, and the spill code obeys the
-            // one-slot-one-value discipline.
-            let diags = audit_allocation(&func, &alloc.coloring, summary.k, summary.slots);
-            if !diags.is_empty() {
-                return Err(format!(
-                    "internal: k={k} allocation failed its audit with {} violation(s); first: {}",
-                    diags.len(),
-                    diags[0]
-                ));
-            }
-            stat_lines.push(format!(
-                "audit: allocation certified for k={k} ({} slot(s))",
-                summary.slots
-            ));
-        }
+        stat_lines.push(format!(
+            "audit: allocation certified for k={k} ({} slot(s))",
+            summary.slots
+        ));
     }
 
     Ok(FunctionOutcome {

@@ -19,12 +19,12 @@
 //!    instead of killing the run. Fuzz and batch share one containment
 //!    mechanism.
 //! 5. **k-register dimension** — every seed is additionally compiled at
-//!    k ∈ {4, 8, 16}: the family's SSA is spilled to MaxLive ≤ k
-//!    (cost-guided), destructed by the family's own pipeline, allocated
-//!    with a hard bound of k registers, certified by
-//!    [`fcc_pressure::audit_allocation`], and the final (possibly
-//!    residually spilled) code re-run against the same interpreter
-//!    oracle. These findings shrink in their own `"spill"` class.
+//!    k ∈ {4, 8, 16} through the driver's [`spill_stage`] (cost-guided),
+//!    the family's own destruction and [`allocation_stage`] (a hard
+//!    bound of k registers, certified by `audit_allocation`), and the
+//!    final (possibly residually spilled) code re-run against the same
+//!    interpreter oracle. These findings shrink in their own `"spill"`
+//!    class.
 //!
 //! On failure the greedy AST shrinker (`fcc_workloads::shrink`) re-runs
 //! the same oracle on ever-smaller candidates and reports a minimal
@@ -32,17 +32,16 @@
 //! candidate only counts when it fails in the same [`failure_class`]
 //! (lowering / fuel exhaustion / pipeline) as the original finding.
 
-use fcc_analysis::{fuel, AnalysisManager};
+use fcc_analysis::AnalysisManager;
 use fcc_frontend::{ast::Program, lower_program};
 use fcc_interp::run_with_memory;
 use fcc_ir::{verify::verify_function, Function};
 use fcc_lint::audit_destruction;
-use fcc_pressure::audit_allocation;
-use fcc_regalloc::{allocate_managed, spill_to_k, AllocOptions, SpillStrategy};
+use fcc_regalloc::SpillStrategy;
 use fcc_ssa::verify_ssa;
 use fcc_workloads::{generate, shrink, GenConfig};
 
-use crate::compile::{destruction_stage, ssa_stage, PipelineSpec};
+use crate::compile::{allocation_stage, destruction_stage, spill_stage, ssa_stage, PipelineSpec};
 use crate::pool::{par_map, BatchTiming};
 use crate::request::CompileRequest;
 
@@ -249,10 +248,11 @@ fn check_program_inner(prog: &Program, opt: bool) -> Result<(), String> {
     }
     let briggs_ssa = briggs_ssa.expect("the briggs family ran");
 
-    // The k-register dimension: spill each family's SSA down to k,
-    // destruct with that family's pipeline, allocate under a hard bound
-    // of k registers, certify the result with the allocation auditor,
-    // and re-run the residually-spilled code against the reference.
+    // The k-register dimension: each family's SSA through the driver's
+    // own k-register stages (spill, the family's destruction, audited
+    // allocation), then the residually-spilled code re-run against the
+    // reference. The stages' phase labels attribute panics and fuel
+    // exactly as in batch compilation.
     for k in K_SWEEP {
         for (family, spec) in FAMILIES {
             let label = format!("spill {family} k={k}");
@@ -263,23 +263,11 @@ fn check_program_inner(prog: &Program, opt: bool) -> Result<(), String> {
             };
             let mut f = src.clone();
             let mut am = AnalysisManager::new();
-            fuel::set_pass("spill");
-            spill_to_k(&mut f, k, SpillStrategy::CostGuided);
-            verify_ssa(&f).map_err(|e| format!("{label}: spilling broke SSA: {e}"))?;
-            destruction_stage(&mut f, spec, false, &mut am, &mut Vec::new());
-            fuel::set_pass("allocate");
-            let alloc = allocate_managed(
-                &mut f,
-                &AllocOptions {
-                    registers: k as usize,
-                },
-                &mut am,
-            )
-            .map_err(|e| format!("{label}: allocation failed: {e}"))?;
-            let diags = audit_allocation(&f, &alloc.coloring, k, f.spill_slot_count());
-            if let Some(d) = diags.first() {
-                return Err(format!("{label}: audit: {d}"));
-            }
+            let phases = &mut Vec::new();
+            spill_stage(&mut f, k, SpillStrategy::CostGuided, &am, phases)
+                .map_err(|e| format!("{label}: {e}"))?;
+            destruction_stage(&mut f, spec, false, &mut am, phases);
+            allocation_stage(&mut f, k, &mut am, phases).map_err(|e| format!("{label}: {e}"))?;
             // The final run covers the whole path: SSA spill code,
             // destruction copies, and the allocator's residual spills.
             check(&label, &f)?;
@@ -366,7 +354,7 @@ mod tests {
     #[test]
     fn spill_findings_have_their_own_class() {
         assert_eq!(
-            failure_class("spill new k=4: audit: alloc-over-k ..."),
+            failure_class("spill new k=4: internal: k=4 allocation failed its audit ..."),
             "spill"
         );
         // Even a trap introduced by the spill path stays in the spill

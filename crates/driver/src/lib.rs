@@ -16,7 +16,9 @@
 //! * [`compile`] — [`PipelineSpec`], the one pipeline enum, and the one
 //!   definition of each pipeline's recipe: [`ssa_stage`] (SSA build with
 //!   the pipeline's folding, then its optimiser pass set) and
-//!   [`destruction_stage`] (the pipeline's destruction). They compose
+//!   [`destruction_stage`] (the pipeline's destruction), and of the
+//!   k-register path around them: [`spill_stage`] before destruction and
+//!   [`allocation_stage`] (colouring plus its audit) after. They compose
 //!   into [`compile_function`], the code path behind `fcc` and `fcc
 //!   serve`, and into [`lint_pipeline`], behind `fcc lint` and the bench
 //!   tables' certification gate; the bench tables and the fuzzer call
@@ -57,8 +59,9 @@ pub mod report;
 pub mod request;
 
 pub use compile::{
-    compile_function, destruction_stage, lint_pipeline, ssa_stage, Destruction, FunctionOutcome,
-    LintOutcome, ModuleOutcome, PipelineSpec, SpillSummary, SsaOutcome,
+    allocation_stage, compile_function, destruction_stage, lint_pipeline, spill_stage, ssa_stage,
+    Destruction, FunctionOutcome, LintOutcome, ModuleOutcome, PipelineSpec, SpillSummary,
+    SsaOutcome,
 };
 pub use fuzz::{
     check_program, check_program_with, failure_class, fuzz, FuzzConfig, FuzzFailure, FuzzOutcome,

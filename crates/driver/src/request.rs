@@ -95,15 +95,9 @@ pub enum RequestError {
     /// The briggs pipelines destruct by φ-web unioning, which requires
     /// copies kept un-folded (webs must be interference-free).
     BriggsNeedsNoFold(PipelineSpec),
-    /// `--alloc` below 2: a binary instruction needs two operand
-    /// registers at once even after maximal spilling.
-    AllocTooFew(usize),
     /// `--k-registers` below 2: a binary instruction needs two operand
     /// registers at once even after maximal spilling.
     KRegistersTooFew(u32),
-    /// `--k-registers` and `--alloc` both given; the k-constrained path
-    /// subsumes plain allocation.
-    KRegistersWithAlloc,
 }
 
 impl RequestError {
@@ -115,9 +109,7 @@ impl RequestError {
             RequestError::UnknownFailMode(_) => "unknown-fail-mode",
             RequestError::UnknownFormat(_) => "unknown-format",
             RequestError::BriggsNeedsNoFold(_) => "briggs-needs-no-fold",
-            RequestError::AllocTooFew(_) => "alloc-too-few",
             RequestError::KRegistersTooFew(_) => "k-registers-too-few",
-            RequestError::KRegistersWithAlloc => "k-registers-with-alloc",
         }
     }
 }
@@ -140,19 +132,10 @@ impl fmt::Display for RequestError {
                 f,
                 "the {p} pipeline needs --no-fold (phi webs must be interference-free)"
             ),
-            RequestError::AllocTooFew(k) => write!(
-                f,
-                "--alloc {k} is too few: a binary op needs two operand registers \
-                 even after maximal spilling"
-            ),
             RequestError::KRegistersTooFew(k) => write!(
                 f,
                 "--k-registers {k} is too few: a binary op needs two operand registers \
                  even after maximal spilling"
-            ),
-            RequestError::KRegistersWithAlloc => write!(
-                f,
-                "--k-registers already allocates with a hard bound; drop --alloc"
             ),
         }
     }
@@ -276,8 +259,6 @@ pub struct CompileRequest {
     pub verify_each: bool,
     /// Simplify the CFG after destruction.
     pub simplify: bool,
-    /// Colour with this many registers after destruction.
-    pub alloc: Option<usize>,
     /// Compile under a hard k-register bound: spill the SSA form down to
     /// pressure ≤ k (cost-guided), destruct, allocate with exactly `k`
     /// colours, and certify the result with the feasibility auditor.
@@ -316,7 +297,6 @@ impl Default for CompileRequest {
             opt: false,
             verify_each: false,
             simplify: false,
-            alloc: None,
             k_registers: None,
             fail_mode: FailMode::Abort,
             fuel: None,
@@ -362,12 +342,6 @@ impl CompileRequest {
     /// Simplify the CFG after destruction.
     pub fn simplify(mut self, on: bool) -> Self {
         self.simplify = on;
-        self
-    }
-
-    /// Colour with `k` registers after destruction.
-    pub fn alloc(mut self, k: Option<usize>) -> Self {
-        self.alloc = k;
         self
     }
 
@@ -424,7 +398,6 @@ impl CompileRequest {
             "opt" => self.opt = value.bool()?,
             "verify_each" => self.verify_each = value.bool()?,
             "simplify" => self.simplify = value.bool()?,
-            "alloc" => self.alloc = value.optional_int()?,
             "k_registers" => self.k_registers = value.optional_int()?,
             "fail_mode" => self.fail_mode = value.spelled()?,
             "fuel" => self.fuel = value.optional_int()?,
@@ -447,16 +420,8 @@ impl CompileRequest {
         if self.pipeline.needs_no_fold() && self.fold {
             return Err(RequestError::BriggsNeedsNoFold(self.pipeline));
         }
-        if let Some(k) = self.alloc.filter(|&k| k < 2) {
-            return Err(RequestError::AllocTooFew(k));
-        }
-        if let Some(k) = self.k_registers {
-            if k < 2 {
-                return Err(RequestError::KRegistersTooFew(k));
-            }
-            if self.alloc.is_some() {
-                return Err(RequestError::KRegistersWithAlloc);
-            }
+        if let Some(k) = self.k_registers.filter(|&k| k < 2) {
+            return Err(RequestError::KRegistersTooFew(k));
         }
         Ok(())
     }
@@ -471,16 +436,12 @@ impl CompileRequest {
     /// changes invalidate cleanly.
     pub fn cache_signature(&self) -> String {
         format!(
-            "pipeline={} fold={} opt={} verify={} simplify={} alloc={} k={} fail={} fuel={}",
+            "pipeline={} fold={} opt={} verify={} simplify={} k={} fail={} fuel={}",
             self.pipeline,
             self.fold,
             self.opt,
             self.verify_each,
             self.simplify,
-            match self.alloc {
-                Some(k) => k.to_string(),
-                None => "-".to_string(),
-            },
             match self.k_registers {
                 Some(k) => k.to_string(),
                 None => "-".to_string(),
@@ -555,28 +516,15 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_too_few_alloc_registers() {
+    fn validate_rejects_too_few_k_registers() {
         for k in [0, 1] {
-            let err = CompileRequest::new().alloc(Some(k)).validate().unwrap_err();
-            assert_eq!(err, RequestError::AllocTooFew(k));
-            assert_eq!(err.kind(), "alloc-too-few");
+            let err = CompileRequest::new()
+                .k_registers(Some(k))
+                .validate()
+                .unwrap_err();
+            assert_eq!(err, RequestError::KRegistersTooFew(k));
+            assert_eq!(err.kind(), "k-registers-too-few");
         }
-        assert!(CompileRequest::new().alloc(Some(2)).validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_bad_k_registers() {
-        let err = CompileRequest::new()
-            .k_registers(Some(1))
-            .validate()
-            .unwrap_err();
-        assert_eq!(err.kind(), "k-registers-too-few");
-        let err = CompileRequest::new()
-            .k_registers(Some(4))
-            .alloc(Some(8))
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, RequestError::KRegistersWithAlloc);
         assert!(CompileRequest::new()
             .k_registers(Some(2))
             .validate()
@@ -608,7 +556,7 @@ mod tests {
         assert_eq!(req.k_registers, None);
         let not_int = Err(SetError::WrongType("a non-negative integer"));
         assert_eq!(req.set("jobs", SetValue::Null), not_int);
-        assert_eq!(req.set("alloc", SetValue::Arg("-1")), not_int);
+        assert_eq!(req.set("k_registers", SetValue::Arg("-1")), not_int);
         assert_eq!(req.set("fuel", SetValue::Other), not_int);
     }
 
@@ -620,7 +568,7 @@ mod tests {
             ("pipeline", "briggs"),
             ("fail_mode", "degrade"),
             ("format", "json"),
-            ("alloc", "4"),
+            ("k_registers", "4"),
             ("fuel", "900"),
             ("deadline_ms", "60"),
             ("jobs", "3"),
@@ -643,7 +591,7 @@ mod tests {
             .opt(true)
             .verify_each(true)
             .simplify(true)
-            .alloc(Some(4))
+            .k_registers(Some(4))
             .fail_mode(FailMode::Degrade)
             .fuel(Some(900))
             .deadline_ms(Some(60))

@@ -25,12 +25,13 @@
 //! only on each value's neighbour *set*, which nothing ever queries
 //! pairwise, so a round builds no Table 1 bit matrix: its graph is
 //! deduplicated compressed rows over value indices (`Graph`), from the
-//! same backward scan and copy rule as [`InterferenceGraph::build`].
+//! same backward scan and copy rule as
+//! [`InterferenceGraph::build`](crate::InterferenceGraph::build).
 //! Spill code is straight-line, so the CFG and loop nesting are pulled
 //! once per call and the liveness is carried from round to round by
 //! [`Liveness::spill_rewritten`]. Residual victims are rewritten in one
-//! indexed sweep. [`InterferenceGraph`] stays the graph of the Briggs
-//! coalescers and of [`verify_coloring`].
+//! indexed sweep. [`InterferenceGraph`](crate::InterferenceGraph) stays
+//! the graph of the Briggs coalescers.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -39,7 +40,6 @@ use fcc_analysis::{AnalysisManager, BitSet, Liveness};
 use fcc_ir::{Block, ControlFlowGraph, Function, Inst, InstKind, Value};
 use fcc_pressure::SpillCosts;
 
-use crate::igraph::InterferenceGraph;
 use crate::spill::{link_placed, Placed};
 
 /// Safety bound on build/spill rounds.
@@ -115,8 +115,8 @@ impl std::error::Error for AllocError {}
 
 /// Colour the φ-free function `func` with `opts.registers` registers,
 /// inserting spill code as needed. On success every value in the function
-/// has a colour and no two interfering values share one (checked by
-/// [`verify_coloring`] in the test suite).
+/// has a colour and no two interfering values share one (certified by
+/// `fcc_pressure::audit_allocation`, from the program text alone).
 ///
 /// # Errors
 /// [`AllocError::TooFewRegisters`] if `opts.registers < 2`;
@@ -326,10 +326,10 @@ pub fn allocate_observed(
 /// One colour round's interference graph over value indices, as
 /// deduplicated compressed rows: `v`'s neighbours are
 /// `adj[start[v]..start[v + 1]]`, in no particular order. It has exactly
-/// the edges of [`InterferenceGraph::build`] with every value tracked —
-/// the same backward scan from each reachable block's live-out, with
-/// Chaitin's copy rule — but stores each edge twice instead of keeping
-/// an `n²/2`-bit matrix to deduplicate.
+/// the edges of [`InterferenceGraph::build`](crate::InterferenceGraph::build)
+/// with every value tracked — the same backward scan from each reachable
+/// block's live-out, with Chaitin's copy rule — but stores each edge
+/// twice instead of keeping an `n²/2`-bit matrix to deduplicate.
 #[doc(hidden)]
 pub struct Graph {
     start: Vec<u32>,
@@ -531,60 +531,18 @@ fn rewrite_residual(func: &mut Function, victims: &[Value], first_slot: u32) {
     link_placed(func, placed);
 }
 
-/// Check that `coloring` is a proper colouring of `func`'s interference
-/// graph with at most `k` colours. Returns the first violation message.
-///
-/// # Errors
-/// A human-readable description of the violated constraint.
-pub fn verify_coloring(
-    func: &Function,
-    coloring: &HashMap<Value, u32>,
-    k: usize,
-) -> Result<(), String> {
-    let mut am = AnalysisManager::new();
-    let cfg = am.cfg(func);
-    let live = am.liveness(func);
-    let ig = InterferenceGraph::build(func, &cfg, &live, None);
-    for (&v, &c) in coloring {
-        if c as usize >= k {
-            return Err(format!("{v} got colour {c} >= k={k}"));
-        }
-        for nb in ig.neighbors(v) {
-            if let Some(&cn) = coloring.get(&nb) {
-                if cn == c && nb != v {
-                    return Err(format!("{v} and {nb} interfere but share colour {c}"));
-                }
-            }
-        }
-    }
-    // Every value that occurs must be coloured.
-    for b in func.blocks() {
-        for &inst in func.block_insts(b) {
-            let data = func.inst(inst);
-            if let Some(d) = data.dst {
-                if !coloring.contains_key(&d) {
-                    return Err(format!("{d} is defined but uncoloured"));
-                }
-            }
-            let mut missing = None;
-            data.kind.for_each_use(|u| {
-                if !coloring.contains_key(&u) && missing.is_none() {
-                    missing = Some(u);
-                }
-            });
-            if let Some(u) = missing {
-                return Err(format!("{u} is used but uncoloured"));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fcc_interp::{run_with, RunConfig};
     use fcc_ir::parse::parse_function;
+    use fcc_pressure::audit_allocation;
+
+    /// `alloc` of `f` is feasible for `k` registers.
+    fn assert_certified(f: &Function, alloc: &Allocation, k: usize) {
+        let diags = audit_allocation(f, &alloc.coloring, k as u32, f.spill_slot_count());
+        assert!(diags.is_empty(), "k={k}: {diags:?}");
+    }
 
     fn alloc_config() -> RunConfig {
         RunConfig {
@@ -618,7 +576,7 @@ mod tests {
         let alloc = allocate(&mut f, &AllocOptions { registers: 16 }).unwrap();
         assert!(alloc.spilled.is_empty());
         assert_eq!(alloc.rounds, 1);
-        verify_coloring(&f, &alloc.coloring, 16).unwrap();
+        assert_certified(&f, &alloc, 16);
     }
 
     #[test]
@@ -627,7 +585,7 @@ mod tests {
         let reference = run_with(&f, &[3], &alloc_config()).unwrap();
         let alloc = allocate(&mut f, &AllocOptions { registers: 3 }).unwrap();
         assert!(!alloc.spilled.is_empty(), "k=3 must force spills");
-        verify_coloring(&f, &alloc.coloring, 3).unwrap();
+        assert_certified(&f, &alloc, 3);
         let out = run_with(&f, &[3], &alloc_config()).unwrap();
         assert_eq!(
             reference.ret, out.ret,
@@ -661,7 +619,7 @@ mod tests {
             let mut g = f.clone();
             let alloc = allocate(&mut g, &AllocOptions { registers: k })
                 .unwrap_or_else(|e| panic!("k={k}: {e}"));
-            verify_coloring(&g, &alloc.coloring, k).unwrap();
+            assert_certified(&g, &alloc, k);
             let out = run_with(&g, &[10], &alloc_config()).unwrap();
             assert_eq!(reference.ret, out.ret, "k={k}");
         }

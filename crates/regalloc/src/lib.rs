@@ -7,8 +7,7 @@
 //!   unioning (sound on SSA built *without* copy folding);
 //! * [`igraph::InterferenceGraph`] — triangular-bit-matrix interference
 //!   graph with Chaitin's copy rule, in **full** or **restricted**
-//!   (copy-related-names-only) layout, for the coalescers below and for
-//!   [`color::verify_coloring`];
+//!   (copy-related-names-only) layout, for the coalescers below;
 //! * [`briggs::coalesce_copies`] — the iterated build/coalesce loop:
 //!   [`briggs::GraphMode::Full`] is the paper's **Briggs** baseline,
 //!   [`briggs::GraphMode::Restricted`] is the improved **Briggs\***
@@ -55,9 +54,7 @@ pub mod webs;
 pub use briggs::{
     coalesce_copies, coalesce_copies_managed, BriggsOptions, BriggsStats, GraphMode, PassStats,
 };
-pub use color::{
-    allocate, allocate_managed, verify_coloring, AllocError, AllocOptions, Allocation,
-};
+pub use color::{allocate, allocate_managed, AllocError, AllocOptions, Allocation};
 pub use igraph::InterferenceGraph;
 pub use spill::{spill_to_k, weighted_spill_traffic, SpillStats, SpillStrategy};
 pub use webs::{destruct_via_webs, destruct_via_webs_traced, WebStats};

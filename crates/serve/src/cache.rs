@@ -9,7 +9,7 @@
 //! ```text
 //! key = fnv64( "schema=" CACHE_SCHEMA
 //!              ";" CompileRequest::cache_signature()   (pipeline, fold,
-//!                  opt, verify, simplify, alloc, fail mode, fuel)
+//!                  opt, verify, simplify, k, fail mode, fuel)
 //!              ";fn=" canonical function text )
 //! ```
 //!
@@ -71,8 +71,9 @@ use crate::disk::{DiskCache, DiskStats};
 /// key-layout changes within a release. Part of every key, so bumping
 /// either invalidates the whole cache. Rev 2: the optimiser pipelines
 /// gained the alias-gated memory passes, changing compiled output for
-/// unchanged sources.
-pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/3");
+/// unchanged sources. Rev 4: the request signature dropped its
+/// `alloc=` field.
+pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/4");
 
 /// 64-bit FNV-1a. Stable across platforms and releases (unlike
 /// `DefaultHasher`, which documents no such guarantee), which matters

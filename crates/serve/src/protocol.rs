@@ -11,9 +11,8 @@
 //!              -- compile only:
 //!              "source": string, "lang"?: "minilang" | "ir",
 //!              "request"?: { pipeline?, fold?, opt?, verify_each?,
-//!                            simplify?, alloc?, k_registers?,
-//!                            fail_mode?, fuel?, deadline_ms?, jobs?,
-//!                            format? },
+//!                            simplify?, k_registers?, fail_mode?,
+//!                            fuel?, deadline_ms?, jobs?, format? },
 //!              "report"?: bool, "cache"?: bool, "timing"?: bool }
 //! response = { "v": 1, "id": <echo>, "ok": true, ... }
 //!          | { "v": 1, "id": <echo>, "ok": false,

@@ -73,7 +73,8 @@ fn main() {
         alloc.rounds
     );
 
-    fcc::regalloc::verify_coloring(&func, &alloc.coloring, k).expect("proper colouring");
+    let diags = audit_allocation(&func, &alloc.coloring, k as u32, func.spill_slot_count());
+    assert!(diags.is_empty(), "infeasible allocation: {diags:?}");
     let out = run_with_memory(&func, &[64], vec![0; config.memory_words], config.fuel)
         .expect("compiled code runs");
     assert_eq!(

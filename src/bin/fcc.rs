@@ -50,7 +50,6 @@ const REQUEST_FLAGS: &[Flag] = &[
     "opt: run the optimiser on the SSA (copy-preserving for the briggs pipelines)",
     "verify-each: lint between phases and audit the destruction, naming the failing pass",
     "simplify: simplify the CFG after destruction",
-    "alloc K: colour with K >= 2 registers after destruction",
     "k-registers K: spill to pressure <= K, colour with exactly K >= 2 registers, audit",
     "fail-mode M: abort (default) | skip | degrade: what a failed function does to the batch",
     "fuel N: per-attempt step budget; running out fails the function, naming the pass",
@@ -86,7 +85,7 @@ const COMMANDS: &[Command] = &[
         about: "Compile MiniLang source (one function, a module, a bundled kernel, or kernel:*\n\
                 for the whole suite) and print the final IR. `build` may be omitted. The\n\
                 subcommands are lint, analyze, pressure, fuzz and serve (fcc <name> --help).",
-        request: "pipeline no-fold opt verify-each simplify alloc k-registers \
+        request: "pipeline no-fold opt verify-each simplify k-registers \
                   jobs fail-mode fuel format deny-warnings",
         flags: &[
             "emit STAGE: print IR at cfg | ssa | final (the default)",
@@ -156,7 +155,7 @@ const COMMANDS: &[Command] = &[
                 each --socket connection), one response per line, with a content-addressed\n\
                 function cache between requests (DESIGN.md §11, §15). The request flags set\n\
                 the daemon defaults; a request line's \"request\" object overrides them.",
-        request: "pipeline no-fold opt verify-each simplify alloc k-registers \
+        request: "pipeline no-fold opt verify-each simplify k-registers \
                   fail-mode fuel jobs format deadline-ms",
         flags: &[
             "cache-budget BYTES: function-cache byte budget (default 256 MiB)",

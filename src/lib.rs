@@ -17,7 +17,7 @@
 //! | [`alias`] | memory/alias analysis on those fixpoints: alias verdicts, memory-state lattice, `mem-*` checkers |
 //! | [`ssa`] | SSA construction (3 flavours, copy folding), parallel copies, Standard destruction |
 //! | [`core`] | **the paper's algorithm**: dominance forest + coalescing SSA destruction |
-//! | [`driver`] | the one pipeline definition (`PipelineSpec`, `ssa_stage`, `destruction_stage`), batch compilation on a work-stealing pool, differential fuzzer, fault-tolerant degradation ladder, the unified `CompileRequest` entry point (`fcc --jobs`, `fcc lint`, `fcc fuzz`, `--fail-mode`) |
+//! | [`driver`] | the one pipeline definition (`PipelineSpec`, `ssa_stage`, `spill_stage`, `destruction_stage`, `allocation_stage`), batch compilation on a work-stealing pool, differential fuzzer, fault-tolerant degradation ladder, the unified `CompileRequest` entry point (`fcc --jobs`, `fcc lint`, `fcc fuzz`, `--fail-mode`) |
 //! | [`serve`] | the compile service: JSONL daemon, content-addressed incremental function cache, crash-safe persistent store (`fcc serve`) |
 //! | [`regalloc`] | interference graphs, Briggs / Briggs\* coalescers, colouring allocator |
 //! | [`pressure`] | register pressure: MaxLive, chordality certificates (MaxLive = χ), spill costs, k-feasibility audit (`fcc pressure`) |

@@ -2,7 +2,7 @@
 //! `--help` lists is accepted, a request flag a subcommand does not take
 //! is refused, each `fcc serve` request flag sets its daemon default
 //! exactly as the same key does on the wire, and `--inject` is the one
-//! fault-injection flag.
+//! fault-injection flag, honoured by `fcc fuzz` in every pass it runs.
 
 use fcc::analysis::fault::Fault;
 use std::io::Write;
@@ -108,6 +108,10 @@ fn a_request_flag_a_subcommand_does_not_take_exits_1() {
         // deny_warnings can fail a compile but is outside the cache
         // signature, so the daemon must not take it.
         &["serve", "--deny-warnings"],
+        // --k-registers is the one allocation flag; no command takes
+        // --alloc.
+        &["--alloc", "8"],
+        &["serve", "--alloc", "8"],
     ] {
         let out = fcc(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -149,7 +153,6 @@ fn each_serve_request_flag_answers_as_its_wire_key() {
         (&["--opt"], r#""opt":true"#),
         (&["--verify-each"], r#""verify_each":true"#),
         (&["--simplify"], r#""simplify":true"#),
-        (&["--alloc", "3"], r#""alloc":3"#),
         (&["--k-registers", "3"], r#""k_registers":3"#),
         (&["--fail-mode", "degrade"], r#""fail_mode":"degrade""#),
         (&["--fuel", "40"], r#""fuel":40"#),
@@ -252,4 +255,41 @@ fn a_solver_spin_without_fuel_is_refused_naming_fuel() {
     ];
     let out = fcc(&fueled);
     assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
+fn fuzz_honours_an_injected_panic_in_the_k_register_stages() {
+    // The fuzzer's k-register sweep runs the driver's own spill and
+    // allocation stages, so a panic injected into either pass is found
+    // there exactly as `fcc build --k-registers` finds it.
+    let dir = std::env::temp_dir().join(format!("fcc-cli-inject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let repro_dir = dir.to_str().expect("a UTF-8 path");
+    let campaign = [
+        "fuzz",
+        "--seeds",
+        "2",
+        "--shrink-budget",
+        "1",
+        "--repro-dir",
+        repro_dir,
+    ];
+    let clean = fcc(&campaign);
+    assert!(clean.status.success(), "{}", stderr(&clean));
+    assert!(
+        stderr(&clean).contains(" 0 failure(s)"),
+        "{}",
+        stderr(&clean)
+    );
+    for pass in ["spill", "allocate"] {
+        let fault = format!("panic:{pass}");
+        let out = fcc(&[&campaign[..], &["--inject", &fault]].concat());
+        assert_eq!(out.status.code(), Some(1), "{fault}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("'{pass}'")),
+            "{fault} names its pass: {}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
 //! End-to-end register allocation on coalesced kernels: the paper's
 //! "future work" pipeline (New coalescing feeding a Chaitin/Briggs
-//! allocator), validated for colouring correctness and semantics.
+//! allocator), certified by the feasibility auditor and checked for
+//! semantics.
 
 use fcc::interp::run_with_memory;
 use fcc::prelude::*;
@@ -14,6 +15,12 @@ fn run_spilled(f: &Function, args: &[i64]) -> (Option<i64>, u64) {
     (out.ret, out.dynamic_copies)
 }
 
+/// The feasibility auditor accepts `alloc` of `f` for `regs` registers.
+fn assert_certified(f: &Function, alloc: &fcc::regalloc::Allocation, regs: usize, name: &str) {
+    let diags = audit_allocation(f, &alloc.coloring, regs as u32, f.spill_slot_count());
+    assert!(diags.is_empty(), "{name} k={regs}: {diags:?}");
+}
+
 #[test]
 fn allocate_after_new_coalescing() {
     for k in kernels().iter().take(8) {
@@ -25,8 +32,7 @@ fn allocate_after_new_coalescing() {
             let mut g = f.clone();
             let alloc = allocate(&mut g, &AllocOptions { registers: regs })
                 .unwrap_or_else(|e| panic!("{} k={regs}: {e}", k.name));
-            fcc::regalloc::verify_coloring(&g, &alloc.coloring, regs)
-                .unwrap_or_else(|e| panic!("{} k={regs}: {e}", k.name));
+            assert_certified(&g, &alloc, regs, k.name);
             let (out, _) = run_spilled(&g, k.args);
             assert_eq!(out, reference, "{} k={regs}", k.name);
         }
@@ -69,7 +75,7 @@ fn tiny_register_files_still_converge() {
     let alloc =
         allocate(&mut f, &AllocOptions { registers: 3 }).expect("k=3 converges via spilling");
     assert!(!alloc.spilled.is_empty(), "fpppp at k=3 must spill");
-    fcc::regalloc::verify_coloring(&f, &alloc.coloring, 3).unwrap();
+    assert_certified(&f, &alloc, 3, k.name);
     let (out, _) = run_spilled(&f, k.args);
     assert_eq!(out, reference);
 }

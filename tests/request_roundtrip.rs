@@ -80,7 +80,6 @@ fn cache_signature_covers_output_affecting_fields_only() {
         base.clone().opt(true),
         base.clone().verify_each(true),
         base.clone().simplify(true),
-        base.clone().alloc(Some(8)),
         base.clone().k_registers(Some(8)),
         base.clone().fail_mode(FailMode::Degrade),
         base.clone().fuel(Some(1000)),
@@ -103,18 +102,18 @@ fn signatures_are_stable_across_processes() {
     // invalidates every cache, so pin the exact format.
     assert_eq!(
         CompileRequest::new().cache_signature(),
-        "pipeline=new fold=true opt=false verify=false simplify=false alloc=- k=- fail=abort fuel=-"
+        "pipeline=new fold=true opt=false verify=false simplify=false k=- fail=abort fuel=-"
     );
     assert_eq!(
         CompileRequest::new()
             .pipeline(PipelineSpec::BriggsStar)
             .fold(false)
             .opt(true)
-            .alloc(Some(16))
+            .k_registers(Some(16))
             .fail_mode(FailMode::Degrade)
             .fuel(Some(500))
             .cache_signature(),
-        "pipeline=briggs-star fold=false opt=true verify=false simplify=false alloc=16 k=- fail=degrade fuel=500"
+        "pipeline=briggs-star fold=false opt=true verify=false simplify=false k=16 fail=degrade fuel=500"
     );
 }
 
@@ -144,11 +143,11 @@ fn validate_is_the_single_precondition_gate() {
     for k in [0, 1] {
         assert_eq!(
             CompileRequest::new()
-                .alloc(Some(k))
+                .k_registers(Some(k))
                 .validate()
                 .unwrap_err()
                 .kind(),
-            "alloc-too-few"
+            "k-registers-too-few"
         );
     }
 }

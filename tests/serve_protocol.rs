@@ -125,24 +125,46 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
 fn too_few_registers_is_a_422_typed_rejection_for_both_bounds() {
     let _quiet = Guard::lock();
     let d = daemon();
-    for (request, kind) in [
-        ("{\"alloc\":1}", "alloc-too-few"),
-        ("{\"k_registers\":1}", "k-registers-too-few"),
-    ] {
-        let line = compile_line("fn f(x) { return x; }", &format!(",\"request\":{request}"));
+    for k in [0, 1] {
+        let line = compile_line(
+            "fn f(x) { return x; }",
+            &format!(",\"request\":{{\"k_registers\":{k}}}"),
+        );
         let (resp, stop) = d.handle_line(&line);
         assert!(!stop);
         let err = parse(&resp).get("error").cloned().expect("a typed error");
         assert_eq!(err.get("code").unwrap().as_u64(), Some(422), "{resp}");
-        assert_eq!(err.get("kind").unwrap().as_str(), Some(kind), "{resp}");
+        assert_eq!(
+            err.get("kind").unwrap().as_str(),
+            Some("k-registers-too-few"),
+            "{resp}"
+        );
     }
     // Two registers is the floor, and it compiles.
-    let line = compile_line("fn f(x) { return x; }", ",\"request\":{\"alloc\":2}");
+    let line = compile_line("fn f(x) { return x; }", ",\"request\":{\"k_registers\":2}");
     let (resp, _) = d.handle_line(&line);
     assert_eq!(
         parse(&resp).get("ok").unwrap().as_bool(),
         Some(true),
         "{resp}"
+    );
+}
+
+#[test]
+fn the_removed_alloc_field_is_a_400_unknown_field() {
+    // `k_registers` is the one allocation knob; `alloc` is no longer a
+    // request field, so a line that sets it is not understood.
+    let _quiet = Guard::lock();
+    let d = daemon();
+    let line = compile_line("fn f(x) { return x; }", ",\"request\":{\"alloc\":2}");
+    let (resp, stop) = d.handle_line(&line);
+    assert!(!stop);
+    let err = parse(&resp).get("error").cloned().expect("a typed error");
+    assert_eq!(err.get("code").unwrap().as_u64(), Some(400), "{resp}");
+    assert_eq!(err.get("kind").unwrap().as_str(), Some("bad-request"));
+    assert_eq!(
+        err.get("message").unwrap().as_str(),
+        Some("unknown compile-request field \"alloc\"")
     );
 }
 
