@@ -1,24 +1,16 @@
 //! A dense, fixed-universe bit set.
 //!
-//! Liveness sets and interference rows are sets over a dense index space
-//! (values, live ranges), so a flat `u64` word vector beats any generic
-//! set. The set tracks its universe size for exact byte accounting — the
-//! memory comparisons in Tables 1 and 3 of the paper come down to how many
-//! of these words each algorithm allocates.
+//! Interference rows and the live set of a backward scan are sets over a
+//! dense index space (values, live ranges), so a flat `u64` word vector
+//! beats any generic set. The set tracks its universe size for exact byte
+//! accounting. Stored liveness is sparse instead: see
+//! [`crate::liveness`].
 
 /// A set of `usize` elements drawn from a fixed universe `0..len`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
-}
-
-impl Default for BitSet {
-    /// The empty set over the empty universe. Exists so that `BitSet` can
-    /// live in a `SecondaryMap`; resize by assigning `BitSet::new(n)`.
-    fn default() -> Self {
-        BitSet::new(0)
-    }
 }
 
 impl BitSet {
@@ -33,15 +25,6 @@ impl BitSet {
     /// The universe size this set was created with.
     pub fn universe(&self) -> usize {
         self.len
-    }
-
-    /// Widen the universe to `0..len`; the new elements start absent. A
-    /// `len` at or below the current universe changes nothing.
-    pub fn grow(&mut self, len: usize) {
-        if len > self.len {
-            self.words.resize(len.div_ceil(64), 0);
-            self.len = len;
-        }
     }
 
     /// Insert `i`. Returns `true` if it was not already present.
@@ -283,25 +266,6 @@ mod tests {
         assert_eq!(s.next_from(201), None);
         assert_eq!(s.next_from(10_000), None);
         assert_eq!(BitSet::new(0).next_from(0), None);
-    }
-
-    #[test]
-    fn grow_keeps_elements_and_only_widens() {
-        let mut s: BitSet = [3, 63].into_iter().collect();
-        s.grow(130);
-        assert_eq!(s.universe(), 130);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 63]);
-        assert!(s.insert(129));
-        s.grow(10);
-        assert_eq!(s.universe(), 130, "grow never shrinks");
-        let mut fresh = BitSet::new(130);
-        fresh.insert(3);
-        fresh.insert(63);
-        fresh.insert(129);
-        assert_eq!(
-            s, fresh,
-            "a grown set equals one built at the wider universe"
-        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Everything the coalescing algorithms consume:
 //!
-//! * [`bitset::BitSet`] — dense sets for liveness and interference rows;
+//! * [`bitset::BitSet`] — dense sets for interference rows and scan
+//!   state;
 //! * [`bitmatrix::TriangularBitMatrix`] — the `n²/2`-bit symmetric relation
 //!   underlying Chaitin-style interference graphs;
 //! * [`unionfind::UnionFind`] — `O(n·α(n))` disjoint sets for φ-webs and
@@ -11,7 +12,8 @@
 //!   preorder / max-preorder numbering (Tarjan) that gives the O(1)
 //!   dominance test used throughout the paper;
 //! * [`domtree::DominanceFrontiers`] — for SSA φ placement;
-//! * [`liveness::Liveness`] — φ-aware backward dataflow: φ arguments are
+//! * [`liveness::Liveness`] — φ-aware liveness by per-value path
+//!   exploration, held as sorted per-block lists: φ arguments are
 //!   live-out of their predecessor, never live-in at the φ's block;
 //! * [`loops::LoopNesting`] — natural-loop depths for the Briggs
 //!   "innermost loops first" coalescing heuristic;

@@ -1,7 +1,7 @@
 //! φ-aware live-variable analysis.
 //!
-//! A classical backward dataflow over per-block bit sets, with the φ
-//! convention the paper relies on (Section 3.1):
+//! Per-block live-in and live-out sets, with the φ convention the paper
+//! relies on (Section 3.1):
 //!
 //! * a φ argument `v` flowing from predecessor `p` is live-**out** of `p`,
 //!   but is **not** live-in to the φ's own block — the move "happens on the
@@ -11,195 +11,239 @@
 //! This is what lets the algorithm's first filter distinguish "`aᵢ` is
 //! live-in to the φ block" (a real interference: some other use needs the
 //! old value) from "`aᵢ` merely flows into the φ" (no interference).
+//!
+//! One solver serves every stage, SSA or not: [`Liveness::compute`]
+//! explores paths backward from each value's uses, one value at a time
+//! (Boissinot et al., "Computing Liveness Sets for SSA-Form Programs",
+//! INRIA RR-7503), and keeps each block's sets as sorted lists of value
+//! numbers, so the sets cost what they hold rather than blocks × values
+//! bits.
 
-use crate::bitset::BitSet;
-use fcc_ir::{Block, ControlFlowGraph, Function, InstKind, SecondaryMap, Value};
+use fcc_ir::{Block, ControlFlowGraph, Function, InstKind, Value};
 
 /// Per-block live-in/live-out sets over the value universe.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Liveness {
-    live_in: SecondaryMap<Block, BitSet>,
-    live_out: SecondaryMap<Block, BitSet>,
+    live_in: BlockLists,
+    live_out: BlockLists,
     universe: usize,
-    iterations: usize,
 }
 
-impl Liveness {
-    /// Compute liveness for an **SSA** function by sparse per-variable
-    /// backward propagation (Appel/Boissinot style): from each use, walk
-    /// predecessors marking live-in/live-out until the (unique) defining
-    /// block stops the walk. Visits only blocks where something is
-    /// actually live, so it scales with the total size of live ranges
-    /// rather than `blocks × values` — the shape a fast SSA-destruction
-    /// pass wants.
-    ///
-    /// Produces exactly the same sets as [`compute`](Self::compute)
-    /// (property-checked); behaviour on non-SSA input (multiple
-    /// definitions) is *not* meaningful — use the dataflow version there.
-    pub fn compute_ssa(func: &Function, cfg: &ControlFlowGraph) -> Self {
-        let n = func.num_values();
-        let mut live_in: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-        let mut live_out: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-        for &b in cfg.postorder() {
-            live_in[b] = BitSet::new(n);
-            live_out[b] = BitSet::new(n);
-        }
+/// One sorted list of value numbers per block, stored back to back:
+/// block `b`'s members are `members[start[b]..start[b + 1]]`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct BlockLists {
+    start: Vec<u32>,
+    members: Vec<u32>,
+}
 
-        // Unique definition block per value.
-        let mut def_block: Vec<Option<Block>> = vec![None; n];
-        for &b in cfg.postorder() {
-            for &inst in func.block_insts(b) {
-                if let Some(d) = func.inst(inst).dst {
-                    def_block[d.index()] = Some(b);
-                }
-            }
-        }
-
-        // Walk upward from a block where `v` is live-in, marking
-        // predecessors' live-out (and transitively their live-in) until
-        // the defining block terminates the walk.
-        let mut stack: Vec<Block> = Vec::new();
-        let up = |v: Value,
-                  start: Block,
-                  live_in: &mut SecondaryMap<Block, BitSet>,
-                  live_out: &mut SecondaryMap<Block, BitSet>,
-                  stack: &mut Vec<Block>| {
-            let dv = def_block[v.index()];
-            if dv == Some(start) {
-                return; // defined here: live only inside the block
-            }
-            if !live_in[start].insert(v.index()) {
-                return; // already propagated from here
-            }
-            stack.push(start);
-            while let Some(b) = stack.pop() {
-                for &p in cfg.preds(b) {
-                    live_out[p].insert(v.index());
-                    if dv == Some(p) {
-                        continue; // the walk stops at the definition
-                    }
-                    if live_in[p].insert(v.index()) {
-                        stack.push(p);
-                    }
-                }
-            }
-        };
-
-        for &b in cfg.postorder() {
-            for &inst in func.block_insts(b) {
-                let data = func.inst(inst);
-                data.kind.for_each_use(|v| {
-                    up(v, b, &mut live_in, &mut live_out, &mut stack);
-                });
-                if let InstKind::Phi { args } = &data.kind {
-                    // φ args are live-out of their predecessor edge; the
-                    // upward walk starts *at the predecessor*.
-                    for a in args {
-                        if !cfg.is_reachable(a.pred) {
-                            continue;
-                        }
-                        live_out[a.pred].insert(a.value.index());
-                        up(a.value, a.pred, &mut live_in, &mut live_out, &mut stack);
-                    }
-                }
-            }
-        }
-
-        Liveness {
-            live_in,
-            live_out,
-            universe: n,
-            iterations: 1,
+impl BlockLists {
+    fn get(&self, block: Block) -> &[u32] {
+        let b = block.index();
+        match self.start.get(b..b + 2) {
+            Some(&[lo, hi]) => &self.members[lo as usize..hi as usize],
+            _ => &[],
         }
     }
 
-    /// Compute liveness for `func`.
+    /// The lists without the members `keep` rejects, each followed by
+    /// the `(block, value)` entries of `extra` for its block. `extra` is
+    /// sorted, and its values exceed every member.
+    fn rewritten(&self, keep: impl Fn(u32) -> bool, extra: &[(u32, u32)]) -> BlockLists {
+        let len = self.members.iter().filter(|&&v| keep(v)).count() + extra.len();
+        let mut members = Vec::with_capacity(len);
+        let mut start = Vec::with_capacity(self.start.len());
+        let mut extra = extra.iter().peekable();
+        start.push(0);
+        for w in self.start.windows(2) {
+            let b = start.len() as u32 - 1;
+            let old = &self.members[w[0] as usize..w[1] as usize];
+            members.extend(old.iter().copied().filter(|&v| keep(v)));
+            members.extend(std::iter::from_fn(|| {
+                extra.next_if(|e| e.0 == b).map(|e| e.1)
+            }));
+            start.push(members.len() as u32);
+        }
+        BlockLists { start, members }
+    }
+
+    /// Heap bytes, counted as [`crate::BitSet::bytes`] counts its words.
+    fn bytes(&self) -> usize {
+        (self.start.capacity() + self.members.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Stable counting sort: `(start, items)` with the items of `pairs` whose
+/// key is `k`, in their order in `pairs`, at `items[start[k]..start[k +
+/// 1]]`. Neither vector has spare capacity.
+fn group<T: Copy + Default>(keys: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; keys + 1];
+    for &(k, _) in pairs {
+        start[k as usize] += 1;
+    }
+    let mut end = 0u32;
+    for s in &mut start {
+        end += *s;
+        *s = end;
+    }
+    let mut items = vec![T::default(); pairs.len()];
+    for &(k, item) in pairs.iter().rev() {
+        let s = &mut start[k as usize];
+        *s -= 1;
+        items[*s as usize] = item;
+    }
+    (start, items)
+}
+
+/// Where a value's walk starts or stops, by block index.
+#[derive(Clone, Copy, Default)]
+enum Site {
+    /// The block defines the value: the walk stops there.
+    #[default]
+    Def,
+    /// The block uses the value before any definition of it in the
+    /// block: the value is live-in there.
+    Use,
+    /// A φ reads the value on an edge out of the block: the value is
+    /// live-out there.
+    PhiArg,
+}
+
+/// Marks blocks as value `tag`'s walk reaches them. A mark equal to the
+/// tag of the value being walked means "yes"; anything else, "not yet".
+struct Walk<'a> {
+    cfg: &'a ControlFlowGraph,
+    tag: u32,
+    defines: Vec<u32>,
+    live_in: Vec<u32>,
+    live_out: Vec<u32>,
+    stack: Vec<Block>,
+    /// `(block, value)` for every live-in (live-out) membership found, in
+    /// value order.
+    in_pairs: Vec<(u32, u32)>,
+    out_pairs: Vec<(u32, u32)>,
+}
+
+impl Walk<'_> {
+    fn enter(&mut self, b: Block) {
+        let mark = &mut self.live_in[b.index()];
+        if *mark != self.tag {
+            *mark = self.tag;
+            self.in_pairs.push((b.index() as u32, self.tag));
+            self.stack.push(b);
+        }
+    }
+
+    fn leave(&mut self, b: Block) {
+        let mark = &mut self.live_out[b.index()];
+        if *mark != self.tag {
+            *mark = self.tag;
+            self.out_pairs.push((b.index() as u32, self.tag));
+            if self.defines[b.index()] != self.tag {
+                self.enter(b);
+            }
+        }
+    }
+
+    /// Follow every block the walk has entered up to its predecessors.
+    fn propagate(&mut self) {
+        while let Some(b) = self.stack.pop() {
+            for &p in self.cfg.preds(b) {
+                self.leave(p);
+            }
+        }
+    }
+}
+
+impl Liveness {
+    /// Compute liveness for `func`, SSA or not, over its reachable
+    /// blocks.
+    ///
+    /// One scan lists, per value, the blocks that define it, the blocks
+    /// that use it before defining it, and the predecessors whose edges
+    /// carry it into a φ. Then, for each value in index order, a walk
+    /// marks it live-in where it is used and live-out where a φ reads
+    /// it, and climbs predecessors from every block it enters, until a
+    /// block that defines it stops the climb. This is the textbook
+    /// definition — live-in at `b` iff some path from `b` reaches a use
+    /// with no definition on the way — read backward, so it is exact for
+    /// code with many definitions per value as well as for strict SSA,
+    /// irreducible loops included. The cost is the scan plus the total
+    /// size of the live ranges, in blocks; there is no fixpoint.
+    ///
+    /// A block's lists come out sorted because values are walked in
+    /// order, and are stored back to back with no spare capacity.
     pub fn compute(func: &Function, cfg: &ControlFlowGraph) -> Self {
+        const NONE: u32 = u32::MAX;
         let n = func.num_values();
-        let postorder = cfg.postorder();
+        let nb = func.num_blocks();
 
-        // Per-block defs and upward-exposed uses (φ args excluded from
-        // uses; φ dsts are defs).
-        let mut defs: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-        let mut ue: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-        // φ uses per *predecessor* edge: for each block, the values its
-        // successors' φs read from it.
-        let mut phi_out: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-
-        for &b in postorder {
-            let mut d = BitSet::new(n);
-            let mut u = BitSet::new(n);
+        let mut sites: Vec<(u32, (u32, Site))> = Vec::new();
+        let mut defined_in = vec![NONE; n];
+        let mut used_in = vec![NONE; n];
+        for &b in cfg.postorder() {
+            let bi = b.index() as u32;
             for &inst in func.block_insts(b) {
                 let data = func.inst(inst);
-                if !data.kind.is_phi() {
-                    data.kind.for_each_use(|v| {
-                        if !d.contains(v.index()) {
-                            u.insert(v.index());
-                        }
-                    });
-                }
-                if let Some(dst) = data.dst {
-                    d.insert(dst.index());
-                }
                 if let InstKind::Phi { args } = &data.kind {
-                    for a in args {
-                        if phi_out[a.pred].universe() != n {
-                            phi_out[a.pred] = BitSet::new(n);
-                        }
-                        phi_out[a.pred].insert(a.value.index());
+                    for a in args.iter().filter(|a| cfg.is_reachable(a.pred)) {
+                        let site = (a.pred.index() as u32, Site::PhiArg);
+                        sites.push((a.value.index() as u32, site));
+                    }
+                }
+                data.kind.for_each_use(|v| {
+                    let vi = v.index();
+                    if defined_in[vi] != bi && used_in[vi] != bi {
+                        used_in[vi] = bi;
+                        sites.push((vi as u32, (bi, Site::Use)));
+                    }
+                });
+                if let Some(d) = data.dst {
+                    if defined_in[d.index()] != bi {
+                        defined_in[d.index()] = bi;
+                        sites.push((d.index() as u32, (bi, Site::Def)));
                     }
                 }
             }
-            defs[b] = d;
-            ue[b] = u;
         }
-        for &b in postorder {
-            if phi_out[b].universe() != n {
-                phi_out[b] = BitSet::new(n);
+        let (site_start, sites) = group(n, &sites);
+
+        let mut walk = Walk {
+            cfg,
+            tag: NONE,
+            defines: vec![NONE; nb],
+            live_in: vec![NONE; nb],
+            live_out: vec![NONE; nb],
+            stack: Vec::new(),
+            in_pairs: Vec::new(),
+            out_pairs: Vec::new(),
+        };
+        for v in 0..n {
+            walk.tag = v as u32;
+            let here = &sites[site_start[v] as usize..site_start[v + 1] as usize];
+            for &(b, site) in here {
+                if let Site::Def = site {
+                    walk.defines[b as usize] = walk.tag;
+                }
+            }
+            for &(b, site) in here {
+                match site {
+                    Site::Def => continue,
+                    Site::Use => walk.enter(Block::new(b as usize)),
+                    Site::PhiArg => walk.leave(Block::new(b as usize)),
+                }
+                walk.propagate();
             }
         }
 
-        let mut live_in: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-        let mut live_out: SecondaryMap<Block, BitSet> = SecondaryMap::new();
-        for &b in postorder {
-            live_in[b] = BitSet::new(n);
-            live_out[b] = BitSet::new(n);
-        }
-
-        // Collect, per block, which successor φs read which of *our*
-        // values: live-out(b) ⊇ { v | φ in succ s has arg [b: v] }.
-        // phi_out[b] computed above is exactly that union.
-
-        let mut iterations = 0;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            iterations += 1;
-            // Backward problem: postorder of the forward CFG converges
-            // quickly (each block is visited after its successors on
-            // acyclic paths).
-            for &b in postorder {
-                let mut out = phi_out[b].clone();
-                for &s in cfg.succs(b) {
-                    out.union_with(&live_in[s]);
-                }
-                if out != live_out[b] {
-                    live_out[b] = out.clone();
-                }
-                out.difference_with(&defs[b]);
-                out.union_with(&ue[b]);
-                if out != live_in[b] {
-                    live_in[b] = out;
-                    changed = true;
-                }
-            }
-        }
-
+        let lists = |pairs: &[(u32, u32)]| {
+            let (start, members) = group(nb, pairs);
+            BlockLists { start, members }
+        };
         Liveness {
-            live_in,
-            live_out,
+            live_in: lists(&walk.in_pairs),
+            live_out: lists(&walk.out_pairs),
             universe: n,
-            iterations,
         }
     }
 
@@ -221,9 +265,10 @@ impl Liveness {
     ///   and edges are unchanged, so nothing else moves.
     ///
     /// The universe grows to `universe`, the function's new value count.
-    /// The result is exactly what [`compute`](Self::compute) (or
-    /// [`compute_ssa`](Self::compute_ssa), for strict SSA) gives on the
-    /// rewritten function, on every reachable block.
+    /// The result is exactly what [`compute`](Self::compute) gives on the
+    /// rewritten function: one pass over the lists drops the spilled
+    /// values and appends the temporaries, which are newer than every
+    /// member.
     pub fn spill_rewritten(
         &mut self,
         cfg: &ControlFlowGraph,
@@ -231,42 +276,41 @@ impl Liveness {
         spilled: &[Value],
         edge_reloads: &[(Block, Value)],
     ) {
-        let mut gone = BitSet::new(universe);
+        let mut gone = vec![false; self.universe];
         for v in spilled {
-            gone.insert(v.index());
+            gone[v.index()] = true;
         }
-        for &b in cfg.postorder() {
-            for set in [&mut self.live_in[b], &mut self.live_out[b]] {
-                set.grow(universe);
-                set.difference_with(&gone);
-            }
-        }
-        for &(pred, temp) in edge_reloads {
-            if cfg.is_reachable(pred) {
-                self.live_out[pred].insert(temp.index());
-            }
-        }
+        let keep = |v: u32| !gone[v as usize];
+        let mut temps: Vec<(u32, u32)> = edge_reloads
+            .iter()
+            .filter(|&&(pred, _)| cfg.is_reachable(pred))
+            .map(|&(pred, t)| (pred.index() as u32, t.index() as u32))
+            .collect();
+        temps.sort_unstable();
+        temps.dedup();
+        self.live_in = self.live_in.rewritten(keep, &[]);
+        self.live_out = self.live_out.rewritten(keep, &temps);
         self.universe = universe;
     }
 
-    /// The live-in set of `block`.
-    pub fn live_in(&self, block: Block) -> &BitSet {
-        &self.live_in[block]
+    /// The live-in set of `block`, as sorted value numbers.
+    pub fn live_in(&self, block: Block) -> &[u32] {
+        self.live_in.get(block)
     }
 
-    /// The live-out set of `block`.
-    pub fn live_out(&self, block: Block) -> &BitSet {
-        &self.live_out[block]
+    /// The live-out set of `block`, as sorted value numbers.
+    pub fn live_out(&self, block: Block) -> &[u32] {
+        self.live_out.get(block)
     }
 
     /// Whether `v` is live-in at `block`.
     pub fn is_live_in(&self, v: Value, block: Block) -> bool {
-        self.live_in[block].contains(v.index())
+        contains(self.live_in(block), v)
     }
 
     /// Whether `v` is live-out of `block`.
     pub fn is_live_out(&self, v: Value, block: Block) -> bool {
-        self.live_out[block].contains(v.index())
+        contains(self.live_out(block), v)
     }
 
     /// The value-universe size the sets were computed over.
@@ -274,17 +318,116 @@ impl Liveness {
         self.universe
     }
 
-    /// Number of fixpoint sweeps performed (for the efficiency tables).
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
     /// Heap bytes used by the live sets.
     pub fn bytes(&self) -> usize {
-        let per = |m: &SecondaryMap<Block, BitSet>| -> usize {
-            (0..m.len()).map(|i| m[Block::new(i)].bytes()).sum()
+        self.live_in.bytes() + self.live_out.bytes()
+    }
+}
+
+fn contains(list: &[u32], v: Value) -> bool {
+    list.binary_search(&(v.index() as u32)).is_ok()
+}
+
+impl Liveness {
+    /// Check these sets against the definition of liveness, deciding
+    /// each (value, reachable block) pair by its own search: `v` is
+    /// live-out of `b` iff a φ reads it on an edge out of `b`, or some
+    /// path from `b`'s end reaches a block whose first mention of `v` is
+    /// a use, or whose out-edge a φ reads `v` on, with no block on the
+    /// way defining `v` first; it is live-in iff `b` uses it before
+    /// defining it, or neither uses nor defines it and it is live-out.
+    /// Unreachable blocks must have empty sets.
+    ///
+    /// Shares nothing with [`compute`](Self::compute) but the φ
+    /// convention. The cost is values × blocks searches, each linear in
+    /// the CFG: a test oracle, not an analysis.
+    pub fn check_by_search(&self, func: &Function, cfg: &ControlFlowGraph) -> Result<(), String> {
+        const USE: u8 = 1;
+        const DEF: u8 = 2;
+        let n = func.num_values();
+        if self.universe != n {
+            return Err(format!("universe {} for {n} values", self.universe));
+        }
+        let nb = func.num_blocks();
+        // Per (block, value): what the block does with the value first,
+        // and whether a φ reads the value on an edge out of the block.
+        let mut first = vec![0u8; nb * n];
+        let mut phi_read = vec![false; nb * n];
+        for b in func.blocks().filter(|&b| cfg.is_reachable(b)) {
+            let row = &mut first[b.index() * n..][..n];
+            for &inst in func.block_insts(b) {
+                let data = func.inst(inst);
+                data.kind.for_each_use(|v| {
+                    if row[v.index()] == 0 {
+                        row[v.index()] = USE;
+                    }
+                });
+                if let Some(d) = data.dst {
+                    if row[d.index()] == 0 {
+                        row[d.index()] = DEF;
+                    }
+                }
+                if let InstKind::Phi { args } = &data.kind {
+                    for a in args {
+                        phi_read[a.pred.index() * n + a.value.index()] = true;
+                    }
+                }
+            }
+        }
+
+        let mut seen = vec![usize::MAX; nb];
+        let mut stack: Vec<Block> = Vec::new();
+        let mut live_out = |v: usize, b: Block, query: usize| {
+            if phi_read[b.index() * n + v] {
+                return true;
+            }
+            stack.clear();
+            stack.extend(cfg.succs(b));
+            while let Some(s) = stack.pop() {
+                if std::mem::replace(&mut seen[s.index()], query) == query {
+                    continue;
+                }
+                match first[s.index() * n + v] {
+                    USE => return true,
+                    DEF => continue,
+                    _ if phi_read[s.index() * n + v] => return true,
+                    _ => stack.extend(cfg.succs(s)),
+                }
+            }
+            false
         };
-        per(&self.live_in) + per(&self.live_out)
+        // A value that no block reads before defining it, and no φ
+        // reads, is live nowhere: its searches would all fail.
+        let mut read = vec![false; n];
+        for (i, (&f, &p)) in first.iter().zip(&phi_read).enumerate() {
+            read[i % n] |= f == USE || p;
+        }
+        for b in func.blocks() {
+            let (mut want_in, mut want_out) = (Vec::new(), Vec::new());
+            if cfg.is_reachable(b) {
+                for v in (0..n).filter(|&v| read[v]) {
+                    let out = live_out(v, b, b.index() * n + v);
+                    let here = first[b.index() * n + v];
+                    if here == USE || (here == 0 && out) {
+                        want_in.push(v as u32);
+                    }
+                    if out {
+                        want_out.push(v as u32);
+                    }
+                }
+            }
+            for (what, got, want) in [
+                ("live-in", self.live_in(b), want_in),
+                ("live-out", self.live_out(b), want_out),
+            ] {
+                if got != want {
+                    return Err(format!(
+                        "{what} of {b} is {got:?}; the search finds {want:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -477,20 +620,11 @@ mod tests {
         assert_eq!(cfg, ControlFlowGraph::compute(&g));
         let spilled = [Value::new(0), Value::new(1)];
         let edge = [(Block::new(1), Value::new(6))];
-        for (mut live, fresh) in [
-            (Liveness::compute(&f, &cfg), Liveness::compute(&g, &cfg)),
-            (
-                Liveness::compute_ssa(&f, &cfg),
-                Liveness::compute_ssa(&g, &cfg),
-            ),
-        ] {
-            live.spill_rewritten(&cfg, g.num_values(), &spilled, &edge);
-            assert_eq!(live.universe(), fresh.universe());
-            for b in g.blocks() {
-                assert_eq!(live.live_in(b), fresh.live_in(b), "live-in {b}");
-                assert_eq!(live.live_out(b), fresh.live_out(b), "live-out {b}");
-            }
-        }
+        let mut live = Liveness::compute(&f, &cfg);
+        live.spill_rewritten(&cfg, g.num_values(), &spilled, &edge);
+        assert_eq!(live, Liveness::compute(&g, &cfg));
+        assert_eq!(live.bytes(), Liveness::compute(&g, &cfg).bytes());
+        assert_eq!(live.live_out(Block::new(1)), [6]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! rewrite work: liveness and dominators are *assumed available*, the
 //! shape a real compiler uses, where analyses are shared between passes.
 //! [`AnalysisManager`] makes that assumption real: every consumer pulls
-//! `ControlFlowGraph`, `DomTree`, [`Liveness`] (dataflow or SSA-sparse),
+//! `ControlFlowGraph`, `DomTree`, [`Liveness`] (two slots, one solver),
 //! and [`LoopNesting`] from one cache keyed on the function's
 //! modification [epoch](fcc_ir::Function::epoch), so a phase that did not
 //! change the code pays nothing for the next phase's analyses.
@@ -295,7 +295,7 @@ impl AnalysisManager {
         rc
     }
 
-    /// φ-aware dataflow liveness (works on non-SSA code too).
+    /// φ-aware liveness (SSA or φ-free code).
     pub fn liveness(&mut self, func: &Function) -> Rc<Liveness> {
         let epoch = func.epoch();
         if let Some(hit) = self.liveness.get(epoch) {
@@ -309,8 +309,9 @@ impl AnalysisManager {
         rc
     }
 
-    /// Sparse SSA liveness (requires strict SSA; same sets as
-    /// [`Self::liveness`], computed per-variable from def/use chains).
+    /// Liveness for SSA-stage consumers: the same solver as
+    /// [`Self::liveness`], cached in a slot of its own whose hits and
+    /// misses are counted apart.
     pub fn liveness_ssa(&mut self, func: &Function) -> Rc<Liveness> {
         let epoch = func.epoch();
         if let Some(hit) = self.liveness_ssa.get(epoch) {
@@ -319,9 +320,7 @@ impl AnalysisManager {
         }
         let cfg = self.cfg(func);
         self.counters.liveness_ssa.misses += 1;
-        let rc = self
-            .liveness_ssa
-            .put(epoch, Liveness::compute_ssa(func, &cfg));
+        let rc = self.liveness_ssa.put(epoch, Liveness::compute(func, &cfg));
         self.note_bytes();
         rc
     }
@@ -341,10 +340,10 @@ impl AnalysisManager {
         rc
     }
 
-    /// Per-point register pressure from sparse SSA liveness (computes
+    /// Per-point register pressure from the SSA liveness slot (computes
     /// and caches CFG + SSA liveness on the way). Requires strict SSA;
-    /// for post-destruction code compute [`Pressure`] directly from the
-    /// dataflow [`Self::liveness`].
+    /// for post-destruction code compute [`Pressure`] directly from
+    /// [`Self::liveness`].
     pub fn pressure(&mut self, func: &Function) -> Rc<Pressure> {
         let epoch = func.epoch();
         if let Some(hit) = self.pressure.get(epoch) {
@@ -497,7 +496,7 @@ impl AnalysisManager {
         self.domtree.get(func.epoch())
     }
 
-    /// The cached dataflow liveness, if valid for `func`'s current epoch.
+    /// The cached liveness, if valid for `func`'s current epoch.
     pub fn cached_liveness(&self, func: &Function) -> Option<Rc<Liveness>> {
         self.liveness.get(func.epoch())
     }

@@ -65,12 +65,10 @@ impl Point {
 /// its live set and that set's size, walking each block backward from
 /// `live.live_out`.
 ///
-/// `live` may be either liveness flavour: `compute_ssa` for strict SSA
-/// input, or the dataflow `compute` for arbitrary (e.g. post-destruction)
-/// code. The set passed to `visit` is reused between calls — copy out
-/// what must be kept. The count is kept up to date through every insert
-/// and remove, so a visitor that only needs the pressure never scans the
-/// set.
+/// `live` is [`Liveness::compute`] of `func`, SSA or φ-free. The set
+/// passed to `visit` is reused between calls — copy out what must be
+/// kept. The count is kept up to date through every insert and remove,
+/// so a visitor that only needs the pressure never scans the set.
 pub fn for_each_point(
     func: &Function,
     cfg: &ControlFlowGraph,
@@ -83,8 +81,10 @@ pub fn for_each_point(
             continue;
         }
         set.clear();
-        set.union_with(live.live_out(b));
-        let mut count = set.count();
+        for &v in live.live_out(b) {
+            set.insert(v as usize);
+        }
+        let mut count = live.live_out(b).len();
         visit(Point::Exit(b), &set, count);
 
         let insts = func.block_insts(b);

@@ -137,7 +137,7 @@ fn main() {
     print!("{}", table.render());
     println!(
         "\nclaim: O(n*alpha(n)) for the conversion proper (ns/phi-arg roughly flat). Analyses \
-         use the sparse SSA liveness; the interference-graph coalescer's time and bit matrix \
+         use the path-exploration liveness; the interference-graph coalescer's time and bit matrix \
          grow quadratically"
     );
 

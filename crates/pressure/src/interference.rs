@@ -24,9 +24,8 @@ pub struct InterferenceRelation {
 }
 
 impl InterferenceRelation {
-    /// Build the relation from liveness. Either flavour works: sparse
-    /// SSA liveness for pre-destruction code, dataflow liveness for
-    /// φ-free post-destruction code.
+    /// Build the relation from `live`, [`Liveness::compute`] of `func`,
+    /// before destruction or after it.
     pub fn build(func: &Function, cfg: &ControlFlowGraph, live: &Liveness) -> Self {
         let n = func.num_values();
         let mut adj = vec![BitSet::new(n); n];

@@ -198,13 +198,13 @@ fn mcs_verdict_matches_cycle_oracle_on_random_graphs() {
 /// and scalar code instead of bitset walks.
 fn brute_force_maxlive(func: &Function) -> u32 {
     let cfg = ControlFlowGraph::compute(func);
-    let live = Liveness::compute_ssa(func, &cfg);
+    let live = Liveness::compute(func, &cfg);
     let mut max = 0usize;
     for b in func.blocks() {
         if !cfg.is_reachable(b) {
             continue;
         }
-        let mut now: HashSet<usize> = live.live_out(b).iter().collect();
+        let mut now: HashSet<usize> = live.live_out(b).iter().map(|&v| v as usize).collect();
         max = max.max(now.len());
         let insts = func.block_insts(b);
         let phis = insts

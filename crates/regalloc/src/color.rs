@@ -370,8 +370,8 @@ impl Graph {
             for v in members.drain(..) {
                 at[v as usize] = NONE;
             }
-            for v in live.live_out(b) {
-                insert(&mut members, &mut at, v);
+            for &v in live.live_out(b) {
+                insert(&mut members, &mut at, v as usize);
             }
             for &inst in func.block_insts(b).iter().rev() {
                 let data = func.inst(inst);

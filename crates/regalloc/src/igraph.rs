@@ -36,8 +36,6 @@ pub struct InterferenceGraph {
     adj: Vec<Vec<u32>>,
     /// value index → compact node id (`u32::MAX` = untracked).
     map: Vec<u32>,
-    /// compact node id → value index (for diagnostics).
-    rev: Vec<u32>,
 }
 
 const UNTRACKED: u32 = u32::MAX;
@@ -62,31 +60,24 @@ impl InterferenceGraph {
             "interference graphs are built on phi-free code"
         );
         let n = func.num_values();
-        let mut map = vec![UNTRACKED; n];
-        let rev: Vec<u32> = match restrict_to {
-            None => {
-                for (i, m) in map.iter_mut().enumerate() {
-                    *m = i as u32;
-                }
-                (0..n as u32).collect()
-            }
+        let (map, dim) = match restrict_to {
+            None => ((0..n as u32).collect(), n),
             Some(values) => {
-                let mut rev = Vec::with_capacity(values.len());
+                let mut map = vec![UNTRACKED; n];
+                let mut dim = 0;
                 for &v in values {
                     if map[v.index()] == UNTRACKED {
-                        map[v.index()] = rev.len() as u32;
-                        rev.push(v.index() as u32);
+                        map[v.index()] = dim as u32;
+                        dim += 1;
                     }
                 }
-                rev
+                (map, dim)
             }
         };
-        let dim = rev.len();
         let mut g = InterferenceGraph {
             matrix: TriangularBitMatrix::new(dim),
             adj: vec![Vec::new(); dim],
             map,
-            rev,
         };
 
         let mut live_set = BitSet::new(n);
@@ -95,7 +86,9 @@ impl InterferenceGraph {
                 continue;
             }
             live_set.clear();
-            live_set.union_with(live.live_out(b));
+            for &v in live.live_out(b) {
+                live_set.insert(v as usize);
+            }
             for &inst in func.block_insts(b).iter().rev() {
                 let data = func.inst(inst);
                 // Chaitin's copy rule: the move source does not interfere
@@ -192,7 +185,6 @@ impl InterferenceGraph {
             + self.adj.iter().map(|a| a.capacity() * 4).sum::<usize>()
             + self.adj.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.map.capacity() * 4
-            + self.rev.capacity() * 4
     }
 }
 

@@ -207,7 +207,7 @@ impl Frame {
         let cfg = ControlFlowGraph::compute(func);
         let loops = LoopNesting::compute(&cfg, &DomTree::compute(func, &cfg));
         let costs = SpillCosts::compute(func, &cfg, &loops);
-        let live = Liveness::compute_ssa(func, &cfg);
+        let live = Liveness::compute(func, &cfg);
         let n = func.num_values();
         let mut no_spill = vec![false; n];
         let mut use_count = vec![0usize; n];
@@ -395,7 +395,8 @@ fn rewrite(
     // Sites are block-local positions in the round's starting layout.
     // A def site is the gap its spill goes into: right after an ordinary
     // definition, but after the whole group for a φ (φs are defined in
-    // parallel) or a param (params must stay a prefix of the entry).
+    // parallel) or a param (a run of params stays unbroken). The params
+    // need not start the entry: strictness inits go in front of them.
     let mut defs: Vec<Option<(Block, usize)>> = vec![None; victims.len()];
     let mut uses: Vec<Vec<(Block, usize, Inst)>> = vec![Vec::new(); victims.len()];
     let mut phi_uses: Vec<Vec<(Inst, Block)>> = vec![Vec::new(); victims.len()];
@@ -407,7 +408,9 @@ fn rewrite(
                 let gap = match data.kind {
                     InstKind::Phi { .. } => group_end(func, insts, InstKind::is_phi),
                     InstKind::Param { .. } => {
-                        group_end(func, insts, |k| matches!(k, InstKind::Param { .. }))
+                        pos + group_end(func, &insts[pos..], |k| {
+                            matches!(k, InstKind::Param { .. })
+                        })
                     }
                     _ => pos + 1,
                 };

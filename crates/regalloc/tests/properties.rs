@@ -30,7 +30,7 @@ fn brute_force_edges(func: &Function) -> HashSet<(usize, usize)> {
         if !cfg.is_reachable(b) {
             continue;
         }
-        let mut live_now: HashSet<usize> = live.live_out(b).iter().collect();
+        let mut live_now: HashSet<usize> = live.live_out(b).iter().map(|&v| v as usize).collect();
         for &inst in func.block_insts(b).iter().rev() {
             let data = func.inst(inst);
             if let InstKind::Copy { src } = data.kind {

@@ -72,8 +72,9 @@ use crate::disk::{DiskCache, DiskStats};
 /// either invalidates the whole cache. Rev 2: the optimiser pipelines
 /// gained the alias-gated memory passes, changing compiled output for
 /// unchanged sources. Rev 4: the request signature dropped its
-/// `alloc=` field.
-pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/4");
+/// `alloc=` field. Rev 5: liveness is held as sorted lists, which moves
+/// the peak-bytes figures in the cached stat lines.
+pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/5");
 
 /// 64-bit FNV-1a. Stable across platforms and releases (unlike
 /// `DefaultHasher`, which documents no such guarantee), which matters

@@ -90,9 +90,12 @@ pub fn build_ssa_with(
     // entry (i.e. has some upwards-exposed use not covered by a def).
     let entry = func.entry();
     let epoch_before_inits = func.epoch();
-    let live_in_entry: Vec<usize> = live.live_in(entry).iter().collect();
-    for &vi in live_in_entry.iter().rev() {
-        func.prepend_inst(entry, InstKind::Const { imm: 0 }, Some(Value::new(vi)));
+    for &vi in live.live_in(entry).iter().rev() {
+        func.prepend_inst(
+            entry,
+            InstKind::Const { imm: 0 },
+            Some(Value::new(vi as usize)),
+        );
         stats.strictness_inits += 1;
     }
     // Recompute liveness if we changed the code; prepending constants

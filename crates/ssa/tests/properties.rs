@@ -253,29 +253,15 @@ fn pruned_never_more_phis_than_semipruned_than_minimal() {
 }
 
 #[test]
-fn sparse_ssa_liveness_matches_dataflow() {
+fn liveness_matches_path_search_on_ssa() {
     use fcc_analysis::Liveness;
     use fcc_ir::ControlFlowGraph;
     for seed in 900..1100u64 {
         let mut f = random_function(seed, 3 + (seed as usize % 8), 6);
         build_ssa(&mut f, SsaFlavor::Pruned, seed % 2 == 0);
         let cfg = ControlFlowGraph::compute(&f);
-        let dense = Liveness::compute(&f, &cfg);
-        let sparse = Liveness::compute_ssa(&f, &cfg);
-        for b in f.blocks() {
-            for vi in 0..f.num_values() {
-                let v = fcc_ir::Value::new(vi);
-                assert_eq!(
-                    dense.is_live_in(v, b),
-                    sparse.is_live_in(v, b),
-                    "seed {seed}: live_in({v}, {b})\n{f}"
-                );
-                assert_eq!(
-                    dense.is_live_out(v, b),
-                    sparse.is_live_out(v, b),
-                    "seed {seed}: live_out({v}, {b})\n{f}"
-                );
-            }
+        if let Err(e) = Liveness::compute(&f, &cfg).check_by_search(&f, &cfg) {
+            panic!("seed {seed}: {e}\n{f}");
         }
     }
 }

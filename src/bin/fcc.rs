@@ -313,6 +313,14 @@ fn emit(text: impl std::fmt::Display) {
     let _ = writeln!(std::io::stdout(), "{text}");
 }
 
+/// `eprintln!` that ignores a closed pipe, as [`emit`] does for stdout
+/// (`fcc ... 2>&1 | head` must not panic either).
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn load_source(input: &str) -> Result<String, String> {
     if let Some(name) = input.strip_prefix("kernel:") {
         if name == "*" {
@@ -352,8 +360,8 @@ fn main() -> ExitCode {
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             match cmd.name {
-                "build" => eprintln!("fcc: {e}"),
-                name => eprintln!("fcc {name}: {e}"),
+                "build" => note!("fcc: {e}"),
+                name => note!("fcc {name}: {e}"),
             }
             ExitCode::FAILURE
         }
@@ -391,7 +399,7 @@ fn lint_main(a: Args) -> Result<bool, String> {
         if let Some(v) = violation {
             // The offending pass and its report; the report also fails
             // the run.
-            eprintln!("fcc lint: @{}: {v}", func.name);
+            note!("fcc lint: @{}: {v}", func.name);
             clean = false;
             reports.push(v.report);
         }
@@ -669,7 +677,7 @@ fn fuzz_main(a: Args) -> Result<bool, String> {
 
     let out = run_fuzz(&cfg);
     let rate = out.checked as f64 / out.timing.wall.as_secs_f64().max(1e-9);
-    eprintln!(
+    note!(
         "; fuzz: {} seeds (start {}) through new/standard/briggs{} — {} failure(s); {}; {rate:.0} seeds/s",
         out.checked,
         cfg.start,
@@ -682,7 +690,7 @@ fn fuzz_main(a: Args) -> Result<bool, String> {
         let src = fcc::frontend::to_source(&f.shrunk);
         let stmts = fcc::workloads::statement_count(&f.shrunk);
         let path = format!("{repro_dir}/repro-{}.ml", f.seed);
-        eprintln!(
+        note!(
             "seed {}: {} (shrunk to {stmts} statement(s) in {} oracle runs{})",
             f.seed,
             f.detail,
@@ -694,8 +702,8 @@ fn fuzz_main(a: Args) -> Result<bool, String> {
             },
         );
         match std::fs::write(&path, format!("{src}\n")) {
-            Ok(()) => eprintln!("  repro written to {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
+            Ok(()) => note!("  repro written to {path}"),
+            Err(e) => note!("  could not write {path}: {e}"),
         }
         emit(&src);
     }
@@ -808,24 +816,24 @@ fn build_main(a: Args) -> Result<bool, String> {
                 Some(out) => {
                     for line in &out.stat_lines {
                         if single {
-                            eprintln!("; {line}");
+                            note!("; {line}");
                         } else {
-                            eprintln!("; @{}: {line}", f.name);
+                            note!("; @{}: {line}", f.name);
                         }
                     }
                 }
-                None => eprintln!(
+                None => note!(
                     "; @{}: quarantined ({} attempt(s))",
                     f.name,
                     f.attempts.len()
                 ),
             }
             if let FnStatus::Recovered { attempts } = f.status {
-                eprintln!("; @{}: recovered on attempt {attempts}", f.name);
+                note!("; @{}: recovered on attempt {attempts}", f.name);
             }
         }
         if !single {
-            eprintln!("; batch: {}", batch.timing.render());
+            note!("; batch: {}", batch.timing.render());
         }
     }
 
@@ -876,9 +884,10 @@ fn build_main(a: Args) -> Result<bool, String> {
                 .map_err(|e| format!("execution failed: {e}"))?;
             emit(format_args!("{:?}", out.ret));
             if a.on("stats") {
-                eprintln!(
+                note!(
                     "; executed {} instructions, {} dynamic copies",
-                    out.executed, out.dynamic_copies
+                    out.executed,
+                    out.dynamic_copies
                 );
             }
         }
@@ -904,7 +913,7 @@ fn quarantine_repros(
     let programs = match fcc::frontend::parse_module(src) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("; quarantine: could not re-parse source for repros: {e}");
+            note!("; quarantine: could not re-parse source for repros: {e}");
             return;
         }
     };
@@ -918,7 +927,7 @@ fn quarantine_repros(
             .last()
             .map(|a| format!("[{}] {}", a.rung, a.error))
             .unwrap_or_default();
-        eprintln!("; @{}: failed every rung: {last}", f.name);
+        note!("; @{}: failed every rung: {last}", f.name);
         let Some(prog) = programs.iter().find(|p| p.name == f.name) else {
             continue;
         };
@@ -929,11 +938,11 @@ fn quarantine_repros(
         let shrunk = fcc::workloads::shrink(prog, 600, still_fails);
         let path = format!("{}/repro-{}.ml", repro_dir, f.name);
         match std::fs::write(&path, fcc::frontend::to_source(&shrunk.program)) {
-            Ok(()) => eprintln!(
+            Ok(()) => note!(
                 ";   repro written to {path} ({} statement(s))",
                 fcc::workloads::statement_count(&shrunk.program)
             ),
-            Err(e) => eprintln!(";   could not write {path}: {e}"),
+            Err(e) => note!(";   could not write {path}: {e}"),
         }
     }
 }

@@ -293,3 +293,32 @@ fn fuzz_honours_an_injected_panic_in_the_k_register_stages() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_closed_standard_error_is_not_a_panic() {
+    // `fcc fuzz ... 2>&1 | head -1`: the reader of standard error goes
+    // away, and the failing campaign must still exit 1 rather than
+    // panic on its next report line.
+    let dir = std::env::temp_dir().join(format!("fcc-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let status = Command::new(FCC)
+        .args([
+            "fuzz",
+            "--seeds",
+            "2",
+            "--shrink-budget",
+            "1",
+            "--repro-dir",
+        ])
+        .arg(&dir)
+        .args(["--inject", "panic:coalesce-new"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("fcc runs");
+    assert_eq!(status.code(), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}

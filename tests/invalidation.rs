@@ -32,7 +32,7 @@ fn assert_same_solution<F: Lattice>(func: &Function, got: &Solution<F>, want: &S
 
 /// Prime every analysis through the manager and compare each against a
 /// from-scratch computation. `check_ssa_liveness` additionally checks
-/// the SSA-only analyses, the sparse liveness and the dataflow memo
+/// the SSA-only analyses, the SSA liveness slot and the dataflow memo
 /// (only meaningful while the function is in SSA form).
 fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_ssa_liveness: bool) {
     let cfg = am.cfg(func);
@@ -53,7 +53,7 @@ fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_ssa_liven
         let live_ssa = am.liveness_ssa(func);
         assert_eq!(
             *live_ssa,
-            Liveness::compute_ssa(func, &cfg),
+            Liveness::compute(func, &cfg),
             "stale SSA liveness in cache"
         );
         // The dataflow memo: whatever survived the last step must be the

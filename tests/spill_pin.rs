@@ -47,7 +47,7 @@
 //! round's state to a closure:
 //!
 //! - after every `spill_to_k` round, in both portfolio plans, the
-//!   carried liveness equals a fresh [`Liveness::compute_ssa`];
+//!   carried liveness equals a fresh [`Liveness::compute`];
 //! - at every colour round the carried liveness equals a fresh
 //!   [`Liveness::compute`], and the graph gives every value exactly the
 //!   neighbour set and degree of `InterferenceGraph::build(.., None)`.
@@ -238,7 +238,7 @@ fn spill_checked(
             "{}: spilling moved an edge",
             g.name
         );
-        assert_same_sets(g, &cfg, live, &Liveness::compute_ssa(g, &cfg));
+        assert_same_sets(g, &cfg, live, &Liveness::compute(g, &cfg));
         checked.spill += 1;
     })
 }
