@@ -3,19 +3,27 @@
 //! summary, the JSON rendering must stay well-formed, and no analysis
 //! may ever report an error-severity finding (provable hazards are
 //! warnings — the code still runs if the bad path is never taken).
+//! What the analysis concludes is pinned too: a digest of the JSON
+//! report over four corpora.
 
 use fcc::prelude::*;
+use fcc::workloads::{compile_kernel, generate, kernels, GenConfig};
 
 /// Compile, build pruned SSA, and run the sparse solvers plus the
 /// memory/alias diagnostics — the same set `fcc analyze` surfaces.
 fn analyze(func: &Function) -> (Function, FunctionAnalysis, Vec<Diagnostic>) {
-    let mut f = func.clone();
-    let mut am = AnalysisManager::new();
-    build_ssa_with(&mut f, SsaFlavor::Pruned, true, &mut am);
-    let fa = FunctionAnalysis::compute(&f, &mut am);
-    let mut diags = fa.safety_diagnostics(&f);
-    diags.extend(fcc::alias::memory_diagnostics(&f, &fa, None));
+    let f = ssa(func.clone());
+    let (fa, diags) = findings(&f, &mut AnalysisManager::new());
     (f, fa, diags)
+}
+
+/// The sparse solvers over the SSA function `f`, with their safety and
+/// memory findings.
+fn findings(f: &Function, am: &mut AnalysisManager) -> (FunctionAnalysis, Vec<Diagnostic>) {
+    let fa = FunctionAnalysis::compute(f, am);
+    let mut diags = fa.safety_diagnostics(f);
+    diags.extend(fcc::alias::memory_diagnostics(f, &fa, None));
+    (fa, diags)
 }
 
 fn assert_summary_nonempty(what: &str, f: &Function, fa: &FunctionAnalysis, diags: &[Diagnostic]) {
@@ -126,4 +134,66 @@ fn analysis_survives_optimization() {
         let diags = fa.safety_diagnostics(&f);
         assert_summary_nonempty(k.name, &f, &fa, &diags);
     }
+}
+
+/// FNV-1a, 64-bit, over each SSA function's JSON report: reachability
+/// counts, every live definition's range, constant and known bits, and
+/// every safety and memory finding.
+fn verdict_digest(ssa_funcs: impl IntoIterator<Item = Function>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for f in ssa_funcs {
+        let (fa, diags) = findings(&f, &mut AnalysisManager::new());
+        for &byte in fa.render_json(&f, &diags).as_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn ssa(mut f: Function) -> Function {
+    build_ssa_with(&mut f, SsaFlavor::Pruned, true, &mut AnalysisManager::new());
+    f
+}
+
+/// The combined verdicts `fcc analyze`, the `range-*` and `mem-*` lints
+/// and the optimiser read, pinned over the examples, the kernels before
+/// and after the standard pipeline, and 200 generated programs. Any
+/// change to what the analysis proves moves one of these digests.
+#[test]
+fn combined_verdicts_are_pinned() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples/ exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("ml"))
+        .collect();
+    paths.sort();
+    let examples = paths.iter().map(|p| {
+        let src = std::fs::read_to_string(p).expect("readable example");
+        ssa(fcc::frontend::compile(&src).unwrap_or_else(|e| panic!("{}: {e}", p.display())))
+    });
+    let optimised = kernels().iter().map(compile_kernel).map(|mut f| {
+        let mut am = AnalysisManager::new();
+        build_ssa_with(&mut f, SsaFlavor::Pruned, true, &mut am);
+        standard_pipeline().run(&mut f, &mut am);
+        f
+    });
+    let cfg = GenConfig::default();
+    let generated = (0..200).map(|seed| {
+        let prog = generate(seed, &cfg);
+        ssa(fcc::frontend::lower_program(&prog).expect("generated programs lower"))
+    });
+    let got = [
+        verdict_digest(examples),
+        verdict_digest(kernels().iter().map(compile_kernel).map(ssa)),
+        verdict_digest(optimised),
+        verdict_digest(generated),
+    ];
+    let want = [
+        0x628b_0e4a_cb80_0791,
+        0xfdad_efc2_e248_3502,
+        0x1855_48b5_858e_88c0,
+        0xdcf3_8424_ba23_522e,
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
 }
