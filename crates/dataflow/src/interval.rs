@@ -276,6 +276,9 @@ fn interval_unop(op: UnaryOp, a: Interval) -> Interval {
     if a.is_empty() {
         return Interval::EMPTY;
     }
+    if let Some(x) = a.as_point() {
+        return Interval::point(op.eval(x));
+    }
     match op {
         UnaryOp::Neg => Interval::from_i128(-(a.hi as i128), -(a.lo as i128)),
         // !x = -x - 1, monotone decreasing.
