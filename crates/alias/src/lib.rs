@@ -11,8 +11,8 @@
 //! * [`alias_verdict`] classifies any two `load`/`store` addresses as
 //!   [`AliasVerdict::Must`] (provably the same word),
 //!   [`AliasVerdict::Disjoint`] (provably different words), or
-//!   [`AliasVerdict::May`] (no proof either way), from the SCCP,
-//!   interval, and known-bits facts of a [`FunctionAnalysis`];
+//!   [`AliasVerdict::May`] (no proof either way), from the interval
+//!   and known-bits facts of a [`FunctionAnalysis`];
 //! * [`solve_memory`] runs a per-block **memory-state lattice** —
 //!   last-store-wins over must-known constant addresses, havoc on
 //!   stores the abstraction cannot place — to a forward fixpoint using
@@ -107,7 +107,7 @@ impl std::fmt::Display for AliasVerdict {
     }
 }
 
-/// Classify the addresses `a` and `b` using the three sparse fixpoints
+/// Classify the addresses `a` and `b` using the two sparse fixpoints
 /// of `fa`. Sound over-approximation: `Must` and `Disjoint` are proofs,
 /// `May` is the absence of one. A ⊥ fact (the definition was never
 /// reached by the conditional solver) yields `Disjoint` vacuously — the

@@ -9,15 +9,17 @@
 //! whole CFG — the same sparsity the paper's Theorem 2.2 exploits to
 //! decide interference from per-block liveness alone.
 //!
-//! Three production analyses ship on the engine:
+//! Two production analyses ship on the engine:
 //!
-//! * [`consts::ConstAnalysis`] — sparse conditional constant
-//!   propagation with executable-edge tracking (classic SCCP);
 //! * [`interval::RangeAnalysis`] — integer value ranges, with widening
-//!   at loop headers and branch-condition refinement on CFG edges;
+//!   at loop headers and branch-condition refinement on CFG edges.
+//!   Its transfer is exact on points, so it also does everything
+//!   classic SCCP does: constants through φs whose other inputs arrive
+//!   on provably-dead edges, and branch feasibility fed back into
+//!   reachability;
 //! * [`bits::BitsAnalysis`] — known-bits / definite-value tracking.
 //!
-//! [`FunctionAnalysis`] bundles all three with the safety checkers
+//! [`FunctionAnalysis`] bundles both with the safety checkers
 //! (provable division by zero, out-of-range shifts, unreachable branch
 //! edges, dead φ inputs) that back `fcc analyze` and the `range-*` lint
 //! rules; `fcc-opt`'s `range_fold` pass folds what they prove.
@@ -52,14 +54,12 @@
 //! ```
 
 pub mod bits;
-pub mod consts;
 pub mod interval;
 pub mod lattice;
 pub mod report;
 pub mod solver;
 
 pub use bits::{BitsAnalysis, KnownBits};
-pub use consts::{ConstAnalysis, ConstLattice};
 pub use interval::{Interval, RangeAnalysis};
 pub use lattice::Lattice;
 pub use report::{
@@ -76,9 +76,9 @@ mod tests {
     use fcc_ir::Value;
 
     #[test]
-    fn sccp_folds_through_phis_on_dead_edges() {
+    fn ranges_fold_through_phis_on_dead_edges() {
         // branch on const 1: only the then edge executes, so the φ
-        // sees one input and stays constant.
+        // sees one input and stays a point.
         let f = parse_function(
             "function @s(0) {
              b0:
@@ -97,8 +97,8 @@ mod tests {
         )
         .unwrap();
         let mut am = AnalysisManager::new();
-        let sol = solve(&f, &mut am, &ConstAnalysis);
-        assert_eq!(sol.fact(Value::new(3)).as_const(), Some(10));
+        let sol = solve(&f, &mut am, &RangeAnalysis);
+        assert_eq!(sol.fact(Value::new(3)).as_point(), Some(10));
         assert!(!sol.block_executable(fcc_ir::Block::new(2)));
     }
 

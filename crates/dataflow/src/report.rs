@@ -1,11 +1,11 @@
 //! The combined per-function analysis result and the safety checkers.
 //!
-//! [`FunctionAnalysis`] runs all three shipped analyses (SCCP,
-//! intervals, known bits) over one function and exposes the combined
-//! verdicts: per-value constants/ranges, edge/block reachability (the
-//! intersection of the three solutions — each is a sound
-//! over-approximation, so their intersection is too), and the safety
-//! report behind `fcc analyze` and the `range-*` lint rules.
+//! [`FunctionAnalysis`] runs both shipped analyses (intervals, known
+//! bits) over one function and exposes the combined verdicts: per-value
+//! constants/ranges, edge/block reachability (the intersection of the
+//! two solutions — each is a sound over-approximation, so their
+//! intersection is too), and the safety report behind `fcc analyze` and
+//! the `range-*` lint rules.
 //!
 //! [`FunctionAnalysis::of`] is the shared entry point: one fixpoint per
 //! function state, memoised in the [`AnalysisManager`] and handed to
@@ -19,7 +19,6 @@ use fcc_ir::instr::BinOp;
 use fcc_ir::{Block, Diagnostic, Function, InstKind, Value};
 
 use crate::bits::{BitsAnalysis, KnownBits};
-use crate::consts::{ConstAnalysis, ConstLattice};
 use crate::interval::{Interval, RangeAnalysis};
 use crate::solver::{solve_on, Solution, SparseGraph};
 
@@ -35,10 +34,8 @@ pub const RULE_UNREACHABLE_BRANCH: &str = "range-unreachable-branch";
 /// A φ argument arriving along a provably-dead edge from a live block.
 pub const RULE_DEAD_PHI_INPUT: &str = "range-dead-phi-input";
 
-/// The three fixpoints plus combined accessors.
+/// The two fixpoints plus combined accessors.
 pub struct FunctionAnalysis {
-    /// The SCCP solution.
-    pub consts: Solution<ConstLattice>,
     /// The interval solution (branch-refined).
     pub ranges: Solution<Interval>,
     /// The known-bits solution.
@@ -46,13 +43,12 @@ pub struct FunctionAnalysis {
 }
 
 impl FunctionAnalysis {
-    /// Run all three analyses over a strict-SSA `func`, sharing one
-    /// def–use graph between them. Prefer [`Self::of`], which solves
-    /// once per function state.
+    /// Run both analyses over a strict-SSA `func`, sharing one def–use
+    /// graph between them. Prefer [`Self::of`], which solves once per
+    /// function state.
     pub fn compute(func: &Function, am: &mut AnalysisManager) -> FunctionAnalysis {
         let g = SparseGraph::build(func, am);
         FunctionAnalysis {
-            consts: solve_on(func, &g, &ConstAnalysis),
             ranges: solve_on(func, &g, &RangeAnalysis),
             bits: solve_on(func, &g, &BitsAnalysis),
         }
@@ -65,12 +61,11 @@ impl FunctionAnalysis {
         am.dataflow(func, FunctionAnalysis::compute)
     }
 
-    /// The constant `v` is proven to hold, by any of the three domains.
+    /// The constant `v` is proven to hold, by either domain.
     pub fn constant_of(&self, v: Value) -> Option<i64> {
-        self.consts
+        self.ranges
             .fact(v)
-            .as_const()
-            .or_else(|| self.ranges.fact(v).as_point())
+            .as_point()
             .or_else(|| self.bits.fact(v).as_const())
     }
 
@@ -81,16 +76,12 @@ impl FunctionAnalysis {
 
     /// Whether some execution may reach `b` — the intersection verdict.
     pub fn block_live(&self, b: Block) -> bool {
-        self.ranges.block_executable(b)
-            && self.consts.block_executable(b)
-            && self.bits.block_executable(b)
+        self.ranges.block_executable(b) && self.bits.block_executable(b)
     }
 
     /// Whether some execution may traverse `from → to`.
     pub fn edge_live(&self, from: Block, to: Block) -> bool {
-        self.ranges.edge_executable(from, to)
-            && self.consts.edge_executable(from, to)
-            && self.bits.edge_executable(from, to)
+        self.ranges.edge_executable(from, to) && self.bits.edge_executable(from, to)
     }
 
     /// The statically-provable safety findings, all warning-severity:

@@ -794,7 +794,7 @@ impl LintRule for DefiniteInitRule {
 
 /// Rules `range-div-by-zero`, `range-shift-bounds`,
 /// `range-unreachable-branch` and `range-dead-phi-input`: the
-/// `fcc-dataflow` safety checkers (SCCP + value ranges + known bits)
+/// `fcc-dataflow` safety checkers (value ranges + known bits)
 /// surfaced as stage-aware lint findings. All warning severity: the IR's
 /// total semantics execute the flagged code fine, but it almost surely
 /// diverges from source intent (a provably-zero divisor, a shift amount

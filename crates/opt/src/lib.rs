@@ -12,9 +12,9 @@
 //! * [`gvn::value_number`] — dominator-based global value numbering
 //!   (Briggs–Cooper–Simpson scoped-table DVNT);
 //! * [`range_fold::range_fold`] — analysis-guided folding on top of the
-//!   `fcc-dataflow` sparse engine: SCCP verdicts, value ranges, and
-//!   known bits prove constants and dead branches that syntactic
-//!   folding cannot see (SSA);
+//!   `fcc-dataflow` sparse engine: value ranges and known bits prove
+//!   constants and dead branches that syntactic folding cannot see
+//!   (SSA);
 //! * [`memopt`] — store-to-load forwarding, redundant-load
 //!   elimination, and dead-store elimination, gated on the `fcc-alias`
 //!   verdicts (SSA);

@@ -1,4 +1,4 @@
-//! Analysis-guided folding: SCCP + value ranges + known bits (SSA only).
+//! Analysis-guided folding: value ranges + known bits (SSA only).
 //!
 //! Where [`crate::constfold`] folds what is syntactically constant,
 //! this pass folds what the `fcc-dataflow` analyses *prove* constant:

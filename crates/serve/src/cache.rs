@@ -73,8 +73,10 @@ use crate::disk::{DiskCache, DiskStats};
 /// gained the alias-gated memory passes, changing compiled output for
 /// unchanged sources. Rev 4: the request signature dropped its
 /// `alloc=` field. Rev 5: liveness is held as sorted lists, which moves
-/// the peak-bytes figures in the cached stat lines.
-pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/5");
+/// the peak-bytes figures in the cached stat lines. Rev 6: the dataflow
+/// solve runs two lattices, not three, which moves the cached
+/// `fuel_spent` of optimised compiles.
+pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/6");
 
 /// 64-bit FNV-1a. Stable across platforms and releases (unlike
 /// `DefaultHasher`, which documents no such guarantee), which matters

@@ -111,9 +111,9 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "analyze",
         input: true,
-        about: "Run the sparse abstract interpreter (SCCP, value ranges, known bits) and the\n\
-                memory checkers over the SSA form; print per-value ranges and the safety\n\
-                report. Exits 1 on any error finding.",
+        about: "Run the sparse abstract interpreter (value ranges, known bits) and the memory\n\
+                checkers over the SSA form; print per-value ranges and the safety report.\n\
+                Exits 1 on any error finding.",
         request: "format no-fold opt jobs deny-warnings",
         flags: &["memory-words N: memory size for the out-of-bounds check (else only negative addresses)"],
         run: analyze_main,

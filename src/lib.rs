@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`ir`] | entity-indexed IR, builder, verifier, textual format |
 //! | [`analysis`] | dominators (+O(1) queries), liveness, loops, bitsets, union-find |
-//! | [`dataflow`] | sparse abstract interpretation: SCCP, value ranges, known bits (`fcc analyze`) |
+//! | [`dataflow`] | sparse abstract interpretation: value ranges, known bits (`fcc analyze`) |
 //! | [`alias`] | memory/alias analysis on those fixpoints: alias verdicts, memory-state lattice, `mem-*` checkers |
 //! | [`ssa`] | SSA construction (3 flavours, copy folding), parallel copies, Standard destruction |
 //! | [`core`] | **the paper's algorithm**: dominance forest + coalescing SSA destruction |

@@ -5,12 +5,12 @@
 //! The numbers are the reference solver's (the original hash-map core).
 //! Any reworking of the solver must reproduce them bit for bit, through
 //! `solve` and through `FunctionAnalysis::compute`, which shares one
-//! per-function structure across the three lattices. A deliberate change
+//! per-function structure across the two lattices. A deliberate change
 //! to what the solver computes re-pins them here.
 
 use std::fmt::Debug;
 
-use fcc::dataflow::{solve, BitsAnalysis, ConstAnalysis, Lattice, RangeAnalysis, Solution};
+use fcc::dataflow::{solve, BitsAnalysis, Lattice, RangeAnalysis, Solution};
 use fcc::prelude::*;
 use fcc::workloads::{compile_kernel, generate, kernels, GenConfig};
 
@@ -47,39 +47,35 @@ fn absorb<F: Lattice + Debug>(func: &Function, sol: &Solution<F>, h: &mut Fnv) {
     }
 }
 
-/// `[consts, ranges, bits]` pins over `funcs`, solved one lattice at a
-/// time through `solve` and all together through `FunctionAnalysis`.
-fn pins(funcs: &[Function]) -> [Pin; 3] {
-    let mut hashes = [Fnv::new(), Fnv::new(), Fnv::new()];
-    let mut shared = [Fnv::new(), Fnv::new(), Fnv::new()];
-    let mut steps = [0usize; 3];
+/// `[ranges, bits]` pins over `funcs`, solved one lattice at a time
+/// through `solve` and both together through `FunctionAnalysis`.
+fn pins(funcs: &[Function]) -> [Pin; 2] {
+    let mut hashes = [Fnv::new(), Fnv::new()];
+    let mut shared = [Fnv::new(), Fnv::new()];
+    let mut steps = [0usize; 2];
     for func in funcs {
         let mut am = AnalysisManager::new();
-        let consts = solve(func, &mut am, &ConstAnalysis);
         let ranges = solve(func, &mut am, &RangeAnalysis);
         let bits = solve(func, &mut am, &BitsAnalysis);
-        steps[0] += consts.steps;
-        steps[1] += ranges.steps;
-        steps[2] += bits.steps;
-        absorb(func, &consts, &mut hashes[0]);
-        absorb(func, &ranges, &mut hashes[1]);
-        absorb(func, &bits, &mut hashes[2]);
+        steps[0] += ranges.steps;
+        steps[1] += bits.steps;
+        absorb(func, &ranges, &mut hashes[0]);
+        absorb(func, &bits, &mut hashes[1]);
 
         let fa = FunctionAnalysis::compute(func, &mut AnalysisManager::new());
         assert_eq!(
-            [fa.consts.steps, fa.ranges.steps, fa.bits.steps],
-            [consts.steps, ranges.steps, bits.steps],
+            [fa.ranges.steps, fa.bits.steps],
+            [ranges.steps, bits.steps],
             "@{}: the shared solve did different work",
             func.name
         );
-        absorb(func, &fa.consts, &mut shared[0]);
-        absorb(func, &fa.ranges, &mut shared[1]);
-        absorb(func, &fa.bits, &mut shared[2]);
+        absorb(func, &fa.ranges, &mut shared[0]);
+        absorb(func, &fa.bits, &mut shared[1]);
     }
     for (one, all) in hashes.iter().zip(&shared) {
         assert_eq!(one.0, all.0, "FunctionAnalysis disagrees with solve");
     }
-    [0, 1, 2].map(|i| Pin {
+    [0, 1].map(|i| Pin {
         steps: steps[i],
         digest: hashes[i].0,
     })
@@ -101,10 +97,6 @@ fn dense_core_reproduces_the_kernel_fixpoints() {
     assert_eq!(funcs.len(), 34);
     let got = pins(&funcs);
     let want = [
-        Pin {
-            steps: 16418,
-            digest: 0x0add34b4ac08a868,
-        },
         Pin {
             steps: 24748,
             digest: 0x6c40e9be7a65315a,
@@ -128,10 +120,6 @@ fn dense_core_reproduces_the_generated_fixpoints() {
         .collect();
     let got = pins(&funcs);
     let want = [
-        Pin {
-            steps: 262255,
-            digest: 0x9a5f9cfa77c17a9a,
-        },
         Pin {
             steps: 273589,
             digest: 0xb0f52b0fdf43ff9d,
