@@ -27,7 +27,7 @@
 //!   written: the walk visits a dedicated [`Point::DeadDef`] with the
 //!   destination force-inserted so pressure accounts for it.
 
-use fcc_ir::{Block, ControlFlowGraph, Function, Inst, Value};
+use fcc_ir::{Block, ControlFlowGraph, Function, Inst};
 
 use crate::bitset::BitSet;
 use crate::liveness::Liveness;
@@ -193,10 +193,4 @@ impl Pressure {
     pub fn bytes(&self) -> usize {
         self.block_max.capacity() * std::mem::size_of::<u32>()
     }
-}
-
-/// Values live at a specific point, materialised as a sorted `Vec` —
-/// convenience for diagnostics and tests.
-pub fn live_values(set: &BitSet) -> Vec<Value> {
-    set.iter().map(Value::new).collect()
 }

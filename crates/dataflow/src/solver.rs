@@ -105,11 +105,6 @@ impl<F: Lattice> Solution<F> {
     pub fn edge_executable(&self, from: Block, to: Block) -> bool {
         self.edges.find(from, to).is_some_and(|e| self.exec_edge[e])
     }
-
-    /// Number of blocks proven reachable.
-    pub fn executable_blocks(&self) -> usize {
-        self.exec_block.iter().filter(|&&x| x).count()
-    }
 }
 
 /// Lists keyed by a dense index, stored back to back: key `k` owns

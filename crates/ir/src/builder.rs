@@ -167,12 +167,6 @@ impl FunctionBuilder {
     pub fn func(&self) -> &Function {
         &self.func
     }
-
-    /// Mutable access to the function under construction, for edits the
-    /// builder does not directly support.
-    pub fn func_mut(&mut self) -> &mut Function {
-        &mut self.func
-    }
 }
 
 #[cfg(test)]

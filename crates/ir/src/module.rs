@@ -79,11 +79,6 @@ impl Module {
         &self.functions
     }
 
-    /// Mutable access to the functions, preserving module order.
-    pub fn functions_mut(&mut self) -> &mut [Function] {
-        &mut self.functions
-    }
-
     /// Consume the module, yielding its functions in module order.
     pub fn into_functions(self) -> Vec<Function> {
         self.functions
