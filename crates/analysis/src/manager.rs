@@ -4,8 +4,8 @@
 //! rewrite work: liveness and dominators are *assumed available*, the
 //! shape a real compiler uses, where analyses are shared between passes.
 //! [`AnalysisManager`] makes that assumption real: every consumer pulls
-//! `ControlFlowGraph`, `DomTree`, [`Liveness`] (two slots, one solver),
-//! and [`LoopNesting`] from one cache keyed on the function's
+//! `ControlFlowGraph`, `DomTree`, [`Liveness`] (one slot for SSA and
+//! φ-free code alike), [`Pressure`] and [`LoopNesting`] from one cache keyed on the function's
 //! modification [epoch](fcc_ir::Function::epoch), so a phase that did not
 //! change the code pays nothing for the next phase's analyses.
 //!
@@ -48,9 +48,8 @@ impl PreservedAnalyses {
     const CFG: u8 = 1 << 0;
     const DOMTREE: u8 = 1 << 1;
     const LIVENESS: u8 = 1 << 2;
-    const LIVENESS_SSA: u8 = 1 << 3;
-    const LOOPS: u8 = 1 << 4;
-    const PRESSURE: u8 = 1 << 5;
+    const LOOPS: u8 = 1 << 3;
+    const PRESSURE: u8 = 1 << 4;
 
     /// Nothing survives: the pass restructured control flow.
     pub const fn none() -> Self {
@@ -60,19 +59,13 @@ impl PreservedAnalyses {
     /// Everything survives: the pass did not change the function.
     pub const fn all() -> Self {
         PreservedAnalyses {
-            bits: Self::CFG
-                | Self::DOMTREE
-                | Self::LIVENESS
-                | Self::LIVENESS_SSA
-                | Self::LOOPS
-                | Self::PRESSURE,
+            bits: Self::CFG | Self::DOMTREE | Self::LIVENESS | Self::LOOPS | Self::PRESSURE,
         }
     }
 
     /// The pass rewrote instructions but kept every block and edge: the
     /// CFG-derived structures (CFG, dominator tree, loop nesting) stand,
-    /// while both liveness variants — and pressure, which derives from
-    /// liveness — are dropped.
+    /// while liveness — and pressure, which derives from it — is dropped.
     pub const fn cfg_core() -> Self {
         PreservedAnalyses {
             bits: Self::CFG | Self::DOMTREE | Self::LOOPS,
@@ -123,7 +116,6 @@ pub struct AnalysisCounters {
     pub cfg: HitMiss,
     pub domtree: HitMiss,
     pub liveness: HitMiss,
-    pub liveness_ssa: HitMiss,
     pub loops: HitMiss,
     pub pressure: HitMiss,
     /// The whole-function dataflow memo ([`AnalysisManager::dataflow`]).
@@ -136,7 +128,6 @@ impl AnalysisCounters {
         self.cfg.hits
             + self.domtree.hits
             + self.liveness.hits
-            + self.liveness_ssa.hits
             + self.loops.hits
             + self.pressure.hits
             + self.dataflow.hits
@@ -147,19 +138,17 @@ impl AnalysisCounters {
         self.cfg.misses
             + self.domtree.misses
             + self.liveness.misses
-            + self.liveness_ssa.misses
             + self.loops.misses
             + self.pressure.misses
             + self.dataflow.misses
     }
 
     /// `(label, hits, misses)` per analysis kind, for table printers.
-    pub fn rows(&self) -> [(&'static str, u64, u64); 7] {
+    pub fn rows(&self) -> [(&'static str, u64, u64); 6] {
         [
             ("cfg", self.cfg.hits, self.cfg.misses),
             ("domtree", self.domtree.hits, self.domtree.misses),
             ("liveness", self.liveness.hits, self.liveness.misses),
-            ("live-ssa", self.liveness_ssa.hits, self.liveness_ssa.misses),
             ("loops", self.loops.hits, self.loops.misses),
             ("pressure", self.pressure.hits, self.pressure.misses),
             ("dataflow", self.dataflow.hits, self.dataflow.misses),
@@ -174,7 +163,6 @@ impl std::ops::Sub for AnalysisCounters {
             cfg: self.cfg - rhs.cfg,
             domtree: self.domtree - rhs.domtree,
             liveness: self.liveness - rhs.liveness,
-            liveness_ssa: self.liveness_ssa - rhs.liveness_ssa,
             loops: self.loops - rhs.loops,
             pressure: self.pressure - rhs.pressure,
             dataflow: self.dataflow - rhs.dataflow,
@@ -187,7 +175,6 @@ impl std::ops::AddAssign for AnalysisCounters {
         self.cfg += rhs.cfg;
         self.domtree += rhs.domtree;
         self.liveness += rhs.liveness;
-        self.liveness_ssa += rhs.liveness_ssa;
         self.loops += rhs.loops;
         self.pressure += rhs.pressure;
         self.dataflow += rhs.dataflow;
@@ -253,7 +240,6 @@ pub struct AnalysisManager {
     cfg: Slot<ControlFlowGraph>,
     domtree: Slot<DomTree>,
     liveness: Slot<Liveness>,
-    liveness_ssa: Slot<Liveness>,
     loops: Slot<LoopNesting>,
     pressure: Slot<Pressure>,
     /// The dataflow memo: the epoch it was computed at, type-erased.
@@ -295,7 +281,9 @@ impl AnalysisManager {
         rc
     }
 
-    /// φ-aware liveness (SSA or φ-free code).
+    /// φ-aware liveness, one slot for SSA and φ-free code alike: the
+    /// colourer's request after destruction replaces the SSA-stage
+    /// lists instead of sitting beside them.
     pub fn liveness(&mut self, func: &Function) -> Rc<Liveness> {
         let epoch = func.epoch();
         if let Some(hit) = self.liveness.get(epoch) {
@@ -309,20 +297,10 @@ impl AnalysisManager {
         rc
     }
 
-    /// Liveness for SSA-stage consumers: the same solver as
-    /// [`Self::liveness`], cached in a slot of its own whose hits and
-    /// misses are counted apart.
+    /// [`Self::liveness`] under its old SSA-stage name; its one caller
+    /// is `perfbench/src/compile.rs`.
     pub fn liveness_ssa(&mut self, func: &Function) -> Rc<Liveness> {
-        let epoch = func.epoch();
-        if let Some(hit) = self.liveness_ssa.get(epoch) {
-            self.counters.liveness_ssa.hits += 1;
-            return hit;
-        }
-        let cfg = self.cfg(func);
-        self.counters.liveness_ssa.misses += 1;
-        let rc = self.liveness_ssa.put(epoch, Liveness::compute(func, &cfg));
-        self.note_bytes();
-        rc
+        self.liveness(func)
     }
 
     /// Natural-loop nesting (computes and caches CFG + dominators).
@@ -340,10 +318,8 @@ impl AnalysisManager {
         rc
     }
 
-    /// Per-point register pressure from the SSA liveness slot (computes
-    /// and caches CFG + SSA liveness on the way). Requires strict SSA;
-    /// for post-destruction code compute [`Pressure`] directly from
-    /// [`Self::liveness`].
+    /// Per-point register pressure from the liveness slot (computes and
+    /// caches CFG + liveness on the way), for SSA and φ-free code alike.
     pub fn pressure(&mut self, func: &Function) -> Rc<Pressure> {
         let epoch = func.epoch();
         if let Some(hit) = self.pressure.get(epoch) {
@@ -351,7 +327,7 @@ impl AnalysisManager {
             return hit;
         }
         let cfg = self.cfg(func);
-        let live = self.liveness_ssa(func);
+        let live = self.liveness(func);
         self.counters.pressure.misses += 1;
         let rc = self
             .pressure
@@ -421,11 +397,6 @@ impl AnalysisManager {
         } else {
             self.liveness.clear();
         }
-        if preserved.has(PreservedAnalyses::LIVENESS_SSA) {
-            self.liveness_ssa.restamp(valid_at, epoch);
-        } else {
-            self.liveness_ssa.clear();
-        }
         if preserved.has(PreservedAnalyses::LOOPS) {
             self.loops.restamp(valid_at, epoch);
         } else {
@@ -444,7 +415,6 @@ impl AnalysisManager {
         self.cfg.clear();
         self.domtree.clear();
         self.liveness.clear();
-        self.liveness_ssa.clear();
         self.loops.clear();
         self.pressure.clear();
     }
@@ -470,9 +440,6 @@ impl AnalysisManager {
             total += d.bytes();
         }
         if let Some((_, l)) = &self.liveness.entry {
-            total += l.bytes();
-        }
-        if let Some((_, l)) = &self.liveness_ssa.entry {
             total += l.bytes();
         }
         if let Some((_, l)) = &self.loops.entry {
@@ -501,19 +468,9 @@ impl AnalysisManager {
         self.liveness.get(func.epoch())
     }
 
-    /// The cached SSA liveness, if valid for `func`'s current epoch.
-    pub fn cached_liveness_ssa(&self, func: &Function) -> Option<Rc<Liveness>> {
-        self.liveness_ssa.get(func.epoch())
-    }
-
     /// The cached loop nesting, if valid for `func`'s current epoch.
     pub fn cached_loops(&self, func: &Function) -> Option<Rc<LoopNesting>> {
         self.loops.get(func.epoch())
-    }
-
-    /// The cached pressure, if valid for `func`'s current epoch.
-    pub fn cached_pressure(&self, func: &Function) -> Option<Rc<Pressure>> {
-        self.pressure.get(func.epoch())
     }
 
     /// The memoised dataflow result, if one of type `T` is valid for
@@ -643,6 +600,23 @@ mod tests {
         assert!(
             am.cached_liveness(&f).is_none(),
             "stale liveness was laundered"
+        );
+    }
+
+    #[test]
+    fn one_liveness_solve_serves_every_stage() {
+        let f = diamond();
+        let mut am = AnalysisManager::new();
+        let live = am.liveness(&f);
+        let alias = am.liveness_ssa(&f);
+        let pressure = am.pressure(&f);
+        assert!(Rc::ptr_eq(&live, &alias));
+        assert_eq!(am.counters().liveness, HitMiss { hits: 2, misses: 1 });
+        // The lists are counted once, beside the CFG and pressure.
+        let cfg = am.cfg(&f);
+        assert_eq!(
+            am.current_bytes(),
+            cfg.bytes() + live.bytes() + pressure.bytes()
         );
     }
 

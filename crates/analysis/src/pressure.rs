@@ -129,8 +129,8 @@ pub fn for_each_point(
 /// Per-block and per-function maximum register pressure.
 ///
 /// Compute with [`Pressure::compute`], or pull the cached copy from
-/// `AnalysisManager::pressure` (strict-SSA liveness flavour).
-#[derive(Clone, Debug)]
+/// `AnalysisManager::pressure`.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Pressure {
     block_max: Vec<u32>,
     maxlive: u32,

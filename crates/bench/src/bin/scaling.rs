@@ -89,7 +89,7 @@ fn main() {
             stats.edges_split = split_critical_edges_with(&mut f, &mut am);
             let cfg_ = am.cfg(&f);
             let dt = am.domtree(&f);
-            let live = am.liveness_ssa(&f);
+            let live = am.liveness(&f);
             analysis_time += ta.elapsed().as_secs_f64();
             let t0 = Instant::now();
             coalesce_prepared(

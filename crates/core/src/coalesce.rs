@@ -231,9 +231,7 @@ fn coalesce_ssa_managed_impl(
 
     let cfg = am.cfg(func);
     let dt = am.domtree(func);
-    // Sparse per-variable liveness: the input is SSA, so the fast
-    // algorithm applies (identical sets to the dataflow version).
-    let live = am.liveness_ssa(func);
+    let live = am.liveness(func);
     // Loop nesting is only consulted by the edge-cut strategy's weights.
     let loops = match opts.split_strategy {
         SplitStrategy::EdgeCut => Some(am.loops(func)),

@@ -19,7 +19,7 @@
 //!   push the register demand past `k` while leaving MaxLive unchanged —
 //!   the paper's coalescing decision made pressure-aware.
 
-use fcc_analysis::pressure::{for_each_point, Pressure};
+use fcc_analysis::pressure::for_each_point;
 use fcc_analysis::AnalysisManager;
 use fcc_ir::{Diagnostic, Function, Inst, InstKind, Value};
 use fcc_pressure::InterferenceRelation;
@@ -97,14 +97,14 @@ impl LintRule for CoalesceRaisesMaxlive {
     }
 
     fn check(&self, func: &Function, am: &mut AnalysisManager, out: &mut Vec<Diagnostic>) {
-        let cfg = am.cfg(func);
-        let live = am.liveness(func);
-        let maxlive = Pressure::compute(func, &cfg, &live).maxlive();
+        let maxlive = am.pressure(func).maxlive();
         if maxlive > self.k {
             // Already infeasible without any coalescing; the SSA-stage
             // pressure rule owns that report.
             return;
         }
+        let cfg = am.cfg(func);
+        let live = am.liveness(func);
         let ig = InterferenceRelation::build(func, &cfg, &live);
 
         // Coalescing candidates: copies whose endpoints never share a

@@ -80,7 +80,7 @@ pub fn summarize(
     let pressure = am.pressure(func);
     let dt = am.domtree(func);
     let loops = am.loops(func);
-    let live = am.liveness_ssa(func);
+    let live = am.liveness(func);
     let ig = InterferenceRelation::build(func, &cfg, &live);
     let cert = certify(func, &cfg, &dt, &ig)?;
     let costs = SpillCosts::compute(func, &cfg, &loops);

@@ -272,7 +272,7 @@ fn certificates_match_brute_force_pressure_on_generated_programs() {
 
             // The clique witness must be a genuine clique.
             let cfg = am.cfg(&func);
-            let live = am.liveness_ssa(&func);
+            let live = am.liveness(&func);
             let ig = InterferenceRelation::build(&func, &cfg, &live);
             let cert = fcc_pressure::certify(&func, &cfg, &am.domtree(&func), &ig)
                 .expect("already certified above");
@@ -308,7 +308,7 @@ fn ssa_interference_graphs_are_chordal_by_the_oracle() {
         build_ssa_with(&mut func, SsaFlavor::Pruned, true, &mut am);
         verify_ssa(&func).expect("valid SSA");
         let cfg = am.cfg(&func);
-        let live = am.liveness_ssa(&func);
+        let live = am.liveness(&func);
         let ig = InterferenceRelation::build(&func, &cfg, &live);
         assert!(
             find_chordless_cycle(ig.rows()).is_none(),

@@ -555,9 +555,7 @@ fn pressure_one(
     destruction_stage(&mut func, req.pipeline, false, &mut am, &mut Vec::new());
     let final_report = lint_with_rules(&func, &mut am, LintStage::Final, &rules);
     diags.extend(render(&final_report, &func));
-    let cfg = am.cfg(&func);
-    let live = am.liveness(&func);
-    let final_maxlive = fcc::analysis::Pressure::compute(&func, &cfg, &live).maxlive();
+    let final_maxlive = am.pressure(&func).maxlive();
 
     let errors = ssa_report.error_count() + final_report.error_count();
     let warnings = ssa_report.warning_count() + final_report.warning_count();

@@ -8,7 +8,7 @@
 //! manager hands out equals a freshly computed analysis — catching both
 //! stale-cache and missing-epoch-bump bugs.
 
-use fcc::analysis::{DomTree, Liveness, LoopNesting};
+use fcc::analysis::{DomTree, Liveness, LoopNesting, Pressure};
 use fcc::dataflow::{Lattice, Solution};
 use fcc::ir::ControlFlowGraph;
 use fcc::opt::{
@@ -31,10 +31,9 @@ fn assert_same_solution<F: Lattice>(func: &Function, got: &Solution<F>, want: &S
 }
 
 /// Prime every analysis through the manager and compare each against a
-/// from-scratch computation. `check_ssa_liveness` additionally checks
-/// the SSA-only analyses, the SSA liveness slot and the dataflow memo
-/// (only meaningful while the function is in SSA form).
-fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_ssa_liveness: bool) {
+/// from-scratch computation. `check_dataflow` additionally checks the
+/// dataflow memo (only meaningful while the function is in SSA form).
+fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_dataflow: bool) {
     let cfg = am.cfg(func);
     assert_eq!(*cfg, ControlFlowGraph::compute(func), "stale CFG in cache");
     let dt = am.domtree(func);
@@ -49,13 +48,12 @@ fn assert_cache_fresh(func: &Function, am: &mut AnalysisManager, check_ssa_liven
         Liveness::compute(func, &cfg),
         "stale liveness in cache"
     );
-    if check_ssa_liveness {
-        let live_ssa = am.liveness_ssa(func);
-        assert_eq!(
-            *live_ssa,
-            Liveness::compute(func, &cfg),
-            "stale SSA liveness in cache"
-        );
+    assert_eq!(
+        *am.pressure(func),
+        Pressure::compute(func, &cfg, &Liveness::compute(func, &cfg)),
+        "stale pressure in cache"
+    );
+    if check_dataflow {
         // The dataflow memo: whatever survived the last step must be the
         // fixpoint of the function as it is now.
         let fa = FunctionAnalysis::of(func, am);
