@@ -9,11 +9,12 @@
 //! modification [epoch](fcc_ir::Function::epoch), so a phase that did not
 //! change the code pays nothing for the next phase's analyses.
 //!
-//! Passes report what they kept intact through a [`PreservedAnalyses`]
-//! mask: a pass that rewrites instructions but leaves every edge alone
-//! (constant folding without branch resolution, copy propagation, GVN)
-//! preserves the CFG, dominator tree, and loop nesting — only liveness
-//! is recomputed. [`AnalysisManager::invalidate`] re-stamps the
+//! Passes report what they kept intact as one of three
+//! [`PreservedAnalyses`] levels: a pass that rewrites instructions but
+//! leaves every edge alone (constant folding without branch resolution,
+//! copy propagation, GVN) reports `CfgCore`, which keeps the CFG,
+//! dominator tree, and loop nesting — only liveness and pressure are
+//! recomputed. [`AnalysisManager::invalidate`] re-stamps the
 //! preserved entries to the post-pass epoch and drops the rest.
 //!
 //! Analyses are handed out as `Rc<T>` so a caller can hold several at
@@ -26,7 +27,7 @@
 //! ([`AnalysisManager::dataflow`]) for a crate downstream of this one
 //! (`fcc_dataflow::FunctionAnalysis`, which this crate cannot name).
 //! Its facts depend on every instruction, so it is valid for exactly
-//! one epoch: no [`PreservedAnalyses`] mask carries it across an edit.
+//! one epoch: no [`PreservedAnalyses`] level carries it across an edit.
 
 use std::any::Any;
 use std::rc::Rc;
@@ -38,52 +39,17 @@ use crate::liveness::Liveness;
 use crate::loops::LoopNesting;
 use crate::pressure::Pressure;
 
-/// Bitmask of analyses a pass left valid. Combine with `|`.
+/// What a pass left valid, at the three levels passes report.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PreservedAnalyses {
-    bits: u8,
-}
-
-impl PreservedAnalyses {
-    const CFG: u8 = 1 << 0;
-    const DOMTREE: u8 = 1 << 1;
-    const LIVENESS: u8 = 1 << 2;
-    const LOOPS: u8 = 1 << 3;
-    const PRESSURE: u8 = 1 << 4;
-
+pub enum PreservedAnalyses {
     /// Nothing survives: the pass restructured control flow.
-    pub const fn none() -> Self {
-        PreservedAnalyses { bits: 0 }
-    }
-
-    /// Everything survives: the pass did not change the function.
-    pub const fn all() -> Self {
-        PreservedAnalyses {
-            bits: Self::CFG | Self::DOMTREE | Self::LIVENESS | Self::LOOPS | Self::PRESSURE,
-        }
-    }
-
+    None,
     /// The pass rewrote instructions but kept every block and edge: the
     /// CFG-derived structures (CFG, dominator tree, loop nesting) stand,
     /// while liveness — and pressure, which derives from it — is dropped.
-    pub const fn cfg_core() -> Self {
-        PreservedAnalyses {
-            bits: Self::CFG | Self::DOMTREE | Self::LOOPS,
-        }
-    }
-
-    const fn has(self, bit: u8) -> bool {
-        self.bits & bit != 0
-    }
-}
-
-impl std::ops::BitOr for PreservedAnalyses {
-    type Output = Self;
-    fn bitor(self, rhs: Self) -> Self {
-        PreservedAnalyses {
-            bits: self.bits | rhs.bits,
-        }
-    }
+    CfgCore,
+    /// Everything survives: the pass did not change the function.
+    All,
 }
 
 /// Cache hit/miss counts for one analysis kind.
@@ -207,8 +173,9 @@ impl<T> Slot<T> {
         rc
     }
 
-    /// Keep the entry but declare it valid for `epoch` too (the pass
-    /// that moved the function to `epoch` preserved this analysis).
+    /// If `preserved`, keep the entry but declare it valid for `epoch`
+    /// too (the pass that moved the function to `epoch` preserved this
+    /// analysis); otherwise drop it.
     ///
     /// Only an entry stamped `valid_at` — the epoch the function had
     /// when the pass started — may be carried forward. An older stamp
@@ -216,11 +183,10 @@ impl<T> Slot<T> {
     /// analysis computed mid-mutation by an earlier phase), and
     /// re-stamping it would launder it as fresh; such entries are
     /// dropped instead.
-    fn restamp(&mut self, valid_at: u64, epoch: u64) {
+    fn carry(&mut self, preserved: bool, valid_at: u64, epoch: u64) {
         match &mut self.entry {
-            Some((e, _)) if *e == valid_at => *e = epoch,
-            Some(_) => self.entry = None,
-            None => {}
+            Some((e, _)) if preserved && *e == valid_at => *e = epoch,
+            _ => self.entry = None,
         }
     }
 
@@ -376,37 +342,22 @@ impl AnalysisManager {
     /// of some older function state as current.
     ///
     /// The dataflow memo survives only if the function did not change at
-    /// all: it depends on every instruction, so no mask preserves it.
+    /// all: it depends on every instruction, so no level preserves it.
     pub fn invalidate(&mut self, func: &Function, valid_at: u64, preserved: PreservedAnalyses) {
         let epoch = func.epoch();
         if matches!(self.dataflow, Some((e, _)) if e != epoch) {
             self.dataflow = None;
         }
-        if preserved.has(PreservedAnalyses::CFG) {
-            self.cfg.restamp(valid_at, epoch);
-        } else {
-            self.cfg.clear();
-        }
-        if preserved.has(PreservedAnalyses::DOMTREE) {
-            self.domtree.restamp(valid_at, epoch);
-        } else {
-            self.domtree.clear();
-        }
-        if preserved.has(PreservedAnalyses::LIVENESS) {
-            self.liveness.restamp(valid_at, epoch);
-        } else {
-            self.liveness.clear();
-        }
-        if preserved.has(PreservedAnalyses::LOOPS) {
-            self.loops.restamp(valid_at, epoch);
-        } else {
-            self.loops.clear();
-        }
-        if preserved.has(PreservedAnalyses::PRESSURE) {
-            self.pressure.restamp(valid_at, epoch);
-        } else {
-            self.pressure.clear();
-        }
+        let (cfg_core, live) = match preserved {
+            PreservedAnalyses::None => (false, false),
+            PreservedAnalyses::CfgCore => (true, false),
+            PreservedAnalyses::All => (true, true),
+        };
+        self.cfg.carry(cfg_core, valid_at, epoch);
+        self.domtree.carry(cfg_core, valid_at, epoch);
+        self.loops.carry(cfg_core, valid_at, epoch);
+        self.liveness.carry(live, valid_at, epoch);
+        self.pressure.carry(live, valid_at, epoch);
     }
 
     /// Drop every cached analysis (counters and peak survive).
@@ -555,7 +506,7 @@ mod tests {
         // An instruction-only rewrite: epoch moves, CFG shape intact.
         let v = f.new_value();
         f.insert_before_terminator(f.entry(), InstKind::Const { imm: 7 }, Some(v));
-        am.invalidate(&f, before, PreservedAnalyses::cfg_core());
+        am.invalidate(&f, before, PreservedAnalyses::CfgCore);
 
         // Dominator tree survived (same Rc), liveness did not.
         let dt_after = am.domtree(&f);
@@ -575,7 +526,7 @@ mod tests {
         am.loops(&f);
         let before = f.epoch();
         f.bump_epoch();
-        am.invalidate(&f, before, PreservedAnalyses::none());
+        am.invalidate(&f, before, PreservedAnalyses::None);
         assert!(am.cached_cfg(&f).is_none());
         assert!(am.cached_domtree(&f).is_none());
         assert!(am.cached_loops(&f).is_none());
@@ -594,7 +545,7 @@ mod tests {
         f.insert_before_terminator(f.entry(), InstKind::Const { imm: 7 }, Some(v)); // E1
         let before = f.epoch();
         f.bump_epoch(); // a "pass" conservatively bumps without changing anything
-        am.invalidate(&f, before, PreservedAnalyses::all());
+        am.invalidate(&f, before, PreservedAnalyses::All);
         // The liveness entry was stale already at `before`; it must be
         // dropped, not presented as valid for the current epoch.
         assert!(
@@ -658,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn no_mask_restamps_the_dataflow_memo() {
+    fn no_level_restamps_the_dataflow_memo() {
         let mut f = diamond();
         let mut am = AnalysisManager::new();
         let mut computes = 0;
@@ -666,8 +617,8 @@ mod tests {
         am.domtree(&f);
 
         // An edit that keeps every edge: the domtree is carried over,
-        // the memo is not, even under `all()`.
-        for preserved in [PreservedAnalyses::cfg_core(), PreservedAnalyses::all()] {
+        // the memo is not, even under `All`.
+        for preserved in [PreservedAnalyses::CfgCore, PreservedAnalyses::All] {
             let before = f.epoch();
             let v = f.new_value();
             f.insert_before_terminator(f.entry(), InstKind::Const { imm: 7 }, Some(v));
@@ -680,7 +631,7 @@ mod tests {
 
         // An unchanged function keeps its entry through invalidate.
         let before = f.epoch();
-        am.invalidate(&f, before, PreservedAnalyses::none());
+        am.invalidate(&f, before, PreservedAnalyses::None);
         assert!(am.cached_dataflow::<usize>(&f).is_some());
         am.clear_dataflow();
         assert!(am.cached_dataflow::<usize>(&f).is_none());

@@ -83,7 +83,7 @@ impl PassEffect {
     pub fn unchanged() -> Self {
         PassEffect {
             changed: false,
-            preserved: PreservedAnalyses::all(),
+            preserved: PreservedAnalyses::All,
         }
     }
 
@@ -119,7 +119,7 @@ impl Pass for Dce {
     fn run(&self, func: &mut Function, _am: &mut AnalysisManager) -> PassEffect {
         if dead_code_elim(func) > 0 {
             // Deletes instructions only: every edge stays.
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
             PassEffect::unchanged()
         }
@@ -138,9 +138,9 @@ impl Pass for ConstFold {
             PassEffect::unchanged()
         } else if s.branches_resolved + s.blocks_removed == 0 {
             // Pure instruction rewrites: the CFG shape is untouched.
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
-            PassEffect::changed(PreservedAnalyses::none())
+            PassEffect::changed(PreservedAnalyses::None)
         }
     }
 }
@@ -153,7 +153,7 @@ impl Pass for CopyProp {
     }
     fn run(&self, func: &mut Function, _am: &mut AnalysisManager) -> PassEffect {
         if copy_propagate(func) > 0 {
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
             PassEffect::unchanged()
         }
@@ -169,7 +169,7 @@ impl Pass for Gvn {
     fn run(&self, func: &mut Function, am: &mut AnalysisManager) -> PassEffect {
         let s = value_number_with(func, am);
         if s.redundant_removed + s.copies_forwarded + s.phis_collapsed > 0 {
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
             PassEffect::unchanged()
         }
@@ -187,9 +187,9 @@ impl Pass for RangeFold {
         if s.folded + s.branches_resolved + s.phis_collapsed == 0 {
             PassEffect::unchanged()
         } else if s.branches_resolved + s.blocks_removed == 0 {
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
-            PassEffect::changed(PreservedAnalyses::none())
+            PassEffect::changed(PreservedAnalyses::None)
         }
     }
 }
@@ -221,7 +221,7 @@ impl Pass for StoreForward {
         };
         if n > 0 {
             // Loads become copies in place: every block and edge stays.
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
             PassEffect::unchanged()
         }
@@ -236,7 +236,7 @@ impl Pass for RedundantLoadElim {
     }
     fn run(&self, func: &mut Function, am: &mut AnalysisManager) -> PassEffect {
         if redundant_load_elim_with(func, am) > 0 {
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
             PassEffect::unchanged()
         }
@@ -251,7 +251,7 @@ impl Pass for DeadStoreElim {
     }
     fn run(&self, func: &mut Function, am: &mut AnalysisManager) -> PassEffect {
         if dead_store_elim_with(func, am) > 0 {
-            PassEffect::changed(PreservedAnalyses::cfg_core())
+            PassEffect::changed(PreservedAnalyses::CfgCore)
         } else {
             PassEffect::unchanged()
         }
@@ -266,7 +266,7 @@ impl Pass for SimplifyCfg {
     }
     fn run(&self, func: &mut Function, am: &mut AnalysisManager) -> PassEffect {
         if simplify_cfg_with(func, am) > 0 {
-            PassEffect::changed(PreservedAnalyses::none())
+            PassEffect::changed(PreservedAnalyses::None)
         } else {
             PassEffect::unchanged()
         }
@@ -412,11 +412,11 @@ impl PassManager {
                 let mut preserved = if pass_changed {
                     effect.preserved
                 } else {
-                    PreservedAnalyses::all()
+                    PreservedAnalyses::All
                 };
                 if fcc_analysis::fault::maybe_corrupt(p.name(), func) {
                     pass_changed = true;
-                    preserved = PreservedAnalyses::none();
+                    preserved = PreservedAnalyses::None;
                 }
                 am.invalidate(func, before, preserved);
                 if pass_changed {
@@ -679,7 +679,7 @@ mod tests {
                 }
             }
             if replaced {
-                PassEffect::changed(PreservedAnalyses::none())
+                PassEffect::changed(PreservedAnalyses::None)
             } else {
                 PassEffect::unchanged()
             }

@@ -101,7 +101,7 @@ pub fn build_ssa_with(
     // Recompute liveness if we changed the code; prepending constants
     // leaves every block and edge in place, so the CFG core survives.
     let live = if stats.strictness_inits > 0 {
-        am.invalidate(func, epoch_before_inits, PreservedAnalyses::cfg_core());
+        am.invalidate(func, epoch_before_inits, PreservedAnalyses::CfgCore);
         am.liveness(func)
     } else {
         live

@@ -53,7 +53,7 @@ fn any_edit_forces_a_recompute_even_after_cfg_core() {
     let before = f.epoch();
     let effect = Dce.run(&mut f, &mut am);
     assert!(effect.changed);
-    assert_eq!(effect.preserved, PreservedAnalyses::cfg_core());
+    assert_eq!(effect.preserved, PreservedAnalyses::CfgCore);
     am.invalidate(&f, before, effect.preserved);
     assert!(am.cached_domtree(&f).is_some());
     assert!(cached(&f, &am).is_none());

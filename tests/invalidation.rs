@@ -102,7 +102,7 @@ fn each_pass_leaves_cache_consistent() {
             let preserved = if effect.changed {
                 effect.preserved
             } else {
-                PreservedAnalyses::all()
+                PreservedAnalyses::All
             };
             am.invalidate(&f, before, preserved);
             verify_ssa(&f).unwrap_or_else(|e| panic!("{} broke SSA: {e}", pass.name()));
