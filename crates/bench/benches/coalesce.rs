@@ -15,7 +15,6 @@ fn main() {
         for p in [
             PipelineSpec::Standard,
             PipelineSpec::New,
-            PipelineSpec::Briggs,
             PipelineSpec::BriggsStar,
         ] {
             let best = measure(p, k, REPEATS).time;

@@ -38,7 +38,7 @@ fn phi_args(f: &fcc_ir::Function) -> usize {
 }
 
 fn main() {
-    fcc_bench::certify_or_die(&[PipelineSpec::New, PipelineSpec::Briggs]);
+    fcc_bench::certify_or_die(&[PipelineSpec::New, PipelineSpec::BriggsStar]);
     let mut table = Table::new(&[
         "stmts",
         "insts",

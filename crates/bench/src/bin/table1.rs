@@ -17,7 +17,7 @@ use fcc_ssa::{build_ssa, SsaFlavor};
 use fcc_workloads::{compile_kernel, kernels};
 
 fn main() {
-    certify_or_die(&[PipelineSpec::Briggs, PipelineSpec::BriggsStar]);
+    certify_or_die(&[PipelineSpec::BriggsStar]);
     let repeats = 5;
     let mut table = Table::new(&[
         "File",

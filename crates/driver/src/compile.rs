@@ -59,18 +59,17 @@ pub enum PipelineSpec {
     New,
     /// Naive Briggs et al. φ instantiation (no coalescing).
     Standard,
-    /// φ-web unioning + iterated interference-graph coalescer.
-    Briggs,
-    /// Same, restricted to copy-related names.
+    /// φ-web unioning + the iterated interference-graph coalescer over
+    /// copy-related names (Briggs\*; the full-namespace graph gives the
+    /// same code, so no pipeline builds it).
     BriggsStar,
 }
 
 impl PipelineSpec {
     /// Every pipeline, in the CLI's listing order.
-    pub const ALL: [PipelineSpec; 4] = [
+    pub const ALL: [PipelineSpec; 3] = [
         PipelineSpec::New,
         PipelineSpec::Standard,
-        PipelineSpec::Briggs,
         PipelineSpec::BriggsStar,
     ];
 
@@ -80,15 +79,14 @@ impl PipelineSpec {
         match self {
             PipelineSpec::New => "new",
             PipelineSpec::Standard => "standard",
-            PipelineSpec::Briggs => "briggs",
             PipelineSpec::BriggsStar => "briggs-star",
         }
     }
 
-    /// The briggs pipelines destruct by φ-web unioning, which requires
-    /// copies kept un-folded (webs must be interference-free).
+    /// Briggs\* destructs by φ-web unioning, which requires copies kept
+    /// un-folded (webs must be interference-free).
     pub fn needs_no_fold(self) -> bool {
-        matches!(self, PipelineSpec::Briggs | PipelineSpec::BriggsStar)
+        self == PipelineSpec::BriggsStar
     }
 }
 
@@ -142,7 +140,7 @@ pub fn ssa_stage(
         return Ok(SsaOutcome { stats, opt: None });
     }
     let timer = PhaseTimer::start("optimise", am);
-    // φ-web destruction (briggs pipelines) needs copies kept alive;
+    // φ-web destruction (briggs-star) needs copies kept alive;
     // copy propagation is standalone copy folding and would merge
     // interfering webs (see fcc_opt::copy_preserving_pipeline).
     let pm = if req.pipeline.needs_no_fold() {
@@ -196,8 +194,8 @@ pub struct Destruction {
 
 /// The destruction stage: take SSA `func` out of SSA form by
 /// `pipeline`'s algorithm, recording the run's [`DestructionTrace`] when
-/// `traced`. Each phase is appended to `phases`; the briggs pipelines
-/// record two (φ webs, then the coalescer), every other pipeline one.
+/// `traced`. Each phase is appended to `phases`; briggs-star records
+/// two (φ webs, then the coalescer), every other pipeline one.
 pub fn destruction_stage(
     func: &mut Function,
     pipeline: PipelineSpec,
@@ -238,7 +236,7 @@ pub fn destruction_stage(
                 s.copies_inserted, s.cycle_temps
             )
         }
-        PipelineSpec::Briggs | PipelineSpec::BriggsStar => {
+        PipelineSpec::BriggsStar => {
             let timer = PhaseTimer::start("webs", am);
             let w = if traced {
                 let (w, t) = destruct_via_webs_traced(func);
@@ -248,13 +246,11 @@ pub fn destruction_stage(
                 destruct_via_webs(func)
             };
             phases.push(timer.finish_with(am, &w));
-            let mode = if pipeline == PipelineSpec::Briggs {
-                GraphMode::Full
-            } else {
-                GraphMode::Restricted
-            };
             let timer = PhaseTimer::start("briggs-coalesce", am);
-            let s = coalesce_copies_managed(func, &BriggsOptions { mode }, am);
+            let opts = BriggsOptions {
+                mode: GraphMode::Restricted,
+            };
+            let s = coalesce_copies_managed(func, &opts, am);
             phases.push(timer.finish_with(am, &s));
             format!(
                 "{}: {} removed, {} remaining, {} passes, {} B peak matrix",

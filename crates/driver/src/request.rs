@@ -92,8 +92,8 @@ pub enum RequestError {
     UnknownFailMode(String),
     /// `--format` value not in the canonical set.
     UnknownFormat(String),
-    /// The briggs pipelines destruct by φ-web unioning, which requires
-    /// copies kept un-folded (webs must be interference-free).
+    /// The briggs-star pipeline destructs by φ-web unioning, which
+    /// requires copies kept un-folded (webs must be interference-free).
     BriggsNeedsNoFold(PipelineSpec),
     /// `--k-registers` below 2: a binary instruction needs two operand
     /// registers at once even after maximal spilling.
@@ -119,7 +119,7 @@ impl fmt::Display for RequestError {
         match self {
             RequestError::UnknownPipeline(s) => write!(
                 f,
-                "unknown pipeline {s:?} (expected new, standard, briggs, or briggs-star)"
+                "unknown pipeline {s:?} (expected new, standard, or briggs-star)"
             ),
             RequestError::UnknownFailMode(s) => write!(
                 f,
@@ -252,7 +252,7 @@ pub struct CompileRequest {
     pub pipeline: PipelineSpec,
     /// Fold copies while building SSA.
     pub fold: bool,
-    /// Run the optimiser pipeline on the SSA (briggs pipelines get the
+    /// Run the optimiser pipeline on the SSA (briggs-star gets the
     /// copy-preserving variant).
     pub opt: bool,
     /// Lint between phases and audit the destruction trace.
@@ -508,7 +508,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_briggs_with_folding_typed() {
-        let req = CompileRequest::new().pipeline(PipelineSpec::Briggs);
+        let req = CompileRequest::new().pipeline(PipelineSpec::BriggsStar);
         let err = req.validate().unwrap_err();
         assert_eq!(err.kind(), "briggs-needs-no-fold");
         assert!(err.to_string().contains("--no-fold"));
@@ -565,7 +565,7 @@ mod tests {
         let mut by_value = CompileRequest::new();
         let mut by_arg = CompileRequest::new();
         for (key, text) in [
-            ("pipeline", "briggs"),
+            ("pipeline", "briggs-star"),
             ("fail_mode", "degrade"),
             ("format", "json"),
             ("k_registers", "4"),
@@ -586,7 +586,7 @@ mod tests {
         }
         by_value.set("fold", SetValue::Bool(false)).unwrap();
         let built = CompileRequest::new()
-            .pipeline(PipelineSpec::Briggs)
+            .pipeline(PipelineSpec::BriggsStar)
             .fold(false)
             .opt(true)
             .verify_each(true)
@@ -636,7 +636,7 @@ mod tests {
     #[test]
     fn entry_point_validates_before_spawning() {
         let module = fcc_frontend::compile_module("fn a(x) { return x; }").unwrap();
-        let req = CompileRequest::new().pipeline(PipelineSpec::Briggs);
+        let req = CompileRequest::new().pipeline(PipelineSpec::BriggsStar);
         assert_eq!(
             compile_module(module, &req).unwrap_err().kind(),
             "briggs-needs-no-fold"

@@ -430,12 +430,12 @@ mod tests {
     #[test]
     fn overrides_share_the_cli_spellings() {
         let req = parse_request(
-            r#"{"v":1,"verb":"compile","source":"","request":{"pipeline":"briggs","fold":false,"fail_mode":"degrade","fuel":100,"jobs":4}}"#,
+            r#"{"v":1,"verb":"compile","source":"","request":{"pipeline":"briggs-star","fold":false,"fail_mode":"degrade","fuel":100,"jobs":4}}"#,
             &CompileRequest::new(),
         )
         .unwrap();
         let body = req.compile.unwrap();
-        assert_eq!(body.req.pipeline, PipelineSpec::Briggs);
+        assert_eq!(body.req.pipeline, PipelineSpec::BriggsStar);
         assert!(!body.req.fold);
         assert_eq!(body.req.fail_mode, FailMode::Degrade);
         assert_eq!(body.req.fuel, Some(100));
@@ -490,7 +490,7 @@ mod tests {
     #[test]
     fn validation_errors_surface_as_422_with_typed_kinds() {
         let e = parse_request(
-            r#"{"v":1,"verb":"compile","source":"","request":{"pipeline":"briggs"}}"#,
+            r#"{"v":1,"verb":"compile","source":"","request":{"pipeline":"briggs-star"}}"#,
             &CompileRequest::new(),
         )
         .unwrap_err();

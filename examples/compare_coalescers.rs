@@ -1,8 +1,8 @@
-//! Compare all four SSA-destruction pipelines on one benchmark kernel.
+//! Compare the three SSA-destruction pipelines on one benchmark kernel.
 //!
 //! Standard (no coalescing), New (the paper's dominance-forest
-//! algorithm), Briggs (full interference graph), and Briggs\* (restricted
-//! graph), each through the driver's pipeline stages — reporting wall
+//! algorithm) and Briggs\* (φ webs and the interference-graph coalescer
+//! over copy-related names), each through the driver's pipeline stages — reporting wall
 //! time, peak data-structure bytes, the static/dynamic copy counts the
 //! paper's Tables 2–5 are built from, and the analysis-cache hits each
 //! pipeline gets from sharing one `AnalysisManager` across its phases.
@@ -50,7 +50,6 @@ fn main() {
     for p in [
         PipelineSpec::Standard,
         PipelineSpec::New,
-        PipelineSpec::Briggs,
         PipelineSpec::BriggsStar,
     ] {
         let m = measure(p, k, 1);

@@ -45,9 +45,9 @@ fn parts(flag: Flag) -> (&'static str, Option<&'static str>, &'static str) {
 /// field's key with `-` for `_`; a switch sets its field to true, or to
 /// false behind a `no-` prefix.
 const REQUEST_FLAGS: &[Flag] = &[
-    "pipeline P: new (default) | standard | briggs | briggs-star",
-    "no-fold: do not fold copies while building SSA (the briggs pipelines need this)",
-    "opt: run the optimiser on the SSA (copy-preserving for the briggs pipelines)",
+    "pipeline P: new (default) | standard | briggs-star",
+    "no-fold: do not fold copies while building SSA (briggs-star needs this)",
+    "opt: run the optimiser on the SSA (copy-preserving for briggs-star)",
     "verify-each: lint between phases and audit the destruction, naming the failing pass",
     "simplify: simplify the CFG after destruction",
     "k-registers K: spill to pressure <= K, colour with exactly K >= 2 registers, audit",

@@ -129,9 +129,15 @@ fn request_flag_values_are_checked_whatever_the_stage() {
     // --emit cfg stops before any pipeline runs, but the spelling is
     // still checked.
     assert!(fcc(&["kernel:saxpy", "--emit", "cfg"]).status.success());
-    let out = fcc(&["kernel:saxpy", "--emit", "cfg", "--pipeline", "fancy"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("--pipeline") && stderr(&out).contains("\"fancy\""));
+    for bad in ["fancy", "briggs"] {
+        let out = fcc(&["kernel:saxpy", "--emit", "cfg", "--pipeline", bad]);
+        assert_eq!(out.status.code(), Some(1), "--pipeline {bad}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--pipeline") && err.contains(&format!("\"{bad}\"")),
+            "{err}"
+        );
+    }
     // Integers are range-checked into the field's type, not truncated.
     let out = fcc(&["kernel:saxpy", "--k-registers", "4294967298"]);
     assert_eq!(out.status.code(), Some(1));

@@ -17,9 +17,9 @@ fn every_pipeline_spelling_round_trips() {
         });
         assert_eq!(reparsed, p, "{printed:?} round-trips");
     }
-    // The canonical set is exactly the four pipelines, spelled kebab-case.
+    // The canonical set is exactly the three pipelines, spelled kebab-case.
     let labels: Vec<&str> = PipelineSpec::ALL.iter().map(|p| p.label()).collect();
-    assert_eq!(labels, ["new", "standard", "briggs", "briggs-star"]);
+    assert_eq!(labels, ["new", "standard", "briggs-star"]);
 }
 
 #[test]
@@ -38,7 +38,9 @@ fn every_fail_mode_and_format_round_trips() {
 fn bad_spellings_are_typed_errors_naming_the_input() {
     // Near-misses: case, whitespace, old-style aliases. Every one must
     // be rejected by every parser with the matching typed error.
-    for bad in ["New", "BRIGGS", " new", "new ", "std", "chaitin", ""] {
+    for bad in [
+        "New", "BRIGGS", "briggs", " new", "new ", "std", "chaitin", "",
+    ] {
         let err = bad.parse::<PipelineSpec>().unwrap_err();
         assert_eq!(err.kind(), "unknown-pipeline", "{bad:?}");
         assert!(
@@ -119,18 +121,13 @@ fn signatures_are_stable_across_processes() {
 
 #[test]
 fn validate_is_the_single_precondition_gate() {
-    // briggs + fold: typed, with the CLI-facing hint in the message.
-    for p in [PipelineSpec::Briggs, PipelineSpec::BriggsStar] {
-        let err = CompileRequest::new().pipeline(p).validate().unwrap_err();
-        assert_eq!(err.kind(), "briggs-needs-no-fold");
-        assert!(err.to_string().contains("--no-fold"));
-        assert!(CompileRequest::new()
-            .pipeline(p)
-            .fold(false)
-            .validate()
-            .is_ok());
-    }
-    // Non-briggs pipelines accept both fold settings.
+    // briggs-star + fold: typed, with the CLI-facing hint in the message.
+    let briggs_star = CompileRequest::new().pipeline(PipelineSpec::BriggsStar);
+    let err = briggs_star.validate().unwrap_err();
+    assert_eq!(err.kind(), "briggs-needs-no-fold");
+    assert!(err.to_string().contains("--no-fold"));
+    assert!(briggs_star.fold(false).validate().is_ok());
+    // The other pipelines accept both fold settings.
     for p in [PipelineSpec::New, PipelineSpec::Standard] {
         for fold in [true, false] {
             assert!(CompileRequest::new()

@@ -91,7 +91,7 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
     let d = daemon();
     let line = compile_line(
         "fn f(x) { return x; }",
-        ",\"request\":{\"pipeline\":\"briggs\"}",
+        ",\"request\":{\"pipeline\":\"briggs-star\"}",
     );
     let (resp, stop) = d.handle_line(&line);
     assert!(!stop);
@@ -111,7 +111,7 @@ fn briggs_with_folding_is_a_422_typed_rejection() {
     // And the corrected request compiles.
     let line = compile_line(
         "fn f(x) { return x; }",
-        ",\"request\":{\"pipeline\":\"briggs\",\"fold\":false}",
+        ",\"request\":{\"pipeline\":\"briggs-star\",\"fold\":false}",
     );
     let (resp, _) = d.handle_line(&line);
     assert_eq!(
