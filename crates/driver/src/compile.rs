@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use fcc_analysis::AnalysisManager;
 use fcc_core::{coalesce_ssa_managed, coalesce_ssa_traced, CoalesceOptions};
-use fcc_ir::{Function, Module};
+use fcc_ir::Function;
 use fcc_lint::{audit_destruction, lint_function, LintReport, LintStage};
 use fcc_opt::{
     copy_preserving_pipeline, simplify_cfg_with, standard_pipeline, PipelineViolation, RunSummary,
@@ -47,8 +47,7 @@ use fcc_ssa::{
     SsaFlavor, SsaStats,
 };
 
-use crate::pool::BatchTiming;
-use crate::report::{merge_phases, PhaseRecord, PhaseTimer};
+use crate::report::{PhaseRecord, PhaseTimer};
 use crate::request::{CompileRequest, RequestError};
 
 /// The destruction pipeline to run: every algorithm `fcc`, `fcc serve`,
@@ -525,79 +524,11 @@ pub fn compile_function(
     })
 }
 
-/// One batch-compiled module: per-function outcomes in module order plus
-/// the pool timing.
-#[derive(Clone, Debug)]
-pub struct ModuleOutcome {
-    /// Outcomes, index-aligned with the input module's functions.
-    pub functions: Vec<FunctionOutcome>,
-    /// Wall/cpu timing of the batch.
-    pub timing: BatchTiming,
-}
-
-impl ModuleOutcome {
-    /// The rewritten functions reassembled as a module (names were
-    /// unique on input and compilation never renames).
-    pub fn into_module(self) -> Module {
-        Module::from_functions(self.functions.into_iter().map(|o| o.func).collect())
-            .expect("compilation preserves the input module's unique names")
-    }
-
-    /// Phase records summed by label across all functions.
-    pub fn merged_phases(&self) -> Vec<PhaseRecord> {
-        let per: Vec<Vec<PhaseRecord>> = self.functions.iter().map(|o| o.phases.clone()).collect();
-        merge_phases(&per)
-    }
-
-    /// Optimiser summaries merged by pass name: applications and
-    /// instruction deltas summed, rounds reported as the maximum.
-    pub fn merged_summary(&self) -> Option<RunSummary> {
-        merge_summaries(self.functions.iter())
-    }
-
-    /// Peak analysis-cache bytes over the workers (they do not share a
-    /// cache, so the batch's footprint is the largest single one).
-    pub fn analysis_peak_bytes(&self) -> usize {
-        self.functions
-            .iter()
-            .map(|o| o.analysis_peak_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Merge optimiser summaries by pass name across function outcomes:
-/// applications and instruction deltas summed, rounds reported as the
-/// maximum. Shared by [`ModuleOutcome`] and
-/// [`crate::recover::BatchOutcome`].
-pub fn merge_summaries<'a>(
-    outcomes: impl Iterator<Item = &'a FunctionOutcome>,
-) -> Option<RunSummary> {
-    let mut merged: Option<RunSummary> = None;
-    for o in outcomes {
-        let Some(s) = &o.opt_summary else { continue };
-        let m = merged.get_or_insert(RunSummary {
-            rounds: 0,
-            passes: Vec::new(),
-        });
-        m.rounds = m.rounds.max(s.rounds);
-        for p in &s.passes {
-            match m.passes.iter_mut().find(|q| q.name == p.name) {
-                Some(q) => {
-                    q.applications += p.applications;
-                    q.insts_removed += p.insts_removed;
-                }
-                None => m.passes.push(p.clone()),
-            }
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::compile_module as compile_module_req;
+    use fcc_ir::Module;
 
     fn module_of(n: usize) -> Module {
         let mut src = String::new();
@@ -613,19 +544,16 @@ mod tests {
     #[test]
     fn parallel_output_matches_serial_byte_for_byte() {
         let req = CompileRequest::new().opt(true);
-        let serial = compile_module_req(module_of(12), &req.clone().jobs(1))
-            .unwrap()
-            .into_module_outcome()
-            .unwrap();
-        let parallel = compile_module_req(module_of(12), &req.jobs(4))
-            .unwrap()
-            .into_module_outcome()
-            .unwrap();
-        assert_eq!(
-            serial.clone().into_module().to_string(),
-            parallel.clone().into_module().to_string()
-        );
+        let serial = compile_module_req(module_of(12), &req.clone().jobs(1)).unwrap();
+        let parallel = compile_module_req(module_of(12), &req.jobs(4)).unwrap();
+        for batch in [&serial, &parallel] {
+            assert!(batch.first_error().is_none(), "{:?}", batch.first_error());
+        }
         assert_eq!(serial.merged_phases().len(), parallel.merged_phases().len());
+        assert_eq!(
+            serial.into_surviving_module().to_string(),
+            parallel.into_surviving_module().to_string()
+        );
     }
 
     #[test]
@@ -636,10 +564,14 @@ mod tests {
                 .fold(!spec.needs_no_fold())
                 .verify_each(true)
                 .jobs(2);
-            let out = compile_module_req(module_of(3), &req)
-                .map(|b| b.into_module_outcome().expect("no failures"))
-                .unwrap_or_else(|e| panic!("{spec}: {e}"));
-            for o in &out.functions {
+            let out =
+                compile_module_req(module_of(3), &req).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert!(
+                out.first_error().is_none(),
+                "{spec}: {:?}",
+                out.first_error()
+            );
+            for o in out.outcomes() {
                 assert!(!o.func.has_phis(), "{spec}: phis left");
             }
         }
@@ -648,15 +580,12 @@ mod tests {
     #[test]
     fn merged_summary_accumulates_pass_applications() {
         let req = CompileRequest::new().opt(true).jobs(3);
-        let out = compile_module_req(module_of(6), &req)
-            .unwrap()
-            .into_module_outcome()
-            .unwrap();
+        let out = compile_module_req(module_of(6), &req).unwrap();
+        assert!(out.first_error().is_none(), "{:?}", out.first_error());
         let merged = out.merged_summary().expect("opt ran");
         assert!(!merged.passes.is_empty());
         let per_fn: usize = out
-            .functions
-            .iter()
+            .outcomes()
             .filter_map(|o| o.opt_summary.as_ref())
             .flat_map(|s| s.passes.iter().map(|p| p.applications))
             .sum();
@@ -669,11 +598,13 @@ mod tests {
         let module = module_of(4);
         for k in [4u32, 8] {
             let req = CompileRequest::new().opt(true).k_registers(Some(k));
-            let out = compile_module_req(module.clone(), &req)
-                .unwrap()
-                .into_module_outcome()
-                .unwrap_or_else(|e| panic!("k={k}: {e}"));
-            for o in &out.functions {
+            let out = compile_module_req(module.clone(), &req).unwrap();
+            assert!(
+                out.first_error().is_none(),
+                "k={k}: {:?}",
+                out.first_error()
+            );
+            for o in out.outcomes() {
                 let s = o.spill.expect("spill summary present");
                 assert_eq!(s.k, k);
                 assert_eq!(s.slots, o.func.spill_slot_count());

@@ -47,8 +47,8 @@
 //! ).unwrap();
 //! let batch = compile_module(module, &CompileRequest::new().jobs(2)).unwrap();
 //! assert_eq!(batch.counts(), (2, 0, 0));
-//! let out = batch.into_module_outcome().unwrap();
-//! assert!(out.functions.iter().all(|o| !o.func.has_phis()));
+//! assert!(batch.first_error().is_none());
+//! assert!(batch.outcomes().all(|o| !o.func.has_phis()));
 //! ```
 
 pub mod compile;
@@ -60,8 +60,7 @@ pub mod request;
 
 pub use compile::{
     allocation_stage, compile_function, destruction_stage, lint_pipeline, spill_stage, ssa_stage,
-    Destruction, FunctionOutcome, LintOutcome, ModuleOutcome, PipelineSpec, SpillSummary,
-    SsaOutcome,
+    Destruction, FunctionOutcome, LintOutcome, PipelineSpec, SpillSummary, SsaOutcome,
 };
 pub use fuzz::{
     check_program, check_program_with, failure_class, fuzz, FuzzConfig, FuzzFailure, FuzzOutcome,

@@ -39,8 +39,9 @@ use fcc_analysis::fuel::{self, Fuel};
 use fcc_core::CompileError;
 use fcc_ir::diagnostic::json_escape;
 use fcc_ir::{Function, Module};
+use fcc_opt::RunSummary;
 
-use crate::compile::{compile_function, FunctionOutcome, ModuleOutcome, PipelineSpec};
+use crate::compile::{compile_function, FunctionOutcome, PipelineSpec};
 use crate::pool::BatchTiming;
 use crate::report::Table;
 use crate::request::{CompileRequest, RequestError};
@@ -351,23 +352,6 @@ impl BatchOutcome {
         })
     }
 
-    /// Convert to the strict [`ModuleOutcome`] contract: any quarantined
-    /// function aborts with its name prefixed, exactly as the
-    /// pre-fault-tolerance `compile_module` did.
-    pub fn into_module_outcome(self) -> Result<ModuleOutcome, String> {
-        if let Some((name, e)) = self.first_error() {
-            return Err(format!("@{name}: {e}"));
-        }
-        Ok(ModuleOutcome {
-            functions: self
-                .functions
-                .into_iter()
-                .map(|f| f.outcome.expect("no failures: every report has an outcome"))
-                .collect(),
-            timing: self.timing,
-        })
-    }
-
     /// The surviving functions reassembled as a module; quarantined
     /// functions are skipped (the skip set depends only on per-function
     /// results, so the module is identical at every `--jobs` width).
@@ -393,9 +377,29 @@ impl BatchOutcome {
         crate::report::merge_phases(&per)
     }
 
-    /// Optimiser summaries merged over the surviving functions.
-    pub fn merged_summary(&self) -> Option<fcc_opt::RunSummary> {
-        crate::compile::merge_summaries(self.outcomes())
+    /// Optimiser summaries merged by pass name over the surviving
+    /// functions: applications and instruction deltas summed, rounds
+    /// reported as the maximum.
+    pub fn merged_summary(&self) -> Option<RunSummary> {
+        let mut merged: Option<RunSummary> = None;
+        for o in self.outcomes() {
+            let Some(s) = &o.opt_summary else { continue };
+            let m = merged.get_or_insert(RunSummary {
+                rounds: 0,
+                passes: Vec::new(),
+            });
+            m.rounds = m.rounds.max(s.rounds);
+            for p in &s.passes {
+                match m.passes.iter_mut().find(|q| q.name == p.name) {
+                    Some(q) => {
+                        q.applications += p.applications;
+                        q.insts_removed += p.insts_removed;
+                    }
+                    None => m.passes.push(p.clone()),
+                }
+            }
+        }
+        merged
     }
 
     /// Peak analysis-cache bytes over the workers.

@@ -95,8 +95,7 @@ pub mod prelude {
         compile_function, compile_function_guarded, compile_function_report, compile_module,
         destruction_stage, lint_pipeline, par_map, resolve_jobs, ssa_stage, BatchOutcome,
         BatchTiming, CompileRequest, Destruction, FailMode, FnStatus, FunctionOutcome,
-        FunctionReport, LintOutcome, ModuleOutcome, PipelineSpec, ReportFormat, RequestError,
-        SsaOutcome,
+        FunctionReport, LintOutcome, PipelineSpec, ReportFormat, RequestError, SsaOutcome,
     };
     pub use fcc_interp::{run, run_with_memory, Outcome};
     pub use fcc_ir::{

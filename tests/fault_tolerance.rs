@@ -63,14 +63,8 @@ fn injected_panic_recovers_to_standard_at_every_jobs_width() {
         .verify_each(true)
         .jobs(2);
     let plain = compile_module(module(), &standard).expect("standard compiles");
-    assert_eq!(
-        rendered[0],
-        plain
-            .into_module_outcome()
-            .expect("no failures")
-            .into_module()
-            .to_string()
-    );
+    assert!(plain.first_error().is_none(), "{:?}", plain.first_error());
+    assert_eq!(rendered[0], plain.into_surviving_module().to_string());
 }
 
 #[test]
@@ -131,12 +125,15 @@ fn verifier_violation_after_pass_is_rejected_and_recovers() {
 fn abort_mode_names_the_offending_function_and_pass() {
     let _armed = Guard::arm(Fault::Panic("coalesce-new".into()));
     let batch = compile_module(module(), &CompileRequest::new().jobs(2)).expect("request is valid");
-    let err = batch
-        .into_module_outcome()
-        .expect_err("abort surfaces the panic");
+    let (name, err) = batch.first_error().expect("abort surfaces the panic");
+    assert_eq!(
+        name,
+        module().functions()[0].name,
+        "names the first function"
+    );
+    let err = err.to_string();
     assert!(err.contains("coalesce-new"), "{err}");
     assert!(err.contains("panic"), "{err}");
-    assert!(err.starts_with('@'), "names the function: {err}");
 }
 
 #[test]

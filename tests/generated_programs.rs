@@ -185,20 +185,17 @@ fn seed_sweep_through_the_parallel_driver() {
         .collect();
     let module = Module::from_functions(funcs.clone()).expect("unique names");
     let req = CompileRequest::new().opt(true);
-    let serial = compile_module(module.clone(), &req.clone().jobs(1))
-        .expect("request is valid")
-        .into_module_outcome()
-        .expect("serial batch compiles");
-    let wide = compile_module(module, &req.clone().jobs(4))
-        .expect("request is valid")
-        .into_module_outcome()
-        .expect("parallel batch compiles");
+    let serial = compile_module(module.clone(), &req.clone().jobs(1)).expect("request is valid");
+    let wide = compile_module(module, &req.clone().jobs(4)).expect("request is valid");
+    for batch in [&serial, &wide] {
+        assert!(batch.first_error().is_none(), "{:?}", batch.first_error());
+    }
     assert_eq!(
-        serial.clone().into_module().to_string(),
-        wide.clone().into_module().to_string(),
+        serial.clone().into_surviving_module().to_string(),
+        wide.into_surviving_module().to_string(),
         "job count changed the batch output"
     );
-    for ((&seed, base), out) in seeds.iter().zip(&funcs).zip(&serial.functions) {
+    for ((&seed, base), out) in seeds.iter().zip(&funcs).zip(serial.outcomes()) {
         let args = [seed as i64 % 17, (seed as i64 / 3) % 11];
         let reference = run_f(base, &args);
         assert!(!out.func.has_phis(), "seed {seed}: driver left phis");

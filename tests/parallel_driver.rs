@@ -27,24 +27,27 @@ fn generated_module(n: u64) -> Module {
 fn job_width_never_changes_compiled_output() {
     let module = generated_module(64);
     let req = CompileRequest::new().opt(true).verify_each(true);
-    let outcomes: Vec<ModuleOutcome> = [1usize, 2, 8]
+    let outcomes: Vec<BatchOutcome> = [1usize, 2, 8]
         .into_iter()
         .map(|jobs| {
             let out = compile_module(module.clone(), &req.clone().jobs(jobs))
-                .unwrap_or_else(|e| panic!("--jobs {jobs}: {e}"))
-                .into_module_outcome()
                 .unwrap_or_else(|e| panic!("--jobs {jobs}: {e}"));
+            assert!(
+                out.first_error().is_none(),
+                "--jobs {jobs}: {:?}",
+                out.first_error()
+            );
             assert_eq!(out.timing.jobs, jobs.clamp(1, 64));
             out
         })
         .collect();
 
     let serial = &outcomes[0];
-    let serial_text = serial.clone().into_module().to_string();
+    let serial_text = serial.clone().into_surviving_module().to_string();
     for (out, jobs) in outcomes[1..].iter().zip([2usize, 8]) {
         assert_eq!(
             serial_text,
-            out.clone().into_module().to_string(),
+            out.clone().into_surviving_module().to_string(),
             "--jobs {jobs}: printed IR differs from serial"
         );
         // Wall times inside the commentary lines are the one thing
@@ -55,7 +58,7 @@ fn job_width_never_changes_compiled_output() {
                 .map(|l| l.split("compiled in").next().unwrap().to_string())
                 .collect::<Vec<_>>()
         };
-        for (a, b) in serial.functions.iter().zip(&out.functions) {
+        for (a, b) in serial.outcomes().zip(out.outcomes()) {
             assert_eq!(
                 detimed(&a.stat_lines),
                 detimed(&b.stat_lines),
@@ -71,7 +74,7 @@ fn job_width_never_changes_compiled_output() {
         }
         // The merged report is a deterministic fold over module order
         // (times vary run to run; everything else must not).
-        let shape = |o: &ModuleOutcome| {
+        let shape = |o: &BatchOutcome| {
             o.merged_phases()
                 .iter()
                 .map(|p| (p.label, p.peak_bytes, p.copies_inserted, p.copies_removed))
@@ -108,13 +111,11 @@ fn job_width_never_changes_lint_reports() {
 #[test]
 fn pool_timing_accounts_for_every_function() {
     let module = generated_module(16);
-    let out = compile_module(module, &CompileRequest::new().jobs(4))
-        .unwrap()
-        .into_module_outcome()
-        .unwrap();
+    let out = compile_module(module, &CompileRequest::new().jobs(4)).unwrap();
+    assert!(out.first_error().is_none(), "{:?}", out.first_error());
     // cpu is the sum of per-function work; it can't be less than the
     // slowest single function, and utilization is a sane fraction.
-    let max_fn = out.functions.iter().map(|f| f.compile_time).max().unwrap();
+    let max_fn = out.outcomes().map(|f| f.compile_time).max().unwrap();
     assert!(out.timing.cpu >= max_fn);
     let u = out.timing.utilization();
     assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");

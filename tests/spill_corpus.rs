@@ -288,12 +288,14 @@ fn k_constrained_module_compile_is_jobs_deterministic() {
     let module = fcc_frontend::compile_module(&src).unwrap();
     let req = CompileRequest::new().opt(true).k_registers(Some(4));
     let render = |jobs: usize| {
-        compile_module(module.clone(), &req.clone().jobs(jobs))
-            .expect("module must compile")
-            .into_module_outcome()
-            .expect("no function may fail")
-            .into_module()
-            .to_string()
+        let batch =
+            compile_module(module.clone(), &req.clone().jobs(jobs)).expect("module must compile");
+        assert!(
+            batch.first_error().is_none(),
+            "no function may fail: {:?}",
+            batch.first_error()
+        );
+        batch.into_surviving_module().to_string()
     };
     assert_eq!(
         render(1),

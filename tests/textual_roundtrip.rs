@@ -102,11 +102,9 @@ fn multi_function_modules_roundtrip() {
     assert_eq!(reparsed.len(), 3);
 
     // After batch destruction the module must still round-trip.
-    let out = compile_module(module, &CompileRequest::new().jobs(2))
-        .unwrap()
-        .into_module_outcome()
-        .unwrap();
-    let compiled = out.into_module();
+    let out = compile_module(module, &CompileRequest::new().jobs(2)).unwrap();
+    assert!(out.first_error().is_none(), "{:?}", out.first_error());
+    let compiled = out.into_surviving_module();
     let printed = compiled.to_string();
     let reparsed = parse_module(&printed).unwrap();
     assert_eq!(
