@@ -94,21 +94,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Detach `x` into a fresh singleton, leaving the rest of its old set
-    /// intact, **provided `x` is not its set's representative**. Breaking a
-    /// congruence class in the paper's algorithm removes one member; we
-    /// implement that by re-pointing the member at itself. Returns `false`
-    /// (and does nothing) if `x` is a representative some other element
-    /// might point at — callers avoid this by never detaching reps.
-    pub fn detach_non_rep(&mut self, x: usize) -> bool {
-        if self.find(x) == x {
-            return false;
-        }
-        self.parent[x] = x as u32;
-        self.rank[x] = 0;
-        true
-    }
-
     /// Group all elements by representative: returns `(reps, groups)`
     /// where `groups[i]` lists the members of `reps[i]`'s set, each group
     /// in increasing element order. Singletons are included.
@@ -185,31 +170,6 @@ mod tests {
         assert_eq!(uf.find(x), x);
         uf.union(x, 0);
         assert!(uf.same(x, 0));
-    }
-
-    #[test]
-    fn detach_non_rep_splits_member_out() {
-        let mut uf = UnionFind::new(4);
-        uf.union(0, 1);
-        uf.union(0, 2);
-        let rep = uf.find(0);
-        // Pick a member that isn't the representative.
-        let member = (0..3).find(|&x| x != rep).unwrap();
-        assert!(uf.detach_non_rep(member));
-        assert_eq!(uf.find(member), member);
-        // The remaining two stay together.
-        let others: Vec<usize> = (0..3).filter(|&x| x != member).collect();
-        assert!(uf.same(others[0], others[1]));
-        assert!(!uf.same(member, others[0]));
-    }
-
-    #[test]
-    fn detach_rep_is_refused() {
-        let mut uf = UnionFind::new(3);
-        uf.union(0, 1);
-        let rep = uf.find(0);
-        assert!(!uf.detach_non_rep(rep));
-        assert!(uf.same(0, 1), "refused detach must not corrupt the set");
     }
 
     #[test]

@@ -124,16 +124,6 @@ impl<K: EntityRef, V> EntityMap<K, V> {
         self.elems.is_empty()
     }
 
-    /// The reference that the next call to [`push`](Self::push) will return.
-    pub fn next_key(&self) -> K {
-        K::new(self.elems.len())
-    }
-
-    /// Whether `k` refers to an allocated entity.
-    pub fn is_valid(&self, k: K) -> bool {
-        k.index() < self.elems.len()
-    }
-
     /// Iterate over all entity references in allocation order.
     pub fn keys(&self) -> impl DoubleEndedIterator<Item = K> + '_ {
         (0..self.elems.len()).map(K::new)
@@ -314,9 +304,6 @@ mod tests {
         let keys: Vec<_> = m.keys().collect();
         assert_eq!(keys.len(), 10);
         assert_eq!(keys[3].index(), 3);
-        assert_eq!(m.next_key().index(), 10);
-        assert!(m.is_valid(TestRef::new(9)));
-        assert!(!m.is_valid(TestRef::new(10)));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::Instant;
 use fcc_driver::{BatchOutcome, CompileRequest, FailMode};
 use fcc_ir::Module;
 
-use crate::cache::{compile_module_cached, CacheStats, FnCache, SharedCache};
+use crate::cache::{compile_module_cached, FnCache, SharedCache};
 use crate::json::Json;
 use crate::protocol::{
     error_response, parse_request, CompileBody, Lang, Request, ResponseBuilder, ServeError, Verb,
@@ -179,11 +179,6 @@ impl Daemon {
             gate: Gate::new(opts.max_queue),
             max_line_bytes: opts.max_line_bytes,
         })
-    }
-
-    /// The function cache's lifetime counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.with(|c| c.stats())
     }
 
     /// Graceful-exit hook: flush the advisory LRU index so the next
@@ -583,8 +578,10 @@ mod tests {
         let (cold, _) = d.handle_line(&line);
         let (warm, _) = d.handle_line(&line);
         assert_eq!(cold, warm);
-        let s = d.cache_stats();
-        assert_eq!((s.hits, s.misses), (2, 2));
+        let (resp, _) = d.handle_line(r#"{"v":1,"verb":"stats"}"#);
+        let cache = json::parse(&resp).unwrap().get("cache").unwrap().clone();
+        assert_eq!(cache.get("hits").unwrap().as_u64(), Some(2));
+        assert_eq!(cache.get("misses").unwrap().as_u64(), Some(2));
     }
 
     #[test]
