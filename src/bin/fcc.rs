@@ -430,6 +430,9 @@ fn lint_main(a: Args) -> Result<bool, String> {
 /// when the findings warrant a failing exit code.
 fn analyze_main(a: Args) -> Result<bool, String> {
     let memory_words: Option<i64> = a.parse("memory-words")?;
+    if memory_words.is_some_and(|m| m < 0) {
+        return Err(bad("memory-words", "must not be negative"));
+    }
     let src = load_source(a.input()?)?;
     let module = fcc::frontend::compile_module(&src)?;
     let single = module.len() == 1;

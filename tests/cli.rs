@@ -233,6 +233,15 @@ fn inject_is_the_one_fault_flag_and_names_every_fault_it_takes() {
 }
 
 #[test]
+fn a_negative_memory_size_is_refused_naming_the_flag() {
+    let out = fcc(&["analyze", "kernel:saxpy", "--memory-words", "-5"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("--memory-words"), "{}", stderr(&out));
+    let out = fcc(&["analyze", "kernel:saxpy", "--memory-words", "0"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn a_solver_spin_without_fuel_is_refused_naming_fuel() {
     // The spin ends only when fuel runs out, and neither command sets
     // any by default: without the refusal both would never return.
