@@ -21,8 +21,9 @@
 //!   [`pressure::for_each_point`] walk: per-block maxima and the
 //!   function-level MaxLive that certifies colourability under SSA;
 //! * [`manager::AnalysisManager`] — epoch-keyed caching of all of the
-//!   above, with [`manager::PreservedAnalyses`]-driven invalidation, so
-//!   pipelines recompute an analysis only when the function changed;
+//!   above (one liveness slot for SSA and φ-free code alike), with
+//!   [`manager::PreservedAnalyses`]-driven invalidation, so pipelines
+//!   recompute an analysis only when the function changed;
 //! * [`fuel::Fuel`] — thread-installed step budgets that bound every
 //!   fixpoint loop in the workspace, unwinding with a typed
 //!   [`fuel::FuelExhausted`] payload the batch driver catches;

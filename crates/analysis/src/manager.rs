@@ -5,9 +5,10 @@
 //! shape a real compiler uses, where analyses are shared between passes.
 //! [`AnalysisManager`] makes that assumption real: every consumer pulls
 //! `ControlFlowGraph`, `DomTree`, [`Liveness`] (one slot for SSA and
-//! φ-free code alike), [`Pressure`] and [`LoopNesting`] from one cache keyed on the function's
-//! modification [epoch](fcc_ir::Function::epoch), so a phase that did not
-//! change the code pays nothing for the next phase's analyses.
+//! φ-free code alike), [`Pressure`] and [`LoopNesting`] from one cache
+//! keyed on the function's modification [epoch](fcc_ir::Function::epoch),
+//! so a phase that did not change the code pays nothing for the next
+//! phase's analyses.
 //!
 //! Passes report what they kept intact as one of three
 //! [`PreservedAnalyses`] levels: a pass that rewrites instructions but
@@ -247,9 +248,8 @@ impl AnalysisManager {
         rc
     }
 
-    /// φ-aware liveness, one slot for SSA and φ-free code alike: the
-    /// colourer's request after destruction replaces the SSA-stage
-    /// lists instead of sitting beside them.
+    /// φ-aware liveness, one slot for SSA and φ-free code alike, so a
+    /// request after destruction replaces the SSA-stage lists.
     pub fn liveness(&mut self, func: &Function) -> Rc<Liveness> {
         let epoch = func.epoch();
         if let Some(hit) = self.liveness.get(epoch) {

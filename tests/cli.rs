@@ -233,10 +233,19 @@ fn inject_is_the_one_fault_flag_and_names_every_fault_it_takes() {
 }
 
 #[test]
-fn a_negative_memory_size_is_refused_naming_the_flag() {
-    let out = fcc(&["analyze", "kernel:saxpy", "--memory-words", "-5"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("--memory-words"), "{}", stderr(&out));
+fn a_command_flag_out_of_range_exits_1_naming_it() {
+    for (args, flag) in [
+        (
+            &["analyze", "kernel:saxpy", "--memory-words", "-5"][..],
+            "--memory-words",
+        ),
+        (&["pressure", "kernel:saxpy", "--k", "0"], "--k"),
+    ] {
+        let out = fcc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+    }
+    // Zero words is a memory size, not an error.
     let out = fcc(&["analyze", "kernel:saxpy", "--memory-words", "0"]);
     assert!(out.status.success(), "{}", stderr(&out));
 }
