@@ -72,4 +72,4 @@ pub use liveness::Liveness;
 pub use loops::LoopNesting;
 pub use manager::{AnalysisCounters, AnalysisManager, HitMiss, PreservedAnalyses};
 pub use pressure::Pressure;
-pub use unionfind::UnionFind;
+pub use unionfind::{Sets, UnionFind};

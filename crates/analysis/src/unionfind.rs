@@ -34,16 +34,6 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Add a fresh singleton element and return its index. The paper's
-    /// algorithm needs this when breaking an interference mints a new name
-    /// mid-run.
-    pub fn push(&mut self) -> usize {
-        let i = self.parent.len();
-        self.parent.push(i as u32);
-        self.rank.push(0);
-        i
-    }
-
     /// The canonical representative of `x`'s set, with path compression.
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
@@ -94,25 +84,95 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Group all elements by representative: returns `(reps, groups)`
-    /// where `groups[i]` lists the members of `reps[i]`'s set, each group
-    /// in increasing element order. Singletons are included.
-    pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut by_rep: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for x in 0..n {
-            let r = self.find(x);
-            by_rep.entry(r).or_default().push(x);
+    /// Group `elems` by set, consuming the structure: the sets come in
+    /// first-member order and each lists its members ascending.
+    ///
+    /// `elems` may hold duplicates and come in any order. Every element
+    /// unioned with another must be among them; an element in a set of
+    /// its own comes out as a set of one. The cost is linear in
+    /// `elems.len()` once it is sorted: no hash map and no allocation per
+    /// set. The `parent` table, no longer needed as a forest, numbers the
+    /// sets by root.
+    pub fn into_sets(mut self, mut elems: Vec<u32>) -> Sets {
+        const UNNUMBERED: u32 = u32::MAX;
+        elems.sort_unstable();
+        elems.dedup();
+        let mut set_of: Vec<u32> = elems
+            .iter()
+            .map(|&x| self.find(x as usize) as u32)
+            .collect();
+        for &root in &set_of {
+            self.parent[root as usize] = UNNUMBERED;
         }
-        let mut groups: Vec<Vec<usize>> = by_rep.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
-        groups
+        // Number the sets by first member, counting each one's size.
+        let mut cursor: Vec<u32> = Vec::new();
+        for s in set_of.iter_mut() {
+            let slot = &mut self.parent[*s as usize];
+            if *slot == UNNUMBERED {
+                *slot = cursor.len() as u32;
+                cursor.push(0);
+            }
+            *s = *slot;
+            cursor[*s as usize] += 1;
+        }
+        let mut starts: Vec<u32> = Vec::with_capacity(cursor.len() + 1);
+        let mut end = 0u32;
+        starts.push(0);
+        for c in cursor.iter_mut() {
+            let size = *c;
+            *c = end;
+            end += size;
+            starts.push(end);
+        }
+        // Place each member at its set's cursor, ascending within a set.
+        let mut members: Vec<u32> = vec![0; elems.len()];
+        for (&x, &s) in elems.iter().zip(&set_of) {
+            members[cursor[s as usize] as usize] = x;
+            cursor[s as usize] += 1;
+        }
+        Sets { starts, members }
     }
 
     /// Heap bytes used.
     pub fn bytes(&self) -> usize {
         self.parent.capacity() * 4 + self.rank.capacity()
+    }
+}
+
+/// The sets of a [`UnionFind`] over some of its elements, as
+/// [`UnionFind::into_sets`] lays them out: one flat member list cut into
+/// consecutive runs.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Sets {
+    /// `starts[k]..starts[k + 1]` is set `k`'s run in `members`.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Sets {
+    /// Number of sets.
+    pub fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Whether there are no sets.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Set `k`'s members, ascending.
+    pub fn set(&self, k: usize) -> &[u32] {
+        &self.members[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// The sets in first-member order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len()).map(|k| self.set(k))
+    }
+
+    /// Heap bytes used.
+    pub fn bytes(&self) -> usize {
+        (self.starts.capacity() + self.members.capacity()) * 4
     }
 }
 
@@ -163,26 +223,14 @@ mod tests {
     }
 
     #[test]
-    fn push_adds_singleton() {
-        let mut uf = UnionFind::new(2);
-        let x = uf.push();
-        assert_eq!(x, 2);
-        assert_eq!(uf.find(x), x);
-        uf.union(x, 0);
-        assert!(uf.same(x, 0));
-    }
-
-    #[test]
-    fn groups_partition_universe() {
-        let mut uf = UnionFind::new(7);
-        uf.union(0, 3);
-        uf.union(3, 5);
-        uf.union(1, 2);
-        let groups = uf.groups();
-        assert_eq!(groups.len(), 4); // {0,3,5} {1,2} {4} {6}
-        let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 7);
-        assert!(groups.iter().any(|g| g == &vec![0, 3, 5]));
-        assert!(groups.iter().any(|g| g == &vec![1, 2]));
+    fn sets_cover_the_given_elements() {
+        let mut uf = UnionFind::new(8);
+        uf.union(5, 3);
+        uf.union(3, 0);
+        uf.union(2, 1);
+        let sets = uf.into_sets(vec![5, 3, 0, 1, 2, 6, 3]);
+        let got: Vec<&[u32]> = sets.iter().collect();
+        assert_eq!(got, vec![&[0, 3, 5][..], &[1, 2], &[6]]);
+        assert!(UnionFind::new(4).into_sets(Vec::new()).is_empty());
     }
 }

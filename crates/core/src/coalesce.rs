@@ -140,34 +140,89 @@ pub fn coalesce_ssa(func: &mut Function) -> CoalesceStats {
     coalesce_ssa_with(func, &CoalesceOptions::default())
 }
 
+/// "No reachable definition" in the coalescer's `def_block` table.
+const NO_BLOCK: u32 = u32::MAX;
+
 /// Shared per-run context for the interference machinery.
 struct Ctx<'a> {
     func: &'a Function,
     dt: &'a DomTree,
     live: &'a Liveness,
-    def_block: &'a [Option<Block>],
+    /// Each value's reachable defining block, or [`NO_BLOCK`].
+    def_block: &'a [u32],
     def_pos: &'a [u32],
     phi_degree: &'a [u32],
-    last_use_cache: HashMap<Block, HashMap<Value, u32>>,
+    last_uses: LastUses,
+    /// Per forest node of the class being resolved: split out yet?
+    removed: Vec<bool>,
     stats: &'a mut CoalesceStats,
 }
 
-impl Ctx<'_> {
-    fn last_use(&mut self, b: Block, v: Value) -> Option<u32> {
-        let func = self.func;
-        self.last_use_cache
-            .entry(b)
-            .or_insert_with(|| {
-                let mut m: HashMap<Value, u32> = HashMap::new();
-                for (pos, &inst) in func.block_insts(b).iter().enumerate() {
-                    func.inst(inst).kind.for_each_use(|v| {
-                        m.insert(v, pos as u32);
-                    });
+/// Per block, the position of each value's last use in it, built the
+/// first time the local check (§3.4) asks about the block: one run of
+/// `(value, position)` pairs sorted by value, so each block is walked
+/// once and looked up by binary search.
+#[derive(Default)]
+struct LastUses {
+    /// Each block's run header in `entries`, or `NOT_BUILT`; empty until
+    /// the first query.
+    start: Vec<u32>,
+    /// Runs, each a `(length, 0)` header followed by its pairs.
+    entries: Vec<(u32, u32)>,
+}
+
+impl LastUses {
+    const NOT_BUILT: u32 = u32::MAX;
+
+    fn get(&mut self, func: &Function, b: Block, v: Value) -> Option<u32> {
+        if self.start.is_empty() {
+            self.start = vec![Self::NOT_BUILT; func.num_blocks()];
+        }
+        let mut head = self.start[b.index()] as usize;
+        if head == Self::NOT_BUILT as usize {
+            head = self.entries.len();
+            self.start[b.index()] = head as u32;
+            self.entries.push((0, 0));
+            for (pos, &inst) in func.block_insts(b).iter().enumerate() {
+                func.inst(inst)
+                    .kind
+                    .for_each_use(|u| self.entries.push((u.index() as u32, pos as u32)));
+            }
+            // Sorted by (value, position), a value's last use ends its
+            // stretch: keep only that one.
+            self.entries[head + 1..].sort_unstable();
+            let mut kept = head + 1;
+            for r in head + 1..self.entries.len() {
+                if self
+                    .entries
+                    .get(r + 1)
+                    .is_none_or(|next| next.0 != self.entries[r].0)
+                {
+                    self.entries[kept] = self.entries[r];
+                    kept += 1;
                 }
-                m
-            })
-            .get(&v)
-            .copied()
+            }
+            self.entries.truncate(kept);
+            self.entries[head].0 = (kept - head - 1) as u32;
+        }
+        let run = &self.entries[head + 1..head + 1 + self.entries[head].0 as usize];
+        let v = v.index() as u32;
+        run.binary_search_by_key(&v, |&(u, _)| u)
+            .ok()
+            .map(|i| run[i].1)
+    }
+
+    fn bytes(&self) -> usize {
+        self.start.capacity() * 4 + self.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+}
+
+impl Ctx<'_> {
+    /// The definition site of `v`, which must be reachable.
+    fn site(&self, v: Value) -> (Value, Block, u32) {
+        let b = self.def_block[v.index()];
+        debug_assert_ne!(b, NO_BLOCK);
+        (v, Block::new(b as usize), self.def_pos[v.index()])
     }
 
     /// The §3.3/§3.4 interference test for a forest edge p→c. `c_block` /
@@ -179,7 +234,7 @@ impl Ctx<'_> {
         if p_block == c_block || self.live.is_live_in(p, c_block) {
             self.stats.local_pairs_checked += 1;
             let p_live_out_same = p_block == c_block && self.live.is_live_out(p, c_block);
-            let last = self.last_use(c_block, p);
+            let last = self.last_uses.get(self.func, c_block, p);
             return p_live_out_same || last.is_some_and(|u| u > c_pos);
         }
         false
@@ -289,7 +344,7 @@ fn coalesce_prepared_impl(
 
     // Definition sites: block + instruction index, for forest building and
     // the local interference check.
-    let mut def_block: Vec<Option<Block>> = vec![None; n];
+    let mut def_block: Vec<u32> = vec![NO_BLOCK; n];
     let mut def_pos: Vec<u32> = vec![0; n];
     let mut is_phi_def: Vec<bool> = vec![false; n];
     // φ connectivity degree: the "copies to insert" cost in Figure 2's
@@ -301,6 +356,8 @@ fn coalesce_prepared_impl(
     // with a live class-mate's moves.
     let mut use_count: Vec<u32> = vec![0; n];
     let mut phis: Vec<(Block, Inst)> = Vec::new();
+    // Every value a φ names: the only ones step 1 can union.
+    let mut phi_values: Vec<u32> = Vec::new();
 
     for b in func.blocks() {
         if !cfg.is_reachable(b) {
@@ -309,7 +366,7 @@ fn coalesce_prepared_impl(
         for (pos, &inst) in func.block_insts(b).iter().enumerate() {
             let data = func.inst(inst);
             if let Some(d) = data.dst {
-                def_block[d.index()] = Some(b);
+                def_block[d.index()] = b.index() as u32;
                 def_pos[d.index()] = pos as u32;
                 is_phi_def[d.index()] = data.kind.is_phi();
             }
@@ -317,9 +374,11 @@ fn coalesce_prepared_impl(
             if let InstKind::Phi { args } = &data.kind {
                 let d = data.dst.expect("phi defines");
                 phi_degree[d.index()] += args.len() as u32;
+                phi_values.push(d.index() as u32);
                 for a in args {
                     phi_degree[a.value.index()] += 1;
                     use_count[a.value.index()] += 1;
+                    phi_values.push(a.value.index() as u32);
                 }
                 phis.push((b, inst));
             }
@@ -329,15 +388,11 @@ fn coalesce_prepared_impl(
     // ---- Step 1: initial unions with the five filters (§3.1) ----
     let mut uf = UnionFind::new(n);
     {
-        // Values already pulled into some φ's union earlier in the current
-        // block (test 4).
-        let mut seen_block: Option<Block> = None;
-        let mut seen_in_block: std::collections::HashSet<Value> = std::collections::HashSet::new();
+        // Values already pulled into some φ's union in the current block
+        // (test 4): `seen[v]` holds the block's index + 1.
+        let mut seen: Vec<u32> = vec![0; n];
         for &(b, phi) in &phis {
-            if seen_block != Some(b) {
-                seen_block = Some(b);
-                seen_in_block.clear();
-            }
+            let stamp = b.index() as u32 + 1;
             let data = func.inst(phi);
             let p = data.dst.expect("phi defines");
             let InstKind::Phi { args } = &data.kind else {
@@ -345,27 +400,30 @@ fn coalesce_prepared_impl(
             };
             // Defining blocks of arguments admitted to this φ's union
             // (test 5).
-            let mut admitted_blocks: Vec<Block> = Vec::new();
+            let mut admitted_blocks: Vec<u32> = Vec::new();
             for arg in args {
                 let a = arg.value;
                 if a == p || uf.same(a.index(), p.index()) {
-                    seen_in_block.insert(a);
+                    seen[a.index()] = stamp;
                     continue;
                 }
-                let ab = def_block[a.index()].expect("phi arg has a def");
+                let ab = def_block[a.index()];
+                if ab == NO_BLOCK {
+                    panic!("phi arg has a def");
+                }
                 let interferes = opts.early_filters
                     && (
                         // Test 1: aᵢ live-in at the φ block means some use
                         // of aᵢ other than the φ needs the old value.
                         live.is_live_in(a, b)
                         // Test 2: p live out of aᵢ's defining block.
-                        || live.is_live_out(p, ab)
+                        || live.is_live_out(p, Block::new(ab as usize))
                         // Test 3: aᵢ is itself a φ and p is live into its
                         // block.
-                        || (is_phi_def[a.index()] && live.is_live_in(p, ab))
+                        || (is_phi_def[a.index()] && live.is_live_in(p, Block::new(ab as usize)))
                         // Test 4: aᵢ already joined another φ's set in
                         // this block.
-                        || seen_in_block.contains(&a)
+                        || seen[a.index()] == stamp
                         // Test 5: two arguments of this φ share a defining
                         // block.
                         || admitted_blocks.contains(&ab)
@@ -376,14 +434,15 @@ fn coalesce_prepared_impl(
                 }
                 uf.union(a.index(), p.index());
                 admitted_blocks.push(ab);
-                seen_in_block.insert(a);
+                seen[a.index()] = stamp;
             }
-            seen_in_block.insert(p);
+            seen[p.index()] = stamp;
         }
     }
 
     // ---- Steps 2–3: dominance forests and interference resolution ----
-    let groups = uf.groups();
+    let uf_bytes = uf.bytes();
+    let sets = uf.into_sets(phi_values);
     let mut forest_bytes = 0usize;
     // Final congruence classes: `name[v]` maps every value to the name of
     // its class (identity for singletons and split-off members).
@@ -398,53 +457,76 @@ fn coalesce_prepared_impl(
         def_block: &def_block,
         def_pos: &def_pos,
         phi_degree: &phi_degree,
-        last_use_cache: HashMap::new(),
+        last_uses: LastUses::default(),
+        removed: Vec::new(),
         stats: &mut stats,
     };
 
-    for group in &groups {
+    // One fuel step per union-find set in first-member order, singletons
+    // included: walk the values, and start each of `sets` at its least
+    // member. A value no φ names is a set of its own; any other value
+    // that does not start the next set belongs to an earlier one.
+    let mut next_set = 0;
+    // The reachable members of the current set, ascending by value.
+    let mut sites: Vec<(Value, Block, u32)> = Vec::new();
+    for (x, &degree) in phi_degree.iter().enumerate() {
+        let starts_set = next_set < sets.len() && sets.set(next_set)[0] as usize == x;
+        if !starts_set {
+            if degree == 0 {
+                fcc_analysis::fuel::checkpoint(1);
+            }
+            continue;
+        }
         fcc_analysis::fuel::checkpoint(1);
-        let members: Vec<Value> = group
-            .iter()
-            .map(|&vi| Value::new(vi))
-            .filter(|v| def_block[v.index()].is_some())
-            .collect();
-        if members.len() < 2 {
+        let set = sets.set(next_set);
+        next_set += 1;
+        sites.clear();
+        sites.extend(
+            set.iter()
+                .filter(|&&vi| def_block[vi as usize] != NO_BLOCK)
+                .map(|&vi| ctx.site(Value::new(vi as usize))),
+        );
+        if sites.len() < 2 {
             continue;
         }
         ctx.stats.classes += 1;
-        let final_parts = match opts.split_strategy {
+        match opts.split_strategy {
             SplitStrategy::RemoveMember => {
-                resolve_by_removal(&mut ctx, &members, opts.split_heuristic, &mut forest_bytes)
+                sites.sort_unstable_by_key(|&(_, b, pos)| (dt.preorder(b), pos));
+                resolve_by_removal(
+                    &mut ctx,
+                    &sites,
+                    opts.split_heuristic,
+                    &mut forest_bytes,
+                    &mut name,
+                );
             }
             SplitStrategy::EdgeCut => {
                 let lp: &LoopNesting = match loops {
                     Some(l) => l,
                     None => loops_owned.get_or_insert_with(|| LoopNesting::compute(cfg, dt)),
                 };
-                resolve_by_cutting(&mut ctx, &members, lp, &phis, &mut forest_bytes)
-            }
-        };
-        for part in final_parts {
-            if part.len() < 2 {
-                continue;
-            }
-            let rep = *part.iter().min().expect("nonempty class");
-            for &m in &part {
-                name[m.index()] = rep;
+                let members: Vec<Value> = sites.iter().map(|&(v, _, _)| v).collect();
+                for part in resolve_by_cutting(&mut ctx, &members, lp, &phis, &mut forest_bytes) {
+                    if part.len() < 2 {
+                        continue;
+                    }
+                    let rep = *part.iter().min().expect("nonempty class");
+                    for &m in &part {
+                        name[m.index()] = rep;
+                    }
+                }
             }
         }
     }
-    let last_use_bytes: usize = ctx
-        .last_use_cache
-        .values()
-        .map(|m| m.capacity() * (std::mem::size_of::<(Value, u32)>() + 8))
-        .sum();
+    let last_use_bytes = ctx.last_uses.bytes();
     drop(ctx);
 
     // ---- Step 4: renaming (§3.5) and copy insertion (§3.6) ----
-    // The Waiting array (§3.6): pending copies per predecessor block.
-    let mut waiting: HashMap<Block, Vec<(Value, Value)>> = HashMap::new();
+    // The Waiting array (§3.6): pending copies per predecessor block,
+    // queued in φ order, then grouped by block with each block's copies
+    // kept in queue order.
+    let mut waiting: Vec<(Block, Value, Value)> = Vec::new();
     for &(_, phi) in &phis {
         let data = func.inst(phi);
         let p = data.dst.expect("phi defines");
@@ -458,20 +540,18 @@ fn coalesce_prepared_impl(
         for arg in args {
             let an = name[arg.value.index()];
             if an != pn {
-                let w = waiting.entry(arg.pred).or_default();
-                if !w.contains(&(pn, an)) {
-                    w.push((pn, an));
-                }
+                waiting.push((arg.pred, pn, an));
             }
         }
     }
+    waiting.sort_by_key(|&(b, _, _)| b);
 
     // Rewrite every instruction into the class namespace.
     let all_blocks: Vec<Block> = func.blocks().collect();
     for b in all_blocks {
         fcc_analysis::fuel::checkpoint(1);
-        let insts: Vec<Inst> = func.block_insts(b).to_vec();
-        for inst in insts {
+        for i in 0..func.block_insts(b).len() {
+            let inst = func.block_insts(b)[i];
             let data = func.inst_mut(inst);
             if let Some(d) = data.dst {
                 data.dst = Some(name[d.index()]);
@@ -481,25 +561,21 @@ fn coalesce_prepared_impl(
     }
 
     // Insert the pending copies, sequentialising each block's parallel
-    // copy (swap / virtual-swap safety).
-    let mut waiting_blocks: Vec<Block> = waiting.keys().copied().collect();
-    waiting_blocks.sort_unstable();
-    let recorded_waiting = want_trace.then(|| {
-        waiting_blocks
-            .iter()
-            .map(|&b| (b, waiting[&b].clone()))
-            .collect::<Vec<_>>()
-    });
-    let mut waiting_bytes = 0usize;
-    for b in &waiting_blocks {
-        waiting_bytes += waiting[b].capacity() * std::mem::size_of::<(Value, Value)>();
-    }
-    for b in waiting_blocks {
-        let copies = &waiting[&b];
+    // copy (swap / virtual-swap safety); a copy queued twice is one move.
+    let mut recorded_waiting = want_trace.then(Vec::new);
+    let mut copies: Vec<(Value, Value)> = Vec::new();
+    for run in waiting.chunk_by(|x, y| x.0 == y.0) {
+        let b = run[0].0;
+        copies.clear();
+        for &(_, pn, an) in run {
+            if !copies.contains(&(pn, an)) {
+                copies.push((pn, an));
+            }
+        }
         let mut temps = 0usize;
         let seq = {
             let func_cell = std::cell::RefCell::new(&mut *func);
-            sequentialize(copies, || {
+            sequentialize(&copies, || {
                 temps += 1;
                 func_cell.borrow_mut().new_value()
             })
@@ -509,7 +585,12 @@ fn coalesce_prepared_impl(
             func.insert_before_terminator(b, InstKind::Copy { src }, Some(dst));
             stats.copies_inserted += 1;
         }
+        if let Some(rec) = recorded_waiting.as_mut() {
+            rec.push((b, copies.clone()));
+        }
     }
+    let waiting_bytes = waiting.capacity() * std::mem::size_of::<(Block, Value, Value)>()
+        + copies.capacity() * std::mem::size_of::<(Value, Value)>();
 
     // Delete the φs.
     for (b, phi) in phis {
@@ -518,12 +599,13 @@ fn coalesce_prepared_impl(
     }
 
     stats.peak_bytes = live.bytes()
-        + uf.bytes()
+        + uf_bytes
+        + sets.bytes()
         + dt.bytes()
         + forest_bytes
         + waiting_bytes
         + last_use_bytes
-        + n * (std::mem::size_of::<Option<Block>>() + 4 + 2 + std::mem::size_of::<Value>());
+        + n * (4 + 4 + 1 + std::mem::size_of::<Value>());
     let trace = pre.map(|pre| DestructionTrace {
         pre,
         class_of: name,
@@ -533,22 +615,21 @@ fn coalesce_prepared_impl(
 }
 
 /// The paper's resolution: walk the forest once, evicting one member per
-/// interference (Figure 2 + the §3.4 local check). Returns the final
-/// partition: the surviving class plus singletons.
+/// interference (Figure 2 + the §3.4 local check), and give the
+/// survivors, when two or more remain, the name of their least member.
+/// `sites` must come in forest order: (dominator preorder, position).
 fn resolve_by_removal(
     ctx: &mut Ctx<'_>,
-    members: &[Value],
+    sites: &[(Value, Block, u32)],
     heuristic: SplitHeuristic,
     forest_bytes: &mut usize,
-) -> Vec<Vec<Value>> {
-    let sites: Vec<(Value, Block, u32)> = members
-        .iter()
-        .map(|&v| (v, ctx.def_block[v.index()].unwrap(), ctx.def_pos[v.index()]))
-        .collect();
-    let df = DominanceForest::build(&sites, ctx.dt);
+    name: &mut [Value],
+) {
+    let df = DominanceForest::build(sites, ctx.dt);
     *forest_bytes = (*forest_bytes).max(df.bytes());
     let nodes = df.nodes();
-    let mut removed: HashMap<Value, bool> = members.iter().map(|&v| (v, false)).collect();
+    ctx.removed.clear();
+    ctx.removed.resize(nodes.len(), false);
 
     // Nodes come out in a valid preorder, so ancestors are processed (and
     // possibly marked removed) before descendants.
@@ -558,7 +639,7 @@ fn resolve_by_removal(
         // Effective parent: nearest non-removed forest ancestor.
         let mut anc = c.parent;
         while let Some(ai) = anc {
-            if removed[&nodes[ai].value] {
+            if ctx.removed[ai] {
                 anc = nodes[ai].parent;
             } else {
                 break;
@@ -575,10 +656,10 @@ fn resolve_by_removal(
                 nodes,
                 p_idx,
                 idx,
-                &removed,
+                &ctx.removed,
                 ctx.live,
             );
-            removed.insert(victim, true);
+            ctx.removed[victim] = true;
             if local {
                 ctx.stats.local_splits += 1;
             } else {
@@ -588,16 +669,19 @@ fn resolve_by_removal(
         // else: no interference; Lemma 3.1 spares the descendants.
     }
 
-    let survivors: Vec<Value> = members.iter().copied().filter(|v| !removed[v]).collect();
-    let mut parts = vec![survivors];
-    parts.extend(
-        members
+    let survivors = || {
+        nodes
             .iter()
-            .copied()
-            .filter(|v| removed[v])
-            .map(|v| vec![v]),
-    );
-    parts
+            .zip(&ctx.removed)
+            .filter(|(_, &gone)| !gone)
+            .map(|(node, _)| node.value)
+    };
+    if survivors().nth(1).is_some() {
+        let rep = survivors().min().expect("two survivors");
+        for v in survivors() {
+            name[v.index()] = rep;
+        }
+    }
 }
 
 /// Extension: repeatedly find an interfering pair and bipartition the
@@ -662,10 +746,7 @@ fn first_interference(
     class: &[Value],
     forest_bytes: &mut usize,
 ) -> Option<(Value, Value)> {
-    let sites: Vec<(Value, Block, u32)> = class
-        .iter()
-        .map(|&v| (v, ctx.def_block[v.index()].unwrap(), ctx.def_pos[v.index()]))
-        .collect();
+    let sites: Vec<(Value, Block, u32)> = class.iter().map(|&v| ctx.site(v)).collect();
     let df = DominanceForest::build(&sites, ctx.dt);
     *forest_bytes = (*forest_bytes).max(df.bytes());
     let nodes = df.nodes();
@@ -691,14 +772,14 @@ fn pick_victim(
     nodes: &[crate::dforest::DfNode],
     p_idx: usize,
     c_idx: usize,
-    removed: &HashMap<Value, bool>,
+    removed: &[bool],
     live: &Liveness,
-) -> Value {
+) -> usize {
     let p = &nodes[p_idx];
     let c = &nodes[c_idx];
     match heuristic {
-        SplitHeuristic::AlwaysChild => c.value,
-        SplitHeuristic::AlwaysParent => p.value,
+        SplitHeuristic::AlwaysChild => c_idx,
+        SplitHeuristic::AlwaysParent => p_idx,
         SplitHeuristic::CopyCost => {
             // "If p can not interfere with any of its other children and c
             // has fewer copies to insert than p" — split c; otherwise
@@ -706,14 +787,14 @@ fn pick_victim(
             // keeps each split at one or two materialised copies.
             let p_hits_other_children = nodes[p_idx].children.iter().any(|&other| {
                 other != c_idx
-                    && !removed[&nodes[other].value]
+                    && !removed[other]
                     && nodes[other].block != p.block
                     && live.is_live_out(p.value, nodes[other].block)
             });
             if !p_hits_other_children && phi_degree[c.value.index()] < phi_degree[p.value.index()] {
-                c.value
+                c_idx
             } else {
-                p.value
+                p_idx
             }
         }
     }

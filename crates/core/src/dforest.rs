@@ -9,12 +9,14 @@
 //! pairwise comparison inside a candidate congruence class with a linear
 //! scan.
 //!
-//! Construction is exactly the paper's Figure 1: number the dominator
-//! tree in depth-first preorder, record each node's maximum descendant
-//! preorder (Tarjan's O(1) ancestry trick, computed once per function by
-//! [`fcc_analysis::DomTree`]), sort the members by preorder (the paper
-//! uses a radix sort; so do we), and sweep once with a stack rooted at a
-//! virtual root.
+//! Construction is the paper's Figure 1: number the dominator tree in
+//! depth-first preorder, record each node's maximum descendant preorder
+//! (Tarjan's O(1) ancestry trick, computed once per function by
+//! [`fcc_analysis::DomTree`]), order the members by preorder, and sweep
+//! once with a stack rooted at a virtual root. The paper radix sorts the
+//! members; here the coalescer hands each class over already in
+//! (preorder, position) order, and [`DominanceForest::build`] sorts only
+//! when its input is not, so a class costs one check and one sweep.
 //!
 //! One extension: the coalescer may hold several members defined in the
 //! *same* block (classes merge transitively across φs, so Definition
@@ -52,24 +54,28 @@ impl DominanceForest {
     ///
     /// Members must have reachable defining blocks. The order of `members`
     /// is irrelevant; nodes come out in (preorder, position) order, which
-    /// is also a valid top-down traversal order.
+    /// is also a valid top-down traversal order. Members already in that
+    /// order are swept as given, without a sort.
     pub fn build(members: &[(Value, Block, u32)], dt: &DomTree) -> Self {
-        // Sort by (preorder of def block, def position). The paper radix
-        // sorts by preorder; we radix sort the combined 64-bit key.
-        let mut keyed: Vec<(u64, usize)> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, b, pos))| (((dt.preorder(b) as u64) << 32) | pos as u64, i))
-            .collect();
-        radix_sort_by_key(&mut keyed);
+        // Sweep in (preorder of def block, def position) order; sort a
+        // copy, stably, only when the caller did not.
+        let key = |&(_, b, pos): &(Value, Block, u32)| (dt.preorder(b), pos);
+        let sorted: Vec<(Value, Block, u32)>;
+        let members = if members.is_sorted_by_key(key) {
+            members
+        } else {
+            let mut copy = members.to_vec();
+            copy.sort_by_key(key);
+            sorted = copy;
+            &sorted
+        };
 
         let mut nodes: Vec<DfNode> = Vec::with_capacity(members.len());
         // Stack of open ancestors, as indices into `nodes`; the virtual
         // root is represented by an empty-slot sentinel handled below.
         let mut stack: Vec<usize> = Vec::new();
 
-        for &(_, mi) in &keyed {
-            let (value, block, def_pos) = members[mi];
+        for &(value, block, def_pos) in members {
             let pre = dt.preorder(block);
             // Pop ancestors that cannot dominate this member: the member's
             // preorder lies outside their descendant bracket. Same-block
@@ -133,41 +139,6 @@ impl DominanceForest {
                 .iter()
                 .map(|n| n.children.capacity() * 8)
                 .sum::<usize>()
-    }
-}
-
-/// LSD radix sort of `(key, payload)` pairs by key, 16 bits per pass.
-///
-/// The paper notes the member sort is a radix sort to keep forest
-/// construction linear; keys here are `(preorder << 32) | position`, so
-/// four passes suffice.
-pub fn radix_sort_by_key(items: &mut Vec<(u64, usize)>) {
-    if items.len() <= 1 {
-        return;
-    }
-    // 8-bit digits: the bucket arrays are tiny, so sorting the many small
-    // member sets a real function produces stays cheap (a 16-bit radix
-    // would zero 64 KiB of counters per pass — measurably dominant).
-    const BITS: u32 = 8;
-    const BUCKETS: usize = 1 << BITS;
-    let mut scratch: Vec<(u64, usize)> = vec![(0, 0); items.len()];
-    let max_key = items.iter().map(|&(k, _)| k).max().unwrap_or(0);
-    let passes = ((64 - max_key.leading_zeros()).div_ceil(BITS)).max(1);
-    for pass in 0..passes {
-        let shift = pass * BITS;
-        let mut starts = [0usize; BUCKETS + 1];
-        for &(k, _) in items.iter() {
-            starts[(((k >> shift) as usize) & (BUCKETS - 1)) + 1] += 1;
-        }
-        for i in 1..=BUCKETS {
-            starts[i] += starts[i - 1];
-        }
-        for &(k, p) in items.iter() {
-            let b = ((k >> shift) as usize) & (BUCKETS - 1);
-            scratch[starts[b]] = (k, p);
-            starts[b] += 1;
-        }
-        std::mem::swap(items, &mut scratch);
     }
 }
 
@@ -324,47 +295,5 @@ mod tests {
         let df1 = forest(&[(7, 3, 0)], &dt);
         assert_eq!(df1.len(), 1);
         assert_eq!(df1.roots().count(), 1);
-    }
-
-    #[test]
-    fn radix_sort_sorts() {
-        let mut v: Vec<(u64, usize)> = vec![
-            (5, 0),
-            (1, 1),
-            (1 << 40, 2),
-            (0, 3),
-            (u32::MAX as u64, 4),
-            (5, 5),
-        ];
-        radix_sort_by_key(&mut v);
-        let keys: Vec<u64> = v.iter().map(|&(k, _)| k).collect();
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        assert_eq!(keys, expect);
-        // Stability: equal keys keep input order.
-        let fives: Vec<usize> = v
-            .iter()
-            .filter(|&&(k, _)| k == 5)
-            .map(|&(_, p)| p)
-            .collect();
-        assert_eq!(fives, vec![0, 5]);
-    }
-
-    #[test]
-    fn radix_sort_random_cross_check() {
-        let mut rng = fcc_workloads::SplitMix64::seed_from_u64(42);
-        for _ in 0..20 {
-            let n = rng.gen_range(0usize..200);
-            let mut v: Vec<(u64, usize)> = (0..n)
-                .map(|i| (rng.next_u64() >> rng.gen_range(0u32..64), i))
-                .collect();
-            let mut expect = v.clone();
-            expect.sort_by_key(|&(k, _)| k);
-            radix_sort_by_key(&mut v);
-            assert_eq!(
-                v.iter().map(|p| p.0).collect::<Vec<_>>(),
-                expect.iter().map(|p| p.0).collect::<Vec<_>>()
-            );
-        }
     }
 }

@@ -428,7 +428,9 @@ pub fn compile_function(
         stat_lines.push(format!("optimiser: {} rounds to fixpoint", summary.rounds));
     }
     verify_ssa(&func).map_err(|e| format!("internal: invalid SSA: {e}"))?;
+    let timer = PhaseTimer::start("maxlive", &am);
     let maxlive = am.pressure(&func).maxlive();
+    phases.push(timer.finish(&am));
 
     // The k-register path spills on strict SSA, before destruction.
     let mut spill_summary: Option<SpillSummary> = None;
@@ -591,6 +593,28 @@ mod tests {
             .sum();
         let total: usize = merged.passes.iter().map(|p| p.applications).sum();
         assert_eq!(per_fn, total);
+    }
+
+    #[test]
+    fn the_maxlive_solve_is_its_own_phase() {
+        let func = module_of(1).into_functions().remove(0);
+        for (req, before, after) in [
+            (CompileRequest::new(), "build-ssa", "coalesce-new"),
+            (
+                CompileRequest::new().opt(true).k_registers(Some(8)),
+                "optimise",
+                "spill",
+            ),
+        ] {
+            let out = compile_function(func.clone(), &req).unwrap();
+            let labels: Vec<&str> = out.phases.iter().map(|p| p.label).collect();
+            let at = labels.iter().position(|&l| l == "maxlive").unwrap();
+            assert_eq!((labels[at - 1], labels[at + 1]), (before, after));
+            // The solve and the liveness it reads are charged to it.
+            let counters = out.phases[at].counters;
+            assert_eq!(counters.pressure.misses, 1, "{labels:?}");
+            assert_eq!(counters.liveness.hits + counters.liveness.misses, 1);
+        }
     }
 
     #[test]

@@ -556,7 +556,7 @@ impl LintRule for DominanceForestRule {
 
         // φ webs: union each φ destination with its arguments.
         let mut uf = UnionFind::new(func.num_values());
-        let mut in_web = BitSet::new(func.num_values());
+        let mut phi_values: Vec<u32> = Vec::new();
         for b in func.blocks() {
             if !cfg.is_reachable(b) {
                 continue;
@@ -567,25 +567,25 @@ impl LintRule for DominanceForestRule {
                 let InstKind::Phi { args } = &data.kind else {
                     continue;
                 };
-                in_web.insert(dst.index());
+                phi_values.push(dst.index() as u32);
                 for a in args {
-                    in_web.insert(a.value.index());
+                    phi_values.push(a.value.index() as u32);
                     uf.union(dst.index(), a.value.index());
                 }
             }
         }
 
-        for group in uf.groups() {
-            if group.len() < 2 || !group.iter().any(|&m| in_web.contains(m)) {
+        for group in uf.into_sets(phi_values).iter() {
+            if group.len() < 2 {
                 continue;
             }
             // Every member needs a reachable definition site; strict-SSA
             // reports the ones that do not, so skip the web here.
             let mut members: Vec<(Value, Block, u32)> = Vec::with_capacity(group.len());
             let mut complete = true;
-            for &m in &group {
-                match sites[m] {
-                    Some((b, pos)) => members.push((Value::new(m), b, pos)),
+            for &m in group {
+                match sites[m as usize] {
+                    Some((b, pos)) => members.push((Value::new(m as usize), b, pos)),
                     None => complete = false,
                 }
             }

@@ -56,13 +56,17 @@ fn destruct_via_webs_impl(
     let mut uf = UnionFind::new(n);
 
     let mut phis: Vec<(fcc_ir::Block, Inst)> = Vec::new();
+    // Every value a φ names: the only ones the unions touch.
+    let mut phi_values: Vec<u32> = Vec::new();
     for b in func.blocks() {
         for phi in func.block_phis(b) {
             let data = func.inst(phi);
             let p = data.dst.expect("phi defines");
             if let InstKind::Phi { args } = &data.kind {
+                phi_values.push(p.index() as u32);
                 for a in args {
                     uf.union(p.index(), a.value.index());
+                    phi_values.push(a.value.index() as u32);
                 }
             }
             phis.push((b, phi));
@@ -70,23 +74,22 @@ fn destruct_via_webs_impl(
     }
 
     // Name each set after its lowest-numbered member.
-    let groups = uf.groups();
     let mut name: Vec<Value> = (0..n).map(Value::new).collect();
-    for g in &groups {
-        if g.len() > 1 {
+    for web in uf.into_sets(phi_values).iter() {
+        if web.len() > 1 {
             stats.webs += 1;
-            stats.members_renamed += g.len();
-            let rep = Value::new(g[0]);
-            for &m in g {
-                name[m] = rep;
+            stats.members_renamed += web.len();
+            let rep = Value::new(web[0] as usize);
+            for &m in web {
+                name[m as usize] = rep;
             }
         }
     }
 
     let blocks: Vec<fcc_ir::Block> = func.blocks().collect();
     for b in blocks {
-        let insts: Vec<Inst> = func.block_insts(b).to_vec();
-        for inst in insts {
+        for i in 0..func.block_insts(b).len() {
+            let inst = func.block_insts(b)[i];
             let data = func.inst_mut(inst);
             if let Some(d) = data.dst {
                 data.dst = Some(name[d.index()]);

@@ -75,8 +75,9 @@ use crate::disk::{DiskCache, DiskStats};
 /// `alloc=` field. Rev 5: liveness is held as sorted lists, which moves
 /// the peak-bytes figures in the cached stat lines. Rev 6: the dataflow
 /// solve runs two lattices, not three, which moves the cached
-/// `fuel_spent` of optimised compiles.
-pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/6");
+/// `fuel_spent` of optimised compiles. Rev 7: the New coalescer keeps
+/// dense tables, which moves the `B peak` figure in its cached stat line.
+pub const CACHE_SCHEMA: &str = concat!(env!("CARGO_PKG_VERSION"), "/7");
 
 /// 64-bit FNV-1a. Stable across platforms and releases (unlike
 /// `DefaultHasher`, which documents no such guarantee), which matters

@@ -22,7 +22,7 @@
 //! synthetic `const 0` initialisation at the top of the entry.
 
 use fcc_analysis::{AnalysisManager, DomTree, DominanceFrontiers, PreservedAnalyses};
-use fcc_ir::{Block, ControlFlowGraph, Function, Inst, InstKind, PhiArg, SecondaryMap, Value};
+use fcc_ir::{Block, ControlFlowGraph, Function, Inst, InstKind, PhiArg, Value};
 
 /// Which φ-placement discipline to use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -116,30 +116,37 @@ pub fn build_ssa_with(
     // semi-pruned placement (used in some block before any local def).
     let mut def_blocks: Vec<Vec<Block>> = vec![Vec::new(); num_vars];
     let mut global: Vec<bool> = vec![false; num_vars];
+    // `defined_in[v]` is the index + 1 of the last block seen defining v.
+    let mut defined_in: Vec<u32> = vec![0; num_vars];
     for b in func.blocks() {
         if !cfg.is_reachable(b) {
             continue;
         }
-        let mut defined_here: Vec<bool> = vec![false; num_vars];
+        let stamp = b.index() as u32 + 1;
         for &inst in func.block_insts(b) {
             let data = func.inst(inst);
             data.kind.for_each_use(|v| {
-                if !defined_here[v.index()] {
+                if defined_in[v.index()] != stamp {
                     global[v.index()] = true;
                 }
             });
             if let Some(d) = data.dst {
-                if !def_blocks[d.index()].contains(&b) {
+                if defined_in[d.index()] != stamp {
                     def_blocks[d.index()].push(b);
                 }
-                defined_here[d.index()] = true;
+                defined_in[d.index()] = stamp;
             }
         }
     }
 
     // ---- φ insertion at iterated dominance frontiers ----
     // phi_var maps each inserted φ instruction to its source variable.
-    let mut phi_var: std::collections::HashMap<Inst, Value> = std::collections::HashMap::new();
+    let mut phi_var: Vec<Option<Value>> = Vec::new();
+    // Per block, the index + 1 of the last variable that placed a φ there
+    // (`has_phi`) or queued it (`on_work`).
+    let mut has_phi: Vec<u32> = vec![0; func.num_blocks()];
+    let mut on_work: Vec<u32> = vec![0; func.num_blocks()];
+    let mut work: Vec<Block> = Vec::new();
     for var_idx in 0..num_vars {
         let var = Value::new(var_idx);
         if def_blocks[var_idx].is_empty() {
@@ -153,34 +160,38 @@ pub fn build_ssa_with(
                 }
             }
         }
-        let mut has_phi: SecondaryMap<Block, bool> = SecondaryMap::new();
-        let mut work: Vec<Block> = def_blocks[var_idx].clone();
-        let mut on_work: SecondaryMap<Block, bool> = SecondaryMap::new();
+        let stamp = var_idx as u32 + 1;
+        work.clear();
+        work.extend_from_slice(&def_blocks[var_idx]);
         for &b in &work {
-            on_work[b] = true;
+            on_work[b.index()] = stamp;
         }
         while let Some(d) = work.pop() {
             fcc_analysis::fuel::checkpoint(1);
             for &join in dfs.frontier(d) {
-                if has_phi[join] {
+                if has_phi[join.index()] == stamp {
                     continue;
                 }
                 if flavor == SsaFlavor::Pruned && !live.is_live_in(var, join) {
                     continue;
                 }
-                has_phi[join] = true;
+                has_phi[join.index()] = stamp;
                 // Placeholder φ: args are filled in during renaming. The
                 // destination is re-pointed to a fresh SSA value then too.
                 let phi = func.prepend_phi(join, Vec::new(), var);
-                phi_var.insert(phi, var);
+                if phi_var.len() <= phi.index() {
+                    phi_var.resize(phi.index() + 1, None);
+                }
+                phi_var[phi.index()] = Some(var);
                 stats.phis_inserted += 1;
-                if !on_work[join] {
-                    on_work[join] = true;
+                if on_work[join.index()] != stamp {
+                    on_work[join.index()] = stamp;
                     work.push(join);
                 }
             }
         }
     }
+    phi_var.resize(func.num_insts(), None);
 
     // ---- renaming ----
     let mut renamer = Renamer {
@@ -209,7 +220,8 @@ struct Renamer<'a> {
     func: &'a mut Function,
     dt: &'a DomTree,
     cfg: &'a ControlFlowGraph,
-    phi_var: &'a std::collections::HashMap<Inst, Value>,
+    /// Each inserted φ's source variable, by instruction.
+    phi_var: &'a [Option<Value>],
     /// Name stack per original variable.
     stacks: Vec<Vec<Value>>,
     fold_copies: bool,
@@ -289,10 +301,7 @@ impl Renamer<'_> {
             let is_phi = self.func.inst(inst).kind.is_phi();
             if is_phi {
                 // φs inserted by us carry their variable in phi_var.
-                let var = *self
-                    .phi_var
-                    .get(&inst)
-                    .expect("phi without variable mapping");
+                let var = self.phi_var[inst.index()].expect("phi without variable mapping");
                 let new = self.func.new_value();
                 self.stats.values_minted += 1;
                 self.func.inst_mut(inst).dst = Some(new);
@@ -344,7 +353,7 @@ impl Renamer<'_> {
         for &s in self.cfg.succs(b) {
             let phis: Vec<Inst> = self.func.block_phis(s).collect();
             for phi in phis {
-                let Some(&var) = self.phi_var.get(&phi) else {
+                let Some(var) = self.phi_var[phi.index()] else {
                     continue;
                 };
                 // Duplicate edges (branch with both arms to s) still get a

@@ -17,10 +17,8 @@
 //! [`ssa_diagnostics`]; [`verify_ssa`] is the thin historical wrapper
 //! returning the first violation as an [`SsaError`].
 
-use std::collections::HashMap;
-
 use fcc_analysis::AnalysisManager;
-use fcc_ir::{Block, Diagnostic, Function, InstKind, Value};
+use fcc_ir::{Block, Diagnostic, Function, InstKind};
 
 /// Rule id: a value is defined more than once.
 pub const RULE_SINGLE_DEF: &str = "ssa-single-def";
@@ -79,15 +77,16 @@ pub fn ssa_diagnostics(func: &Function, am: &mut AnalysisManager) -> Vec<Diagnos
     let dt = am.domtree(func);
     let mut out = Vec::new();
 
-    // Definition site (block, position) of every value.
-    let mut def_site: HashMap<Value, (Block, usize)> = HashMap::new();
+    // Definition site (block, position) of every value, by index; a value
+    // defined twice keeps its later site.
+    let mut def_site: Vec<Option<(Block, usize)>> = vec![None; func.num_values()];
     for b in func.blocks() {
         if !cfg.is_reachable(b) {
             continue;
         }
         for (pos, &inst) in func.block_insts(b).iter().enumerate() {
             if let Some(d) = func.inst(inst).dst {
-                if let Some((ob, _)) = def_site.insert(d, (b, pos)) {
+                if let Some((ob, _)) = def_site[d.index()].replace((b, pos)) {
                     out.push(
                         Diagnostic::error(
                             RULE_SINGLE_DEF,
@@ -108,14 +107,14 @@ pub fn ssa_diagnostics(func: &Function, am: &mut AnalysisManager) -> Vec<Diagnos
         }
         for (pos, &inst) in func.block_insts(b).iter().enumerate() {
             let data = func.inst(inst);
-            data.kind.for_each_use(|v| match def_site.get(&v) {
+            data.kind.for_each_use(|v| match def_site[v.index()] {
                 None => out.push(
                     Diagnostic::error(RULE_DOMINANCE, format!("{v} used in {b} but never defined"))
                         .in_block(b)
                         .at_inst(inst)
                         .on_value(v),
                 ),
-                Some(&(db, dpos)) => {
+                Some((db, dpos)) => {
                     let dominated = if db == b {
                         dpos < pos
                     } else {
@@ -138,7 +137,7 @@ pub fn ssa_diagnostics(func: &Function, am: &mut AnalysisManager) -> Vec<Diagnos
             });
             if let InstKind::Phi { args } = &data.kind {
                 for a in args {
-                    match def_site.get(&a.value) {
+                    match def_site[a.value.index()] {
                         None => out.push(
                             Diagnostic::error(
                                 RULE_PHI_EDGE,
@@ -148,7 +147,7 @@ pub fn ssa_diagnostics(func: &Function, am: &mut AnalysisManager) -> Vec<Diagnos
                             .at_inst(inst)
                             .on_value(a.value),
                         ),
-                        Some(&(db, _)) => {
+                        Some((db, _)) => {
                             // The use happens at the end of the a.pred edge:
                             // db must dominate a.pred (reflexively).
                             if !dt.dominates(db, a.pred) {
