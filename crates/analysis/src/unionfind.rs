@@ -24,16 +24,6 @@ impl UnionFind {
         }
     }
 
-    /// Number of elements in the universe.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// The canonical representative of `x`'s set, with path compression.
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
@@ -84,17 +74,13 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Group `elems` by set, consuming the structure: the sets come in
-    /// first-member order and each lists its members ascending.
-    ///
-    /// `elems` may hold duplicates and come in any order. Every element
-    /// unioned with another must be among them; an element in a set of
-    /// its own comes out as a set of one. The cost is linear in
-    /// `elems.len()` once it is sorted: no hash map and no allocation per
-    /// set. The `parent` table, no longer needed as a forest, numbers the
-    /// sets by root.
+    /// Group `elems` (any order, repeats allowed) by set, consuming the
+    /// structure: sets in first-member order, members ascending. Every
+    /// element unioned with another must be given; one in a set of its
+    /// own comes out as a set of one. Linear once `elems` is sorted, with
+    /// no hash map and no allocation per set: the `parent` slots of the
+    /// roots, no longer needed as a forest, number the sets.
     pub fn into_sets(mut self, mut elems: Vec<u32>) -> Sets {
-        const UNNUMBERED: u32 = u32::MAX;
         elems.sort_unstable();
         elems.dedup();
         let mut set_of: Vec<u32> = elems
@@ -102,33 +88,27 @@ impl UnionFind {
             .map(|&x| self.find(x as usize) as u32)
             .collect();
         for &root in &set_of {
-            self.parent[root as usize] = UNNUMBERED;
+            self.parent[root as usize] = u32::MAX;
         }
-        // Number the sets by first member, counting each one's size.
-        let mut cursor: Vec<u32> = Vec::new();
+        // `starts[k + 1]` counts set k's members, then sums them up.
+        let mut starts: Vec<u32> = vec![0];
         for s in set_of.iter_mut() {
             let slot = &mut self.parent[*s as usize];
-            if *slot == UNNUMBERED {
-                *slot = cursor.len() as u32;
-                cursor.push(0);
+            if *slot == u32::MAX {
+                *slot = starts.len() as u32 - 1;
+                starts.push(0);
             }
             *s = *slot;
-            cursor[*s as usize] += 1;
+            starts[*s as usize + 1] += 1;
         }
-        let mut starts: Vec<u32> = Vec::with_capacity(cursor.len() + 1);
-        let mut end = 0u32;
-        starts.push(0);
-        for c in cursor.iter_mut() {
-            let size = *c;
-            *c = end;
-            end += size;
-            starts.push(end);
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
         }
-        // Place each member at its set's cursor, ascending within a set.
+        let mut next = starts.clone();
         let mut members: Vec<u32> = vec![0; elems.len()];
         for (&x, &s) in elems.iter().zip(&set_of) {
-            members[cursor[s as usize] as usize] = x;
-            cursor[s as usize] += 1;
+            members[next[s as usize] as usize] = x;
+            next[s as usize] += 1;
         }
         Sets { starts, members }
     }
@@ -139,8 +119,7 @@ impl UnionFind {
     }
 }
 
-/// The sets of a [`UnionFind`] over some of its elements, as
-/// [`UnionFind::into_sets`] lays them out: one flat member list cut into
+/// The sets [`UnionFind::into_sets`] returns: one member list cut into
 /// consecutive runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Sets {
@@ -150,24 +129,11 @@ pub struct Sets {
 }
 
 impl Sets {
-    /// Number of sets.
-    pub fn len(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
-
-    /// Whether there are no sets.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Set `k`'s members, ascending.
-    pub fn set(&self, k: usize) -> &[u32] {
-        &self.members[self.starts[k] as usize..self.starts[k + 1] as usize]
-    }
-
-    /// The sets in first-member order.
+    /// The sets in first-member order, each ascending.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len()).map(|k| self.set(k))
+        self.starts
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
     }
 
     /// Heap bytes used.
@@ -231,6 +197,6 @@ mod tests {
         let sets = uf.into_sets(vec![5, 3, 0, 1, 2, 6, 3]);
         let got: Vec<&[u32]> = sets.iter().collect();
         assert_eq!(got, vec![&[0, 3, 5][..], &[1, 2], &[6]]);
-        assert!(UnionFind::new(4).into_sets(Vec::new()).is_empty());
+        assert_eq!(UnionFind::new(4).into_sets(Vec::new()).iter().count(), 0);
     }
 }

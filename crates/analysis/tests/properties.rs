@@ -118,6 +118,51 @@ fn unionfind_matches_naive_partition() {
     }
 }
 
+#[test]
+fn sets_match_naive_partition() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(0xB5_0000 + case);
+        let n = 60;
+        let mut uf = UnionFind::new(n);
+        let mut label: Vec<usize> = (0..n).collect();
+        // Union only among `elems` (with repeats, in random order), the
+        // way φ destinations and arguments are unioned.
+        let mut elems: Vec<u32> = Vec::new();
+        for _ in 0..rng.gen_range(0usize..80) {
+            let (a, b) = (rng.gen_range(0usize..n), rng.gen_range(0usize..n));
+            elems.extend([a as u32, b as u32]);
+            uf.union(a, b);
+            let (la, lb) = (label[a], label[b]);
+            for l in label.iter_mut() {
+                if *l == lb {
+                    *l = la;
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0usize..10) {
+            elems.push(rng.gen_range(0..n as u32));
+        }
+        // Naive: each given element's set, sets by least member, members
+        // ascending.
+        let mut given: Vec<u32> = elems.clone();
+        given.sort_unstable();
+        given.dedup();
+        let mut expect: Vec<Vec<u32>> = Vec::new();
+        for &x in &given {
+            if !expect.iter().any(|set| set.contains(&x)) {
+                let set: Vec<u32> = given
+                    .iter()
+                    .copied()
+                    .filter(|&y| label[y as usize] == label[x as usize])
+                    .collect();
+                expect.push(set);
+            }
+        }
+        let got: Vec<Vec<u32>> = uf.into_sets(elems).iter().map(<[u32]>::to_vec).collect();
+        assert_eq!(got, expect, "case {case}");
+    }
+}
+
 // ---------- Triangular matrix vs HashSet of pairs ----------
 
 #[test]

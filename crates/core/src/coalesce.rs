@@ -7,7 +7,10 @@
 //!    its arguments, screened by five fast liveness filters that catch
 //!    copies the SSA construction folded "in error". A filtered argument
 //!    stays out of the union — the final rewrite gives it an edge copy.
-//! 2. **Dominance forests** (§3.2): map each candidate class onto the
+//! 2. **Dominance forests** (§3.2): group the φ-named values into their
+//!    candidate classes in one linear pass
+//!    ([`fcc_analysis::UnionFind::into_sets`]), order each class's members
+//!    by (dominator preorder, position) and map the class onto the
 //!    [`crate::dforest::DominanceForest`], reducing intra-class
 //!    interference checking to forest edges (Lemma 3.1).
 //! 3. **Walk the forests** (§3.3, Figure 2): along each effective
@@ -30,7 +33,8 @@
 //! * the paper queues local-interference candidates and resolves them in
 //!   one backward sweep per block after all forests are walked; we
 //!   resolve each candidate *immediately* (against a lazily built
-//!   per-block last-use table, so each block is still walked once).
+//!   per-block last-use table, sorted by value, so each block is still
+//!   walked once).
 //!   Immediate resolution keeps the walk's parent-promotion reasoning
 //!   exact when a local split removes a chain member;
 //! * [`SplitStrategy::EdgeCut`] is an *extension* in the direction of the
@@ -159,70 +163,54 @@ struct Ctx<'a> {
 }
 
 /// Per block, the position of each value's last use in it, built the
-/// first time the local check (§3.4) asks about the block: one run of
-/// `(value, position)` pairs sorted by value, so each block is walked
-/// once and looked up by binary search.
+/// first time the local check (§3.4) asks about the block: a run of
+/// `(value, position)` pairs sorted by value, found by binary search.
 #[derive(Default)]
 struct LastUses {
-    /// Each block's run header in `entries`, or `NOT_BUILT`; empty until
-    /// the first query.
+    /// Each block's run in `entries` (a `(length, 0)` header, then the
+    /// pairs), or `u32::MAX` until asked; empty until the first query.
     start: Vec<u32>,
-    /// Runs, each a `(length, 0)` header followed by its pairs.
     entries: Vec<(u32, u32)>,
 }
 
 impl LastUses {
-    const NOT_BUILT: u32 = u32::MAX;
-
     fn get(&mut self, func: &Function, b: Block, v: Value) -> Option<u32> {
         if self.start.is_empty() {
-            self.start = vec![Self::NOT_BUILT; func.num_blocks()];
+            self.start = vec![u32::MAX; func.num_blocks()];
         }
-        let mut head = self.start[b.index()] as usize;
-        if head == Self::NOT_BUILT as usize {
-            head = self.entries.len();
-            self.start[b.index()] = head as u32;
-            self.entries.push((0, 0));
+        if self.start[b.index()] == u32::MAX {
+            let mut run: Vec<(u32, u32)> = Vec::new();
             for (pos, &inst) in func.block_insts(b).iter().enumerate() {
                 func.inst(inst)
                     .kind
-                    .for_each_use(|u| self.entries.push((u.index() as u32, pos as u32)));
+                    .for_each_use(|u| run.push((u.index() as u32, pos as u32)));
             }
-            // Sorted by (value, position), a value's last use ends its
-            // stretch: keep only that one.
-            self.entries[head + 1..].sort_unstable();
-            let mut kept = head + 1;
-            for r in head + 1..self.entries.len() {
-                if self
-                    .entries
-                    .get(r + 1)
-                    .is_none_or(|next| next.0 != self.entries[r].0)
-                {
-                    self.entries[kept] = self.entries[r];
-                    kept += 1;
-                }
-            }
-            self.entries.truncate(kept);
-            self.entries[head].0 = (kept - head - 1) as u32;
+            // Latest position first, so dedup keeps each value's last use.
+            run.sort_unstable_by_key(|&(u, pos)| (u, std::cmp::Reverse(pos)));
+            run.dedup_by_key(|&mut (u, _)| u);
+            self.start[b.index()] = self.entries.len() as u32;
+            self.entries.push((run.len() as u32, 0));
+            self.entries.extend(run);
         }
-        let run = &self.entries[head + 1..head + 1 + self.entries[head].0 as usize];
-        let v = v.index() as u32;
-        run.binary_search_by_key(&v, |&(u, _)| u)
-            .ok()
-            .map(|i| run[i].1)
+        let head = self.start[b.index()] as usize;
+        let run = &self.entries[head + 1..][..self.entries[head].0 as usize];
+        let at = run.binary_search_by_key(&(v.index() as u32), |&(u, _)| u);
+        at.ok().map(|i| run[i].1)
     }
 
     fn bytes(&self) -> usize {
-        self.start.capacity() * 4 + self.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+        (self.start.capacity() + self.entries.capacity() * 2) * 4
     }
 }
 
 impl Ctx<'_> {
     /// The definition site of `v`, which must be reachable.
     fn site(&self, v: Value) -> (Value, Block, u32) {
-        let b = self.def_block[v.index()];
-        debug_assert_ne!(b, NO_BLOCK);
-        (v, Block::new(b as usize), self.def_pos[v.index()])
+        (
+            v,
+            Block::new(self.def_block[v.index()] as usize),
+            self.def_pos[v.index()],
+        )
     }
 
     /// The §3.3/§3.4 interference test for a forest edge p→c. `c_block` /
@@ -466,20 +454,17 @@ fn coalesce_prepared_impl(
     // included: walk the values, and start each of `sets` at its least
     // member. A value no φ names is a set of its own; any other value
     // that does not start the next set belongs to an earlier one.
-    let mut next_set = 0;
+    let mut sets_left = sets.iter().peekable();
     // The reachable members of the current set, ascending by value.
     let mut sites: Vec<(Value, Block, u32)> = Vec::new();
     for (x, &degree) in phi_degree.iter().enumerate() {
-        let starts_set = next_set < sets.len() && sets.set(next_set)[0] as usize == x;
-        if !starts_set {
+        let Some(set) = sets_left.next_if(|set| set[0] as usize == x) else {
             if degree == 0 {
                 fcc_analysis::fuel::checkpoint(1);
             }
             continue;
-        }
+        };
         fcc_analysis::fuel::checkpoint(1);
-        let set = sets.set(next_set);
-        next_set += 1;
         sites.clear();
         sites.extend(
             set.iter()
@@ -490,16 +475,12 @@ fn coalesce_prepared_impl(
             continue;
         }
         ctx.stats.classes += 1;
-        match opts.split_strategy {
+        let final_parts = match opts.split_strategy {
             SplitStrategy::RemoveMember => {
                 sites.sort_unstable_by_key(|&(_, b, pos)| (dt.preorder(b), pos));
-                resolve_by_removal(
-                    &mut ctx,
-                    &sites,
-                    opts.split_heuristic,
-                    &mut forest_bytes,
-                    &mut name,
-                );
+                let survivors =
+                    resolve_by_removal(&mut ctx, &sites, opts.split_heuristic, &mut forest_bytes);
+                vec![survivors]
             }
             SplitStrategy::EdgeCut => {
                 let lp: &LoopNesting = match loops {
@@ -507,15 +488,16 @@ fn coalesce_prepared_impl(
                     None => loops_owned.get_or_insert_with(|| LoopNesting::compute(cfg, dt)),
                 };
                 let members: Vec<Value> = sites.iter().map(|&(v, _, _)| v).collect();
-                for part in resolve_by_cutting(&mut ctx, &members, lp, &phis, &mut forest_bytes) {
-                    if part.len() < 2 {
-                        continue;
-                    }
-                    let rep = *part.iter().min().expect("nonempty class");
-                    for &m in &part {
-                        name[m.index()] = rep;
-                    }
-                }
+                resolve_by_cutting(&mut ctx, &members, lp, &phis, &mut forest_bytes)
+            }
+        };
+        for part in final_parts {
+            if part.len() < 2 {
+                continue;
+            }
+            let rep = *part.iter().min().expect("nonempty class");
+            for &m in &part {
+                name[m.index()] = rep;
             }
         }
     }
@@ -546,19 +528,12 @@ fn coalesce_prepared_impl(
     }
     waiting.sort_by_key(|&(b, _, _)| b);
 
-    // Rewrite every instruction into the class namespace.
-    let all_blocks: Vec<Block> = func.blocks().collect();
-    for b in all_blocks {
+    // Rewrite every instruction into the class namespace, one fuel step
+    // per block.
+    for _ in func.blocks() {
         fcc_analysis::fuel::checkpoint(1);
-        for i in 0..func.block_insts(b).len() {
-            let inst = func.block_insts(b)[i];
-            let data = func.inst_mut(inst);
-            if let Some(d) = data.dst {
-                data.dst = Some(name[d.index()]);
-            }
-            data.kind.for_each_use_mut(|v| *v = name[v.index()]);
-        }
     }
+    func.rename_values(|v| name[v.index()]);
 
     // Insert the pending copies, sequentialising each block's parallel
     // copy (swap / virtual-swap safety); a copy queued twice is one move.
@@ -615,16 +590,15 @@ fn coalesce_prepared_impl(
 }
 
 /// The paper's resolution: walk the forest once, evicting one member per
-/// interference (Figure 2 + the §3.4 local check), and give the
-/// survivors, when two or more remain, the name of their least member.
-/// `sites` must come in forest order: (dominator preorder, position).
+/// interference (Figure 2 + the §3.4 local check). Returns the surviving
+/// class; every evicted member is a class of its own. `sites` come in
+/// forest order: (dominator preorder, position).
 fn resolve_by_removal(
     ctx: &mut Ctx<'_>,
     sites: &[(Value, Block, u32)],
     heuristic: SplitHeuristic,
     forest_bytes: &mut usize,
-    name: &mut [Value],
-) {
+) -> Vec<Value> {
     let df = DominanceForest::build(sites, ctx.dt);
     *forest_bytes = (*forest_bytes).max(df.bytes());
     let nodes = df.nodes();
@@ -669,19 +643,12 @@ fn resolve_by_removal(
         // else: no interference; Lemma 3.1 spares the descendants.
     }
 
-    let survivors = || {
-        nodes
-            .iter()
-            .zip(&ctx.removed)
-            .filter(|(_, &gone)| !gone)
-            .map(|(node, _)| node.value)
-    };
-    if survivors().nth(1).is_some() {
-        let rep = survivors().min().expect("two survivors");
-        for v in survivors() {
-            name[v.index()] = rep;
-        }
-    }
+    nodes
+        .iter()
+        .zip(&ctx.removed)
+        .filter(|(_, &gone)| !gone)
+        .map(|(node, _)| node.value)
+        .collect()
 }
 
 /// Extension: repeatedly find an interfering pair and bipartition the

@@ -112,25 +112,6 @@ impl DominanceForest {
         &self.nodes
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the forest is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Indices of the root nodes.
-    pub fn roots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.parent.is_none())
-            .map(|(i, _)| i)
-    }
-
     /// Approximate heap bytes used.
     pub fn bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<DfNode>()
@@ -211,7 +192,7 @@ mod tests {
             .map(|&(v, b, p)| (Value::new(v), Block::new(b), p))
             .collect();
         let df = DominanceForest::build(&ms, dt);
-        assert_eq!(df.len(), ms.len());
+        assert_eq!(df.nodes().len(), ms.len());
         for node in df.nodes() {
             let i = ms.iter().position(|&(v, _, _)| v == node.value).unwrap();
             let expect = naive_parent(&ms, i, dt);
@@ -232,7 +213,9 @@ mod tests {
         let (_, dt) = dt_for(TREE);
         // b2 and b3 are siblings under b1.
         let df = forest(&[(1, 1, 0), (2, 2, 0), (3, 3, 0)], &dt);
-        let root: Vec<usize> = df.roots().collect();
+        let root: Vec<usize> = (0..df.nodes().len())
+            .filter(|&i| df.nodes()[i].parent.is_none())
+            .collect();
         assert_eq!(root.len(), 1);
         assert_eq!(df.nodes()[root[0]].children.len(), 2);
         check_against_naive(&[(1, 1, 0), (2, 2, 0), (3, 3, 0)], &dt);
@@ -243,7 +226,7 @@ mod tests {
         let (_, dt) = dt_for(TREE);
         // b2 and b3 don't dominate each other: two roots.
         let df = forest(&[(2, 2, 0), (3, 3, 0)], &dt);
-        assert_eq!(df.roots().count(), 2);
+        assert!(df.nodes().iter().all(|n| n.parent.is_none()));
     }
 
     #[test]
@@ -291,9 +274,9 @@ mod tests {
     fn empty_and_singleton() {
         let (_, dt) = dt_for(TREE);
         let df = forest(&[], &dt);
-        assert!(df.is_empty());
+        assert!(df.nodes().is_empty());
         let df1 = forest(&[(7, 3, 0)], &dt);
-        assert_eq!(df1.len(), 1);
-        assert_eq!(df1.roots().count(), 1);
+        assert_eq!(df1.nodes().len(), 1);
+        assert_eq!(df1.nodes()[0].parent, None);
     }
 }

@@ -136,7 +136,7 @@ fn dominance_forest_matches_naive_on_random_cfgs() {
             members.dedup_by_key(|&mut (_, b, p)| (b, p));
 
             let df = DominanceForest::build(&members, &dt);
-            assert_eq!(df.len(), members.len());
+            assert_eq!(df.nodes().len(), members.len());
             for node in df.nodes() {
                 let i = members
                     .iter()
@@ -152,6 +152,16 @@ fn dominance_forest_matches_naive_on_random_cfgs() {
                     assert_eq!(df.nodes()[c].parent, Some(i));
                 }
             }
+            // The coalescer hands members over in (preorder, position)
+            // order; that builds the same forest as any shuffle of them.
+            let mut ordered = members.clone();
+            ordered.sort_by_key(|&(_, b, p)| (dt.preorder(b), p));
+            assert_eq!(DominanceForest::build(&ordered, &dt), df);
+            let mut shuffle = SplitMix64::seed_from_u64(seed);
+            for i in (1..members.len()).rev() {
+                members.swap(i, shuffle.gen_range(0..=i));
+            }
+            assert_eq!(DominanceForest::build(&members, &dt), df, "seed {seed}");
         }
     }
 }

@@ -335,6 +335,19 @@ impl Function {
         &self.insts[inst]
     }
 
+    /// Rename every value that an instruction in a block defines or uses
+    /// through `f`, as destruction does when it maps values to classes.
+    pub fn rename_values(&mut self, f: impl Fn(Value) -> Value) {
+        self.bump_epoch();
+        for &b in &self.layout {
+            for &inst in &self.blocks[b].insts {
+                let data = &mut self.insts[inst];
+                data.dst = data.dst.map(&f);
+                data.kind.for_each_use_mut(|v| *v = f(*v));
+            }
+        }
+    }
+
     /// Mutable access to an instruction.
     pub fn inst_mut(&mut self, inst: Inst) -> &mut InstData {
         // Conservative: handing out `&mut` counts as an edit.

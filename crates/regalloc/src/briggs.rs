@@ -179,18 +179,8 @@ pub fn coalesce_copies_managed(
         }
 
         // Rewrite into the coalesced namespace and delete self-copies.
+        func.rename_values(|v| Value::new(uf.find_immutable(v.index())));
         let blocks: Vec<Block> = func.blocks().collect();
-        for b in &blocks {
-            let insts: Vec<Inst> = func.block_insts(*b).to_vec();
-            for inst in insts {
-                let data = func.inst_mut(inst);
-                if let Some(d) = data.dst {
-                    data.dst = Some(Value::new(uf.find_immutable(d.index())));
-                }
-                data.kind
-                    .for_each_use_mut(|v| *v = Value::new(uf.find_immutable(v.index())));
-            }
-        }
         for b in &blocks {
             let mut removed_here = 0usize;
             func.retain_insts(*b, |_, data| {

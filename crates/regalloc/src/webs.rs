@@ -86,17 +86,7 @@ fn destruct_via_webs_impl(
         }
     }
 
-    let blocks: Vec<fcc_ir::Block> = func.blocks().collect();
-    for b in blocks {
-        for i in 0..func.block_insts(b).len() {
-            let inst = func.block_insts(b)[i];
-            let data = func.inst_mut(inst);
-            if let Some(d) = data.dst {
-                data.dst = Some(name[d.index()]);
-            }
-            data.kind.for_each_use_mut(|v| *v = name[v.index()]);
-        }
-    }
+    func.rename_values(|v| name[v.index()]);
 
     for (b, phi) in phis {
         func.remove_inst(b, phi);
