@@ -396,9 +396,7 @@ fn coalesce_prepared_impl(
                     continue;
                 }
                 let ab = def_block[a.index()];
-                if ab == NO_BLOCK {
-                    panic!("phi arg has a def");
-                }
+                assert!(ab != NO_BLOCK, "phi arg has a def");
                 let interferes = opts.early_filters
                     && (
                         // Test 1: aᵢ live-in at the φ block means some use
@@ -580,7 +578,7 @@ fn coalesce_prepared_impl(
         + forest_bytes
         + waiting_bytes
         + last_use_bytes
-        + n * (4 + 4 + 1 + std::mem::size_of::<Value>());
+        + n * (std::mem::size_of::<u32>() + 4 + 2 + std::mem::size_of::<Value>());
     let trace = pre.map(|pre| DestructionTrace {
         pre,
         class_of: name,

@@ -226,7 +226,7 @@ mod tests {
         let (_, dt) = dt_for(TREE);
         // b2 and b3 don't dominate each other: two roots.
         let df = forest(&[(2, 2, 0), (3, 3, 0)], &dt);
-        assert!(df.nodes().iter().all(|n| n.parent.is_none()));
+        assert_eq!(df.nodes().iter().filter(|n| n.parent.is_none()).count(), 2);
     }
 
     #[test]

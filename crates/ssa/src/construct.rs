@@ -179,9 +179,7 @@ pub fn build_ssa_with(
                 // Placeholder φ: args are filled in during renaming. The
                 // destination is re-pointed to a fresh SSA value then too.
                 let phi = func.prepend_phi(join, Vec::new(), var);
-                if phi_var.len() <= phi.index() {
-                    phi_var.resize(phi.index() + 1, None);
-                }
+                phi_var.resize(func.num_insts(), None);
                 phi_var[phi.index()] = Some(var);
                 stats.phis_inserted += 1;
                 if on_work[join.index()] != stamp {

@@ -14,40 +14,40 @@ use fcc::workloads::kernels;
 /// pipeline (Standard | New | Briggs*): peak bytes, static
 /// copies, dynamic copies, analysis-cache hits, misses.
 const MEASURE_PINS: &str = "\
-saxpy     | 4044 8 260 3 4 | 6874 0 0 5 6 | 5744 0 0 8 11
-tomcatv   | 16020 30 14732 3 4 | 26892 6 3872 5 6 | 27400 2 0 8 11
-blts      | 7372 14 924 3 4 | 12676 0 0 5 6 | 10404 0 0 8 11
-buts      | 7648 14 924 3 4 | 12880 0 0 5 6 | 10292 0 0 8 11
-getbx     | 5528 12 293 3 4 | 9142 0 0 5 6 | 7316 0 0 8 11
-twldrv    | 10068 28 324 3 4 | 18156 2 4 5 6 | 16104 2 6 8 11
-smoothx   | 7668 16 1453 3 4 | 12862 0 0 5 6 | 10592 0 0 8 11
-rhs       | 9548 16 1228 3 4 | 16348 0 0 5 6 | 13876 0 0 8 11
-parmvrx   | 9120 28 1581 3 4 | 15674 0 0 5 6 | 13340 0 0 8 11
-initx     | 8356 16 648 3 4 | 13806 0 0 5 6 | 10892 0 0 8 11
-fieldx    | 9876 20 2684 3 4 | 16646 0 0 5 6 | 13184 0 0 8 11
-parmovx   | 6424 14 442 3 4 | 10906 0 0 5 6 | 8796 0 0 8 11
-radfgx    | 6504 10 1202 3 4 | 10748 0 0 5 6 | 8708 0 0 8 11
-radbgx    | 6444 10 1202 3 4 | 10648 0 0 5 6 | 8636 0 0 8 11
-parmvex   | 6152 12 435 3 4 | 10450 0 0 5 6 | 8956 0 0 8 11
-jacld     | 7020 12 457 3 4 | 11776 0 0 5 6 | 11412 0 0 8 11
-fpppp     | 7692 8 44 3 4 | 12694 0 0 5 6 | 12604 0 0 8 11
-advbndx   | 11260 34 5173 3 4 | 19850 2 136 5 6 | 15824 2 184 8 11
-deseco    | 9248 24 692 3 4 | 16626 0 0 5 6 | 13664 0 0 8 11
-zeroin    | 8784 26 213 3 4 | 15566 9 63 5 6 | 12964 5 41 8 11
-fmin      | 4772 10 93 3 4 | 7920 2 18 5 6 | 6788 2 18 8 11
-spline    | 9980 12 235 3 4 | 15954 0 0 5 6 | 13548 0 0 8 11
-seval     | 5608 14 1463 3 4 | 9738 2 297 5 6 | 8472 2 297 8 11
-quanc8    | 7432 12 51 3 4 | 12298 0 0 5 6 | 11508 0 0 8 11
-rkf45     | 9000 22 555 3 4 | 15868 1 50 5 6 | 13100 1 50 8 11
-decomp    | 14912 36 1921 3 4 | 26470 7 299 5 6 | 21588 3 13 8 11
-solve     | 10704 20 901 3 4 | 18314 0 0 5 6 | 14376 0 0 8 11
-urand     | 6500 16 2555 3 4 | 11224 0 0 5 6 | 10004 0 0 8 11
-svd       | 13892 38 7298 3 4 | 23988 0 0 5 6 | 21312 0 0 8 11
-smooth    | 11460 22 1354 3 4 | 19444 0 0 5 6 | 15464 0 0 8 11
-clampx    | 5260 14 1020 3 4 | 9054 0 0 5 6 | 7224 0 0 8 11
-spillx    | 1616 4 98 3 4 | 2726 0 0 5 6 | 2176 0 0 8 11
-scratchx  | 3136 6 123 3 4 | 5288 0 0 5 6 | 4256 0 0 8 11
-stencilx  | 3820 6 159 3 4 | 6272 0 0 5 6 | 5196 0 0 8 11
+saxpy     | 4044 8 260 3 4 | 6943 0 0 5 6 | 5744 0 0 8 11
+tomcatv   | 16020 30 14732 3 4 | 27238 6 3872 5 6 | 27400 2 0 8 11
+blts      | 7372 14 924 3 4 | 12806 0 0 5 6 | 10404 0 0 8 11
+buts      | 7648 14 924 3 4 | 13022 0 0 5 6 | 10292 0 0 8 11
+getbx     | 5528 12 293 3 4 | 9245 0 0 5 6 | 7316 0 0 8 11
+twldrv    | 10068 28 324 3 4 | 18324 2 4 5 6 | 16104 2 6 8 11
+smoothx   | 7668 16 1453 3 4 | 12991 0 0 5 6 | 10592 0 0 8 11
+rhs       | 9548 16 1228 3 4 | 16542 0 0 5 6 | 13876 0 0 8 11
+parmvrx   | 9120 28 1581 3 4 | 15839 0 0 5 6 | 13340 0 0 8 11
+initx     | 8356 16 648 3 4 | 13951 0 0 5 6 | 10892 0 0 8 11
+fieldx    | 9876 20 2684 3 4 | 16827 0 0 5 6 | 13184 0 0 8 11
+parmovx   | 6424 14 442 3 4 | 11011 0 0 5 6 | 8796 0 0 8 11
+radfgx    | 6504 10 1202 3 4 | 10872 0 0 5 6 | 8708 0 0 8 11
+radbgx    | 6444 10 1202 3 4 | 10770 0 0 5 6 | 8636 0 0 8 11
+parmvex   | 6152 12 435 3 4 | 10555 0 0 5 6 | 8956 0 0 8 11
+jacld     | 7020 12 457 3 4 | 11916 0 0 5 6 | 11412 0 0 8 11
+fpppp     | 7692 8 44 3 4 | 12869 0 0 5 6 | 12604 0 0 8 11
+advbndx   | 11260 34 5173 3 4 | 20019 2 136 5 6 | 15824 2 184 8 11
+deseco    | 9248 24 692 3 4 | 16777 0 0 5 6 | 13664 0 0 8 11
+zeroin    | 8784 26 213 3 4 | 15739 9 63 5 6 | 12964 5 41 8 11
+fmin      | 4772 10 93 3 4 | 8026 2 18 5 6 | 6788 2 18 8 11
+spline    | 9980 12 235 3 4 | 16163 0 0 5 6 | 13548 0 0 8 11
+seval     | 5608 14 1463 3 4 | 9845 2 297 5 6 | 8472 2 297 8 11
+quanc8    | 7432 12 51 3 4 | 12465 0 0 5 6 | 11508 0 0 8 11
+rkf45     | 9000 22 555 3 4 | 16074 1 50 5 6 | 13100 1 50 8 11
+decomp    | 14912 36 1921 3 4 | 26739 7 299 5 6 | 21588 3 13 8 11
+solve     | 10704 20 901 3 4 | 18509 0 0 5 6 | 14376 0 0 8 11
+urand     | 6500 16 2555 3 4 | 11348 0 0 5 6 | 10004 0 0 8 11
+svd       | 13892 38 7298 3 4 | 24248 0 0 5 6 | 21312 0 0 8 11
+smooth    | 11460 22 1354 3 4 | 19664 0 0 5 6 | 15464 0 0 8 11
+clampx    | 5260 14 1020 3 4 | 9143 0 0 5 6 | 7224 0 0 8 11
+spillx    | 1616 4 98 3 4 | 2753 0 0 5 6 | 2176 0 0 8 11
+scratchx  | 3136 6 123 3 4 | 5346 0 0 5 6 | 4256 0 0 8 11
+stencilx  | 3820 6 159 3 4 | 6348 0 0 5 6 | 5196 0 0 8 11
 ";
 
 #[test]
