@@ -51,80 +51,86 @@ pub type Move = (Value, Value);
 /// assert_eq!(seq.len(), 3); // t = a; a = b; b = t
 /// ```
 pub fn sequentialize(copies: &[Move], mut fresh: impl FnMut() -> Value) -> Vec<Move> {
-    // Filter self-moves and check the single-destination precondition.
-    let mut pending: Vec<Move> = Vec::with_capacity(copies.len());
-    {
-        let mut seen_dst = std::collections::HashSet::new();
-        for &(dst, src) in copies {
-            assert!(
-                seen_dst.insert(dst),
-                "destination {dst} assigned twice in parallel copy"
-            );
-            if dst != src {
-                pending.push((dst, src));
-            }
-        }
+    // The copies by destination, stably: a repeated destination sits
+    // right after its first occurrence. Report the repeat that a scan in
+    // input order meets first.
+    let mut by_dst: Vec<usize> = (0..copies.len()).collect();
+    by_dst.sort_by_key(|&j| copies[j].0);
+    let repeat = by_dst
+        .windows(2)
+        .filter(|w| copies[w[0]].0 == copies[w[1]].0)
+        .map(|w| w[1])
+        .min();
+    if let Some(j) = repeat {
+        panic!(
+            "destination {} assigned twice in parallel copy",
+            copies[j].0
+        );
     }
+
+    // Moves are named by their index in `copies`; self-moves are dropped.
+    let pending: Vec<usize> = (0..copies.len())
+        .filter(|&j| copies[j].0 != copies[j].1)
+        .collect();
+    let mut by_src = pending.clone();
+    by_src.sort_by_key(|&j| copies[j].1);
+    // The pending move that writes `v`, if any.
+    let writer = |v: Value| {
+        let i = by_dst.partition_point(|&j| copies[j].0 < v);
+        by_dst
+            .get(i)
+            .copied()
+            .filter(|&j| copies[j].0 == v && copies[j].1 != v)
+    };
+    // The first pending move that reads `v`, if any: it names `v` as a
+    // source.
+    let reader = |v: Value| {
+        let i = by_src.partition_point(|&j| copies[j].1 < v);
+        by_src.get(i).copied().filter(|&j| copies[j].1 == v)
+    };
 
     let mut emitted: Vec<Move> = Vec::with_capacity(pending.len() + 1);
-    // pred[b] = the value that must end up in b.
-    let mut pred: HashMap<Value, Value> = HashMap::new();
-    // loc[a] = where a's original content currently lives.
-    let mut loc: HashMap<Value, Value> = HashMap::new();
-    // Destinations already written (each is written exactly once).
-    let mut done: std::collections::HashSet<Value> = std::collections::HashSet::new();
-    let mut todo: Vec<Value> = Vec::new();
-    let mut ready: Vec<Value> = Vec::new();
-
-    for &(b, a) in &pending {
-        loc.insert(a, a);
-        pred.insert(b, a);
-        todo.push(b);
-    }
-    for &(b, _) in &pending {
-        // If nothing needs to read b, it can be overwritten immediately.
-        if !loc.contains_key(&b) {
-            ready.push(b);
-        }
-    }
-
-    let drain_ready = |ready: &mut Vec<Value>,
-                       emitted: &mut Vec<Move>,
-                       loc: &mut HashMap<Value, Value>,
-                       done: &mut std::collections::HashSet<Value>| {
-        while let Some(b) = ready.pop() {
+    // loc[reader(a)] = where source a's original content currently lives.
+    let mut loc: Vec<Value> = copies.iter().map(|&(_, a)| a).collect();
+    // Moves already emitted (each destination is written exactly once).
+    let mut done = vec![false; copies.len()];
+    // If nothing needs to read a destination, it can be overwritten
+    // immediately.
+    let mut ready: Vec<usize> = pending
+        .iter()
+        .copied()
+        .filter(|&j| reader(copies[j].0).is_none())
+        .collect();
+    let mut todo = pending.iter().rev();
+    loop {
+        while let Some(j) = ready.pop() {
             fcc_analysis::fuel::checkpoint(1);
-            let a = pred[&b];
-            let c = loc[&a];
+            let (b, a) = copies[j];
+            let home = reader(a).expect("a pending move reads its source");
+            let c = loc[home];
             emitted.push((b, c));
-            done.insert(b);
-            loc.insert(a, b);
+            done[j] = true;
+            loc[home] = b;
             // If a's content was still in a itself, a has now been
             // saved elsewhere — if a is also a destination, it is free
             // to be overwritten.
-            if a == c && pred.contains_key(&a) && !done.contains(&a) {
-                ready.push(a);
+            if a == c {
+                ready.extend(writer(a).filter(|&w| !done[w]));
             }
         }
-    };
-
-    while let Some(b) = {
-        drain_ready(&mut ready, &mut emitted, &mut loc, &mut done);
-        todo.pop()
-    } {
+        let Some(&j) = todo.next() else { break };
         fcc_analysis::fuel::checkpoint(1);
-        if done.contains(&b) {
+        if done[j] {
             continue;
         }
         // Every remaining destination is part of a cycle: break it by
         // saving one member into a fresh temporary.
+        let b = copies[j].0;
         let t = fresh();
         emitted.push((t, b));
-        loc.insert(b, t);
-        ready.push(b);
+        loc[reader(b).expect("a cycle member is read")] = t;
+        ready.push(j);
     }
-    drain_ready(&mut ready, &mut emitted, &mut loc, &mut done);
-
     emitted
 }
 
