@@ -48,20 +48,33 @@ impl BlockLists {
 
     /// The lists without the members `keep` rejects, each followed by
     /// the `(block, value)` entries of `extra` for its block. `extra` is
-    /// sorted, and its values exceed every member.
-    fn rewritten(&self, keep: impl Fn(u32) -> bool, extra: &[(u32, u32)]) -> BlockLists {
+    /// sorted, and its values exceed every member. Pushes each block
+    /// whose list changes onto `changed`.
+    fn rewritten(
+        &self,
+        keep: impl Fn(u32) -> bool,
+        extra: &[(u32, u32)],
+        changed: &mut Vec<Block>,
+    ) -> BlockLists {
         let len = self.members.iter().filter(|&&v| keep(v)).count() + extra.len();
         let mut members = Vec::with_capacity(len);
         let mut start = Vec::with_capacity(self.start.len());
         let mut extra = extra.iter().peekable();
         start.push(0);
         for w in self.start.windows(2) {
-            let b = start.len() as u32 - 1;
+            let b = start.len() - 1;
             let old = &self.members[w[0] as usize..w[1] as usize];
+            let first = members.len();
             members.extend(old.iter().copied().filter(|&v| keep(v)));
+            let kept = members.len() - first;
             members.extend(std::iter::from_fn(|| {
-                extra.next_if(|e| e.0 == b).map(|e| e.1)
+                extra.next_if(|e| e.0 as usize == b).map(|e| e.1)
             }));
+            // Members only leave and extras only arrive, so the list is
+            // unchanged iff nothing left and nothing arrived.
+            if kept != old.len() || members.len() != first + kept {
+                changed.push(Block::new(b));
+            }
             start.push(members.len() as u32);
         }
         BlockLists { start, members }
@@ -123,7 +136,7 @@ impl Found {
 /// Stable counting sort: `(start, items)` with the items of `pairs` whose
 /// key is `k`, in their order in `pairs`, at `items[start[k]..start[k +
 /// 1]]`. Neither vector has spare capacity.
-fn group<T: Copy + Default>(keys: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
+pub fn group<T: Copy>(keys: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
     let mut start = vec![0u32; keys + 1];
     for &(k, _) in pairs {
         start[k as usize] += 1;
@@ -133,7 +146,8 @@ fn group<T: Copy + Default>(keys: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T
         end += *s;
         *s = end;
     }
-    let mut items = vec![T::default(); pairs.len()];
+    // Every slot is overwritten below; the input only sizes the vector.
+    let mut items: Vec<T> = pairs.iter().map(|&(_, item)| item).collect();
     for &(k, item) in pairs.iter().rev() {
         let s = &mut start[k as usize];
         *s -= 1;
@@ -143,10 +157,9 @@ fn group<T: Copy + Default>(keys: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T
 }
 
 /// Where a value's walk starts or stops, by block index.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 enum Site {
     /// The block defines the value: the walk stops there.
-    #[default]
     Def,
     /// The block uses the value before any definition of it in the
     /// block: the value is live-in there.
@@ -313,13 +326,17 @@ impl Liveness {
     /// rewritten function: one pass over the lists drops the spilled
     /// values and appends the temporaries, which are newer than every
     /// member.
+    ///
+    /// Returns the blocks whose live-in or live-out set changed, in
+    /// index order. Together with the blocks the rewrite put code in,
+    /// they are the only blocks whose program points can have changed.
     pub fn spill_rewritten(
         &mut self,
         cfg: &ControlFlowGraph,
         universe: usize,
         spilled: &[Value],
         edge_reloads: &[(Block, Value)],
-    ) {
+    ) -> Vec<Block> {
         let mut gone = vec![false; self.universe];
         for v in spilled {
             gone[v.index()] = true;
@@ -332,9 +349,13 @@ impl Liveness {
             .collect();
         temps.sort_unstable();
         temps.dedup();
-        self.live_in = self.live_in.rewritten(keep, &[]);
-        self.live_out = self.live_out.rewritten(keep, &temps);
+        let mut changed = Vec::new();
+        self.live_in = self.live_in.rewritten(keep, &[], &mut changed);
+        self.live_out = self.live_out.rewritten(keep, &temps, &mut changed);
         self.universe = universe;
+        changed.sort_unstable();
+        changed.dedup();
+        changed
     }
 
     /// The live-in set of `block`, as sorted value numbers.
@@ -665,7 +686,9 @@ mod tests {
         let spilled = [Value::new(0), Value::new(1)];
         let edge = [(Block::new(1), Value::new(6))];
         let mut live = Liveness::compute(&f, &cfg);
-        live.spill_rewritten(&cfg, g.num_values(), &spilled, &edge);
+        let changed = live.spill_rewritten(&cfg, g.num_values(), &spilled, &edge);
+        // b2's sets were empty and stay so.
+        assert_eq!(changed, [Block::new(0), Block::new(1)]);
         assert_eq!(live, Liveness::compute(&g, &cfg));
         assert_eq!(live.bytes(), Liveness::compute(&g, &cfg).bytes());
         assert_eq!(live.live_out(Block::new(1)), [6]);

@@ -13,8 +13,10 @@
 //! * [`for_each_point`] — the canonical backward walk that enumerates
 //!   every program point of a function together with its live set. The
 //!   walk is shared by the [`Pressure`] analysis, the interference
-//!   builder in `fcc-pressure`, and the allocation feasibility auditor,
-//!   so "a program point" means the same thing everywhere.
+//!   builder in `fcc-pressure`, the allocation feasibility auditor and
+//!   the SSA spiller, so "a program point" means the same thing
+//!   everywhere. [`for_each_point_in`] is the same walk over chosen
+//!   blocks: the spiller re-walks only the blocks a round changed.
 //! * [`Pressure`] — per-block maximum pressure plus the function-level
 //!   MaxLive, cached by `AnalysisManager::pressure`.
 //!
@@ -73,10 +75,52 @@ pub fn for_each_point(
     func: &Function,
     cfg: &ControlFlowGraph,
     live: &Liveness,
-    mut visit: impl FnMut(Point, &BitSet, usize),
+    visit: impl FnMut(Point, &BitSet, usize),
 ) {
     let mut set = BitSet::new(func.num_values());
-    for b in func.blocks() {
+    for_each_point_in(func, cfg, live, func.blocks(), &mut set, visit);
+}
+
+/// The set [`for_each_point_in`] keeps the live values in, emptied at
+/// the start of every block. A [`BitSet`] lists its members in value
+/// order; a caller that only needs them in some order can pass a set
+/// that lists them in time proportional to how many there are.
+pub trait LiveSet {
+    /// Remove every member.
+    fn clear(&mut self);
+    /// Add `v`; whether it was absent.
+    fn insert(&mut self, v: usize) -> bool;
+    /// Remove `v`; whether it was present.
+    fn remove(&mut self, v: usize) -> bool;
+}
+
+impl LiveSet for BitSet {
+    fn clear(&mut self) {
+        BitSet::clear(self);
+    }
+    fn insert(&mut self, v: usize) -> bool {
+        BitSet::insert(self, v)
+    }
+    fn remove(&mut self, v: usize) -> bool {
+        BitSet::remove(self, v)
+    }
+}
+
+/// [`for_each_point`] restricted to `blocks`, visited in the order
+/// given, keeping the live values in `set`, whose universe must cover
+/// `func`'s values. A block's points and sets depend only on its
+/// instructions and its live-out set, so each block yields exactly what
+/// the whole-function walk yields there; unreachable blocks yield
+/// nothing.
+pub fn for_each_point_in<S: LiveSet>(
+    func: &Function,
+    cfg: &ControlFlowGraph,
+    live: &Liveness,
+    blocks: impl IntoIterator<Item = Block>,
+    set: &mut S,
+    mut visit: impl FnMut(Point, &S, usize),
+) {
+    for b in blocks {
         if !cfg.is_reachable(b) {
             continue;
         }
@@ -85,7 +129,7 @@ pub fn for_each_point(
             set.insert(v as usize);
         }
         let mut count = live.live_out(b).len();
-        visit(Point::Exit(b), &set, count);
+        visit(Point::Exit(b), set, count);
 
         let insts = func.block_insts(b);
         let mut phi_end = 0;
@@ -99,7 +143,7 @@ pub fn for_each_point(
                     // Dead definition: it still occupies a register at
                     // the instant it is written.
                     count += 1;
-                    visit(Point::DeadDef(b, i), &set, count);
+                    visit(Point::DeadDef(b, i), set, count);
                 }
                 set.remove(d.index());
                 count -= 1;
@@ -107,7 +151,7 @@ pub fn for_each_point(
             data.kind.for_each_use(|u| {
                 count += usize::from(set.insert(u.index()));
             });
-            visit(Point::Before(b, i), &set, count);
+            visit(Point::Before(b, i), set, count);
         }
         if phi_end > 0 {
             // φ-destinations are parallel definitions at the block's
@@ -120,7 +164,7 @@ pub fn for_each_point(
                 }
             }
             if count > before {
-                visit(Point::PhiDefs(b), &set, count);
+                visit(Point::PhiDefs(b), set, count);
             }
         }
     }

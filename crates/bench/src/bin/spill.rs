@@ -97,7 +97,7 @@ fn main() {
                     let mut func = ssa.clone();
                     let mut am = AnalysisManager::new();
                     let phases = &mut Vec::new();
-                    let stats = match spill_stage(&mut func, k, strategy, &am, phases) {
+                    let stats = match spill_stage(&mut func, k, strategy, &mut am, phases) {
                         Ok(stats) => stats,
                         Err(e) => {
                             eprintln!(

@@ -40,7 +40,8 @@ use fcc_opt::{
 use fcc_pressure::audit_allocation;
 use fcc_regalloc::{
     allocate_managed, coalesce_copies_managed, destruct_via_webs, destruct_via_webs_traced,
-    spill_to_k, AllocOptions, Allocation, BriggsOptions, GraphMode, SpillStats, SpillStrategy,
+    spill_to_k_managed, AllocOptions, Allocation, BriggsOptions, GraphMode, SpillStats,
+    SpillStrategy,
 };
 use fcc_ssa::{
     build_ssa_with, destruct_standard_traced, destruct_standard_with, verify_ssa, DestructionTrace,
@@ -161,10 +162,12 @@ pub fn ssa_stage(
 
 /// The spill stage of the k-register path: lower the strict-SSA
 /// `func`'s MaxLive towards `k` by `strategy`, recorded as one "spill"
-/// phase. Reloads define fresh names, so the program stays strict SSA
-/// (and therefore chordal) and the destruction stage after it is
-/// unchanged; the stage checks that with `verify_ssa`, outside the timed
-/// interval.
+/// phase. MaxLive, the CFG, the dominator tree and the liveness come
+/// from `am`, so a function that already fits in `k` registers costs
+/// one cached pressure lookup. Reloads define fresh names, so the
+/// program stays strict SSA (and therefore chordal) and the destruction
+/// stage after it is unchanged; the stage checks that with
+/// `verify_ssa`, outside the timed interval.
 ///
 /// # Errors
 /// The spilled function is not valid SSA.
@@ -172,11 +175,11 @@ pub fn spill_stage(
     func: &mut Function,
     k: u32,
     strategy: SpillStrategy,
-    am: &AnalysisManager,
+    am: &mut AnalysisManager,
     phases: &mut Vec<PhaseRecord>,
 ) -> Result<SpillStats, String> {
     let timer = PhaseTimer::start("spill", am);
-    let stats = spill_to_k(func, k, strategy);
+    let stats = spill_to_k_managed(func, k, strategy, am);
     phases.push(timer.finish(am));
     verify_ssa(func).map_err(|e| format!("internal: spilling broke SSA: {e}"))?;
     Ok(stats)
@@ -435,7 +438,13 @@ pub fn compile_function(
     // The k-register path spills on strict SSA, before destruction.
     let mut spill_summary: Option<SpillSummary> = None;
     if let Some(k) = cfg.k_registers {
-        let s = spill_stage(&mut func, k, SpillStrategy::CostGuided, &am, &mut phases)?;
+        let s = spill_stage(
+            &mut func,
+            k,
+            SpillStrategy::CostGuided,
+            &mut am,
+            &mut phases,
+        )?;
         stat_lines.push(format!(
             "spill: k={k}, {} spills, {} reloads, {} slots, maxlive {} -> {} in {} round(s)",
             s.spills, s.reloads, s.slots, s.maxlive_before, s.maxlive_after, s.rounds

@@ -264,7 +264,7 @@ fn check_program_inner(prog: &Program, opt: bool) -> Result<(), String> {
             let mut f = src.clone();
             let mut am = AnalysisManager::new();
             let phases = &mut Vec::new();
-            spill_stage(&mut f, k, SpillStrategy::CostGuided, &am, phases)
+            spill_stage(&mut f, k, SpillStrategy::CostGuided, &mut am, phases)
                 .map_err(|e| format!("{label}: {e}"))?;
             destruction_stage(&mut f, spec, false, &mut am, phases);
             allocation_stage(&mut f, k, &mut am, phases).map_err(|e| format!("{label}: {e}"))?;

@@ -18,7 +18,8 @@
 //!   neighbour rows, and liveness is carried across its spill rounds;
 //! * [`spill::spill_to_k`] — the SSA-level spiller that lowers MaxLive to
 //!   k before destruction, with one SSA liveness per call carried across
-//!   its rounds.
+//!   its rounds, each of which re-walks only the blocks the last one
+//!   touched.
 //!
 //! ## Example: the Briggs* pipeline
 //!
@@ -56,5 +57,7 @@ pub use briggs::{
 };
 pub use color::{allocate, allocate_managed, AllocError, AllocOptions, Allocation};
 pub use igraph::InterferenceGraph;
-pub use spill::{spill_to_k, weighted_spill_traffic, SpillStats, SpillStrategy};
+pub use spill::{
+    spill_to_k, spill_to_k_managed, weighted_spill_traffic, SpillStats, SpillStrategy,
+};
 pub use webs::{destruct_via_webs, destruct_via_webs_traced, WebStats};

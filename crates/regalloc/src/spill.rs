@@ -33,20 +33,36 @@
 //! remaining gap; `audit_allocation` certifies the final result either
 //! way.
 //!
-//! Each round is linear in the function. Spilling inserts only
-//! straight-line instructions, so the CFG, dominator tree, loop nesting
-//! and the input's SSA liveness are computed once per [`spill_to_k`]
-//! call and shared by both portfolio plans. A round is one point walk
-//! that yields both MaxLive and the round's victims, one sweep that
-//! indexes the victims' def, use and φ-argument sites, after which each
-//! victim rewrites only its own sites, and one
-//! [`Liveness::spill_rewritten`] that carries the liveness over to the
-//! rewritten function.
+//! A round's walk and rewrite cost what its victims touched, not the
+//! function. Spilling inserts only straight-line instructions, so the
+//! CFG, dominator tree, loop nesting and the input's SSA liveness are
+//! read once per [`spill_to_k`] call (from the caller's
+//! [`AnalysisManager`] where it holds them) and shared by both portfolio
+//! plans, and so is an index of every input value's def, use and
+//! φ-argument sites. A function whose MaxLive already fits costs one
+//! pressure lookup. Each plan's first
+//! walk visits every reachable block and keeps each block's maximum
+//! pressure; after that a round rewrites each victim's own sites, with
+//! positions computed only in the blocks that hold them, carries the
+//! liveness over with [`Liveness::spill_rewritten`], and re-walks only
+//! the blocks it touched: those holding a victim's def, a use or a
+//! φ-edge reload, and those whose live-in or live-out set changed.
+//!
+//! Skipping the other blocks cannot change the result. Such a block
+//! kept its instructions and its live-out set, so its points and their
+//! sets are those of the walk that last visited it. That walk picked no
+//! victim there (a victim live in a block puts a site in it or leaves
+//! its boundary sets), so no point of it over k had an eligible value;
+//! eligibility only shrinks from round to round (`no_spill` grows; use
+//! counts and pins are fixed), so a new walk would pick nothing there
+//! either.
 
-use fcc_analysis::liveness::Liveness;
+use std::rc::Rc;
+
+use fcc_analysis::liveness::{group, Liveness};
 use fcc_analysis::loops::LoopNesting;
-use fcc_analysis::pressure::{for_each_point, Point};
-use fcc_analysis::DomTree;
+use fcc_analysis::pressure::{for_each_point_in, LiveSet, Point};
+use fcc_analysis::{AnalysisManager, DomTree};
 use fcc_ir::{Block, ControlFlowGraph, Function, Inst, InstKind, Value};
 use fcc_pressure::SpillCosts;
 
@@ -105,22 +121,48 @@ const MAX_ROUNDS: usize = 64;
 /// # Panics
 /// Panics if `k == 0`.
 pub fn spill_to_k(func: &mut Function, k: u32, strategy: SpillStrategy) -> SpillStats {
-    spill_to_k_observed(func, k, strategy, |_, _| {})
+    spill_to_k_managed(func, k, strategy, &mut AnalysisManager::new())
 }
 
-/// [`spill_to_k`], handing `observe` the function and its carried
-/// liveness after every round's rewrite, in both portfolio plans. Public
-/// but undocumented so the test suite can check every round against a
-/// fresh solve; [`spill_to_k`] passes a closure that does nothing.
+/// [`spill_to_k`], pulling MaxLive, the CFG, the dominator tree and the
+/// liveness from a shared [`AnalysisManager`]: they hit the cache when
+/// the caller's pipeline already analysed the unmodified function. When
+/// MaxLive is already ≤ `k`, the call returns at once and leaves `func`,
+/// and its epoch, untouched.
+pub fn spill_to_k_managed(
+    func: &mut Function,
+    k: u32,
+    strategy: SpillStrategy,
+    am: &mut AnalysisManager,
+) -> SpillStats {
+    spill_to_k_observed(func, k, strategy, am, |_, _, _| {})
+}
+
+/// [`spill_to_k_managed`], handing `observe` what each walk reads: the
+/// function, its carried liveness and the blocks the walk visits — every
+/// reachable block at the start of each portfolio plan, then after every
+/// round's rewrite the blocks that round touched. Public but
+/// undocumented so the test suite can check every round against a fresh
+/// solve and every untouched block against the round before;
+/// [`spill_to_k_managed`] passes a closure that does nothing.
 #[doc(hidden)]
 pub fn spill_to_k_observed(
     func: &mut Function,
     k: u32,
     strategy: SpillStrategy,
-    mut observe: impl FnMut(&Function, &Liveness),
+    am: &mut AnalysisManager,
+    mut observe: impl FnMut(&Function, &Liveness, &[Block]),
 ) -> SpillStats {
     assert!(k > 0, "cannot spill to zero registers");
-    let frame = Frame::compute(func);
+    let maxlive = am.pressure(func).maxlive();
+    if maxlive <= k {
+        return SpillStats {
+            maxlive_before: maxlive,
+            maxlive_after: maxlive,
+            ..SpillStats::default()
+        };
+    }
+    let frame = Frame::compute(func, am);
     match strategy {
         SpillStrategy::Everywhere => spill_once(func, k, strategy, &frame, &mut observe),
         SpillStrategy::CostGuided => {
@@ -180,14 +222,14 @@ fn traffic(func: &Function, cfg: &ControlFlowGraph, loops: &LoopNesting) -> f64 
 /// What one [`spill_to_k`] call computes once from its input and every
 /// round of both plans reuses. Rounds only insert straight-line code and
 /// rename victims' uses, so none of it goes stale: victims are always
-/// input values, and the facts below about a value that is still
-/// eligible never change.
+/// input values, only a victim's own rewrite changes its sites, and the
+/// facts below about a value that is still eligible never change.
 struct Frame {
-    cfg: ControlFlowGraph,
+    cfg: Rc<ControlFlowGraph>,
     loops: LoopNesting,
     /// The input's SSA liveness: each plan starts from a copy and carries
     /// it across its rounds with [`Liveness::spill_rewritten`].
-    live: Liveness,
+    live: Rc<Liveness>,
     /// Loop-weighted cost of each input value.
     costs: SpillCosts,
     /// Values that must never be victims: spilled by an earlier pass, or
@@ -200,27 +242,54 @@ struct Frame {
     /// stay live at that block's Exit after spilling (the reload temp
     /// takes their place), so they are pinned there.
     exit_pinned: Vec<Vec<usize>>,
+    /// Each block's place in the layout, the order walks visit blocks in.
+    rank: Vec<u32>,
+    /// Each input value's defining instruction and its block.
+    def: Vec<Option<(Block, Inst)>>,
+    /// Each input value's ordinary uses as `(block, instruction)`, one
+    /// per using instruction, in layout order, unreachable blocks
+    /// included.
+    uses: ByValue<(Block, Inst)>,
+    /// Each input value's φ-argument uses as `(φ, predecessor)`, in
+    /// layout order.
+    phi_uses: ByValue<(Inst, Block)>,
 }
 
 impl Frame {
-    fn compute(func: &Function) -> Frame {
-        let cfg = ControlFlowGraph::compute(func);
-        let loops = LoopNesting::compute(&cfg, &DomTree::compute(func, &cfg));
+    fn compute(func: &Function, am: &mut AnalysisManager) -> Frame {
+        let cfg = am.cfg(func);
+        let loops = LoopNesting::compute(&cfg, &am.domtree(func));
         let costs = SpillCosts::compute(func, &cfg, &loops);
-        let live = Liveness::compute(func, &cfg);
+        let live = am.liveness(func);
         let n = func.num_values();
         let mut no_spill = vec![false; n];
         let mut use_count = vec![0usize; n];
         let mut exit_pinned = vec![Vec::new(); func.num_blocks()];
-        for b in func.blocks() {
+        let mut rank = vec![u32::MAX; func.num_blocks()];
+        let mut def = vec![None; n];
+        let mut uses = Vec::new();
+        let mut phi_uses = Vec::new();
+        let mut last_user: Vec<Option<Inst>> = vec![None; n];
+        for (r, b) in func.blocks().enumerate() {
+            rank[b.index()] = r as u32;
             for &i in func.block_insts(b) {
                 let data = func.inst(i);
-                data.kind.for_each_use(|u| use_count[u.index()] += 1);
+                if let Some(d) = data.dst {
+                    def[d.index()] = Some((b, i));
+                }
+                data.kind.for_each_use(|u| {
+                    use_count[u.index()] += 1;
+                    // `add v, v` is one site.
+                    if last_user[u.index()].replace(i) != Some(i) {
+                        uses.push((u.index() as u32, (b, i)));
+                    }
+                });
                 match &data.kind {
                     InstKind::Phi { args } => {
                         for a in args {
                             use_count[a.value.index()] += 1;
                             exit_pinned[a.pred.index()].push(a.value.index());
+                            phi_uses.push((a.value.index() as u32, (i, a.pred)));
                         }
                     }
                     InstKind::Spill { val, .. } => no_spill[val.index()] = true,
@@ -241,41 +310,89 @@ impl Frame {
             no_spill,
             use_count,
             exit_pinned,
+            rank,
+            def,
+            uses: ByValue::group(n, &uses),
+            phi_uses: ByValue::group(n, &phi_uses),
         }
     }
 }
 
+/// Items keyed by value, stored back to back: value `v`'s items are
+/// `items[start[v]..start[v + 1]]`, in the order they were found.
+struct ByValue<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> ByValue<T> {
+    fn group(n: usize, pairs: &[(u32, T)]) -> ByValue<T> {
+        let (start, items) = group(n, pairs);
+        ByValue { start, items }
+    }
+
+    fn get(&self, v: Value) -> &[T] {
+        &self.items[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
+    }
+}
+
+/// One portfolio plan: rounds of `strategy` on `func`, whose MaxLive
+/// exceeds `k`, until it fits, no victim is left, or [`MAX_ROUNDS`].
 fn spill_once(
     func: &mut Function,
     k: u32,
     strategy: SpillStrategy,
     frame: &Frame,
-    observe: &mut impl FnMut(&Function, &Liveness),
+    observe: &mut impl FnMut(&Function, &Liveness, &[Block]),
 ) -> SpillStats {
     // Values minted by this pass (reload temporaries) join `no_spill` as
     // they appear.
     let mut no_spill = frame.no_spill.clone();
-    let mut live = frame.live.clone();
+    let mut live = (*frame.live).clone();
     let mut next_slot = func.spill_slot_count();
-    let (maxlive, mut victims) = walk(func, k, strategy, frame, &live, &no_spill);
+    let mut walker = Walker {
+        k: k as usize,
+        strategy,
+        block_max: vec![0; func.num_blocks()],
+        chosen: Vec::new(),
+        set: SparseSet::default(),
+    };
+    // The blocks the next walk visits: all reachable ones first, then
+    // those the last round touched.
+    let mut blocks: Vec<Block> = func
+        .blocks()
+        .filter(|&b| frame.cfg.is_reachable(b))
+        .collect();
+    observe(func, &live, &blocks);
+    let (maxlive, mut victims) = walker.walk(func, frame, &live, &no_spill, &blocks);
     let mut stats = SpillStats {
         maxlive_before: maxlive,
         maxlive_after: maxlive,
         ..SpillStats::default()
     };
-    if maxlive <= k {
-        return stats;
-    }
 
+    // Instruction positions, valid in the blocks the last rewrite indexed.
+    let mut at: Vec<u32> = Vec::new();
     while stats.rounds < MAX_ROUNDS {
         stats.rounds += 1;
         if victims.is_empty() {
             break; // converged, or residual pressure is irreducible
         }
         let mut edge_reloads = Vec::new();
-        stats.reloads += rewrite(func, &victims, next_slot, &mut edge_reloads);
-        live.spill_rewritten(&frame.cfg, func.num_values(), &victims, &edge_reloads);
-        observe(func, &live);
+        blocks.clear();
+        stats.reloads += rewrite(
+            func,
+            &victims,
+            next_slot,
+            frame,
+            &mut at,
+            &mut blocks,
+            &mut edge_reloads,
+        );
+        blocks.extend(live.spill_rewritten(&frame.cfg, func.num_values(), &victims, &edge_reloads));
+        blocks.sort_unstable_by_key(|b| frame.rank[b.index()]);
+        blocks.dedup();
+        observe(func, &live, &blocks);
         next_slot += victims.len() as u32;
         stats.spills += victims.len();
         stats.slots += victims.len() as u32;
@@ -284,7 +401,7 @@ fn spill_once(
         }
         stats.spilled.extend_from_slice(&victims);
         no_spill.resize(func.num_values(), true);
-        (stats.maxlive_after, victims) = walk(func, k, strategy, frame, &live, &no_spill);
+        (stats.maxlive_after, victims) = walker.walk(func, frame, &live, &no_spill, &blocks);
         if stats.maxlive_after <= k {
             break;
         }
@@ -293,144 +410,193 @@ fn spill_once(
     stats
 }
 
-/// One round's analysis: one point walk over `live`, giving MaxLive and
-/// the round's victims in ascending order. Only points over k look at
-/// their live set; each picks victims as if the ones already picked this
-/// round were gone.
-fn walk(
-    func: &Function,
-    k: u32,
+/// One plan's walk state, kept from round to round.
+struct Walker {
+    k: usize,
     strategy: SpillStrategy,
-    frame: &Frame,
-    live: &Liveness,
-    no_spill: &[bool],
-) -> (u32, Vec<Value>) {
-    let k = k as usize;
-    let mut maxlive = 0usize;
-    let mut chosen: Vec<bool> = vec![false; func.num_values()];
-    let mut picks: Vec<Value> = Vec::new();
-    let mut pinned: Vec<usize> = Vec::new();
-    let mut cands: Vec<usize> = Vec::new();
-    for_each_point(func, &frame.cfg, live, |p, set, count| {
-        maxlive = maxlive.max(count);
-        if count <= k {
-            return;
+    /// Each block's maximum pressure, as of the last walk that visited
+    /// it (0 for unreachable blocks).
+    block_max: Vec<u32>,
+    /// The values the running walk has picked; all clear between walks.
+    chosen: Vec<bool>,
+    /// The walk's live set.
+    set: SparseSet,
+}
+
+impl Walker {
+    /// One round's analysis: one point walk over `blocks` of `live`,
+    /// giving MaxLive (the maximum of the per-block maxima) and the
+    /// round's victims in ascending order. Only points over k look at
+    /// their live set; each picks victims as if the ones already picked
+    /// this round were gone.
+    fn walk(
+        &mut self,
+        func: &Function,
+        frame: &Frame,
+        live: &Liveness,
+        no_spill: &[bool],
+        blocks: &[Block],
+    ) -> (u32, Vec<Value>) {
+        let Walker {
+            k,
+            strategy,
+            block_max,
+            chosen,
+            set,
+        } = self;
+        let k = *k;
+        chosen.resize(func.num_values(), false);
+        set.at.resize(func.num_values(), 0);
+        for &b in blocks {
+            block_max[b.index()] = 0;
         }
-        // A victim must actually lose its range when spilled: values
-        // whose presence at a point is pinned by an adjacent use stay
-        // ineligible *at that point*.
-        pinned.clear();
-        match p {
-            Point::Before(_, i) | Point::DeadDef(_, i) => {
-                let data = func.inst(i);
-                data.kind.for_each_use(|u| pinned.push(u.index()));
-                if let Some(d) = data.dst {
-                    pinned.push(d.index());
+        let mut picks: Vec<Value> = Vec::new();
+        let mut pinned: Vec<usize> = Vec::new();
+        let mut cands: Vec<usize> = Vec::new();
+        let blocks = blocks.iter().copied();
+        for_each_point_in(func, &frame.cfg, live, blocks, set, |p, set, count| {
+            let max = &mut block_max[p.block().index()];
+            *max = (*max).max(count as u32);
+            if count <= k {
+                return;
+            }
+            // A victim must actually lose its range when spilled: values
+            // whose presence at a point is pinned by an adjacent use stay
+            // ineligible *at that point*.
+            pinned.clear();
+            match p {
+                Point::Before(_, i) | Point::DeadDef(_, i) => {
+                    let data = func.inst(i);
+                    data.kind.for_each_use(|u| pinned.push(u.index()));
+                    if let Some(d) = data.dst {
+                        pinned.push(d.index());
+                    }
                 }
+                Point::Exit(b) => pinned.extend_from_slice(&frame.exit_pinned[b.index()]),
+                Point::PhiDefs(_) => return, // φ-defs are parallel: irreducible here
             }
-            Point::Exit(b) => pinned.extend_from_slice(&frame.exit_pinned[b.index()]),
-            Point::PhiDefs(_) => return, // φ-defs are parallel: irreducible here
-        }
-        // Count pressure as if already-picked victims were gone.
-        let mut residual = 0usize;
-        cands.clear();
-        for v in set.iter().filter(|&v| !chosen[v]) {
-            residual += 1;
-            if !no_spill[v] && frame.use_count[v] > 0 && !pinned.contains(&v) {
-                cands.push(v);
+            // Count pressure as if already-picked victims were gone. Most
+            // points over k end here, so candidates are only listed at
+            // the points that pick.
+            let residual = count - set.iter().filter(|&v| chosen[v]).count();
+            if residual <= k {
+                return;
             }
-        }
-        if residual <= k {
-            return;
-        }
-        let need = match strategy {
-            SpillStrategy::Everywhere => cands.len(),
-            SpillStrategy::CostGuided => {
-                let costs = &frame.costs;
-                cands.sort_by(|&a, &b| {
-                    costs
-                        .cost(Value::new(a))
-                        .partial_cmp(&costs.cost(Value::new(b)))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                residual - k
+            cands.clear();
+            cands.extend(set.iter().filter(|&v| {
+                !chosen[v] && !no_spill[v] && frame.use_count[v] > 0 && !pinned.contains(&v)
+            }));
+            let need = match *strategy {
+                SpillStrategy::Everywhere => cands.len(),
+                SpillStrategy::CostGuided => {
+                    let costs = &frame.costs;
+                    cands.sort_by(|&a, &b| {
+                        costs
+                            .cost(Value::new(a))
+                            .partial_cmp(&costs.cost(Value::new(b)))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.cmp(&b))
+                    });
+                    residual - k
+                }
+            };
+            for &v in cands.iter().take(need) {
+                chosen[v] = true;
+                picks.push(Value::new(v));
             }
-        };
-        for &v in cands.iter().take(need) {
-            chosen[v] = true;
-            picks.push(Value::new(v));
+        });
+        for &v in &picks {
+            chosen[v.index()] = false;
         }
-    });
-    picks.sort();
-    (maxlive as u32, picks)
+        picks.sort();
+        (block_max.iter().copied().max().unwrap_or(0), picks)
+    }
+}
+
+/// The spiller's live set: Briggs and Torczon's sparse set. Its members
+/// are a list, so a point over k reads them in time proportional to how
+/// many there are, not to the function's value count. Clearing it only
+/// empties the list.
+#[derive(Default)]
+struct SparseSet {
+    /// The members, in no particular order.
+    members: Vec<u32>,
+    /// Each member's index in `members`; anything for other values.
+    at: Vec<u32>,
+}
+
+impl SparseSet {
+    fn contains(&self, v: usize) -> bool {
+        let i = self.at[v] as usize;
+        self.members.get(i) == Some(&(v as u32))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.members.iter().map(|&v| v as usize)
+    }
+}
+
+impl LiveSet for SparseSet {
+    fn clear(&mut self) {
+        self.members.clear();
+    }
+
+    fn insert(&mut self, v: usize) -> bool {
+        if self.contains(v) {
+            return false;
+        }
+        self.at[v] = self.members.len() as u32;
+        self.members.push(v as u32);
+        true
+    }
+
+    fn remove(&mut self, v: usize) -> bool {
+        if !self.contains(v) {
+            return false;
+        }
+        let i = self.at[v];
+        let last = self.members.pop().expect("a member");
+        if last as usize != v {
+            self.members[i as usize] = last;
+            self.at[last as usize] = i;
+        }
+        true
+    }
 }
 
 /// Evict each of `victims` (ascending) to its own slot, numbered from
 /// `first_slot`: one `spill` after its definition, one fresh-name
-/// `reload` in front of every use. Returns the number of reloads, and
-/// pushes each reload that replaces a φ-argument onto `edge_reloads` as
+/// `reload` in front of every use. Returns the number of reloads, pushes
+/// every block it puts code in onto `touched` (once each), and pushes
+/// each reload that replaces a φ-argument onto `edge_reloads` as
 /// `(predecessor, temporary)`.
 ///
-/// One sweep indexes every victim's sites; each victim then rewrites
-/// only its own, in the order one-victim-at-a-time insertion would, so
-/// values, instruction ids and positions come out the same. New
-/// instructions are linked by [`link_placed`].
+/// Each victim rewrites only its own sites, read from the frame's
+/// index, in the order one-victim-at-a-time insertion would, so values,
+/// instruction ids and positions come out the same. Positions are taken
+/// in the round's starting layout, and only in the touched blocks; `at`
+/// holds them by instruction. New instructions are linked by
+/// [`link_placed`].
 fn rewrite(
     func: &mut Function,
     victims: &[Value],
     first_slot: u32,
+    frame: &Frame,
+    at: &mut Vec<u32>,
+    touched: &mut Vec<Block>,
     edge_reloads: &mut Vec<(Block, Value)>,
 ) -> usize {
-    const NONE: u32 = u32::MAX;
-    let mut victim_of = vec![NONE; func.num_values()];
-    for (j, &v) in victims.iter().enumerate() {
-        victim_of[v.index()] = j as u32;
+    for &v in victims {
+        touched.extend(frame.def[v.index()].map(|(b, _)| b));
+        touched.extend(frame.uses.get(v).iter().map(|&(b, _)| b));
+        touched.extend(frame.phi_uses.get(v).iter().map(|&(_, pred)| pred));
     }
-    let victim = |v: Value| match victim_of[v.index()] {
-        NONE => None,
-        j => Some(j as usize),
-    };
-
-    // Sites are block-local positions in the round's starting layout.
-    // A def site is the gap its spill goes into: right after an ordinary
-    // definition, but after the whole group for a φ (φs are defined in
-    // parallel) or a param (a run of params stays unbroken). The params
-    // need not start the entry: strictness inits go in front of them.
-    let mut defs: Vec<Option<(Block, usize)>> = vec![None; victims.len()];
-    let mut uses: Vec<Vec<(Block, usize, Inst)>> = vec![Vec::new(); victims.len()];
-    let mut phi_uses: Vec<Vec<(Inst, Block)>> = vec![Vec::new(); victims.len()];
-    for b in func.blocks() {
-        let insts = func.block_insts(b);
-        for (pos, &i) in insts.iter().enumerate() {
-            let data = func.inst(i);
-            if let Some(j) = data.dst.and_then(victim) {
-                let gap = match data.kind {
-                    InstKind::Phi { .. } => group_end(func, insts, InstKind::is_phi),
-                    InstKind::Param { .. } => {
-                        pos + group_end(func, &insts[pos..], |k| {
-                            matches!(k, InstKind::Param { .. })
-                        })
-                    }
-                    _ => pos + 1,
-                };
-                defs[j] = Some((b, gap));
-            }
-            data.kind.for_each_use(|u| {
-                if let Some(j) = victim(u) {
-                    // `add v, v` is one site.
-                    if uses[j].last() != Some(&(b, pos, i)) {
-                        uses[j].push((b, pos, i));
-                    }
-                }
-            });
-            if let InstKind::Phi { args } = &data.kind {
-                for a in args {
-                    if let Some(j) = victim(a.value) {
-                        phi_uses[j].push((i, a.pred));
-                    }
-                }
-            }
+    touched.sort_unstable();
+    touched.dedup();
+    at.resize(func.num_insts(), 0);
+    for &b in touched.iter() {
+        for (pos, &i) in func.block_insts(b).iter().enumerate() {
+            at[i.index()] = pos as u32;
         }
     }
 
@@ -438,16 +604,30 @@ fn rewrite(
     let mut reloads = 0usize;
     for (j, &v) in victims.iter().enumerate() {
         let slot = first_slot + j as u32;
-        let (def_block, gap) = defs[j].expect("spill victim must have a definition");
+        // A def site is the gap its spill goes into: right after an
+        // ordinary definition, but after the whole group for a φ (φs are
+        // defined in parallel) or a param (a run of params stays
+        // unbroken). The params need not start the entry: strictness
+        // inits go in front of them.
+        let (def_block, d) = frame.def[v.index()].expect("spill victim must have a definition");
+        let insts = func.block_insts(def_block);
+        let pos = at[d.index()] as usize;
+        let gap = match func.inst(d).kind {
+            InstKind::Phi { .. } => group_end(func, insts, InstKind::is_phi),
+            InstKind::Param { .. } => {
+                pos + group_end(func, &insts[pos..], |k| matches!(k, InstKind::Param { .. }))
+            }
+            _ => pos + 1,
+        };
         let spill = func.create_inst(InstKind::Spill { slot, val: v }, None);
         placed.push((def_block, gap, false, spill));
 
         // Ordinary uses: fresh temp per using instruction (a double
         // operand like `add v, v` shares the one temp).
-        for &(b, pos, i) in &uses[j] {
+        for &(b, i) in frame.uses.get(v) {
             let t = func.new_value();
             let reload = func.create_inst(InstKind::Reload { slot }, Some(t));
-            placed.push((b, pos, true, reload));
+            placed.push((b, at[i.index()] as usize, true, reload));
             reloads += 1;
             func.inst_mut(i).kind.for_each_use_mut(|u| {
                 if *u == v {
@@ -460,7 +640,7 @@ fn rewrite(
         // temp per (pred) edge shared across all φs consuming `v` on that
         // edge.
         let mut edge_temp: Vec<(Block, Value)> = Vec::new();
-        for &(phi, pred) in &phi_uses[j] {
+        for &(phi, pred) in frame.phi_uses.get(v) {
             let t = match edge_temp.iter().find(|&&(p, _)| p == pred) {
                 Some(&(_, t)) => t,
                 None => {

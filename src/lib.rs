@@ -114,8 +114,8 @@ pub mod prelude {
     };
     pub use fcc_regalloc::{
         allocate, allocate_managed, coalesce_copies, coalesce_copies_managed, destruct_via_webs,
-        destruct_via_webs_traced, spill_to_k, weighted_spill_traffic, AllocOptions, BriggsOptions,
-        GraphMode, SpillStats, SpillStrategy,
+        destruct_via_webs_traced, spill_to_k, spill_to_k_managed, weighted_spill_traffic,
+        AllocOptions, BriggsOptions, GraphMode, SpillStats, SpillStrategy,
     };
     pub use fcc_ssa::{
         build_ssa, build_ssa_with, destruct_standard, destruct_standard_traced,

@@ -101,7 +101,7 @@ fn compile_audited(
     verify_ssa(&f).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_live_exact(&f, "SSA");
     if let Some(k) = k {
-        spill_stage(&mut f, k, SpillStrategy::CostGuided, &am, &mut phases)
+        spill_stage(&mut f, k, SpillStrategy::CostGuided, &mut am, &mut phases)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_live_exact(&f, "spilled");
     }

@@ -47,7 +47,9 @@
 //! round's state to a closure:
 //!
 //! - after every `spill_to_k` round, in both portfolio plans, the
-//!   carried liveness equals a fresh [`Liveness::compute`];
+//!   carried liveness equals a fresh [`Liveness::compute`], and every
+//!   block the round did not mark for the next walk kept its live-in
+//!   and live-out sets and its program points with their set sizes;
 //! - at every colour round the carried liveness equals a fresh
 //!   [`Liveness::compute`], and the graph gives every value exactly the
 //!   neighbour set and degree of `InterferenceGraph::build(.., None)`.
@@ -58,6 +60,7 @@
 
 use std::collections::HashMap;
 
+use fcc::analysis::pressure::{for_each_point, Point};
 use fcc::analysis::Liveness;
 use fcc::ir::ControlFlowGraph;
 use fcc::regalloc::color::{allocate_observed, AllocError};
@@ -221,9 +224,35 @@ fn assert_same_sets(f: &Function, cfg: &ControlFlowGraph, carried: &Liveness, fr
     }
 }
 
+/// What a walk sees of one block: its live-in and live-out sets, and
+/// its program points in walk order, each with its set's size.
+type BlockView = (Vec<u32>, Vec<u32>, Vec<(Point, usize)>);
+
+/// Every block's [`BlockView`] of `f` under `live`, by block index.
+fn block_views(f: &Function, cfg: &ControlFlowGraph, live: &Liveness) -> Vec<BlockView> {
+    let mut views: Vec<BlockView> = (0..f.num_blocks())
+        .map(|b| {
+            let b = Block::new(b);
+            (
+                live.live_in(b).to_vec(),
+                live.live_out(b).to_vec(),
+                Vec::new(),
+            )
+        })
+        .collect();
+    for_each_point(f, cfg, live, |p, _, count| {
+        views[p.block().index()].2.push((p, count));
+    });
+    views
+}
+
 /// `spill_to_k(f, k, strategy)`, checking every round: spilling inserts
 /// straight-line code only, so the input's CFG still holds and the
-/// carried liveness must equal a fresh SSA solve.
+/// carried liveness must equal a fresh SSA solve. Each walk after a
+/// plan's first visits only the blocks the round before it marked, so
+/// every block left unmarked must have kept its live-in and live-out
+/// sets and its points with their set sizes. (A plan's first walk
+/// marks every reachable block.)
 fn spill_checked(
     f: &mut Function,
     k: u32,
@@ -231,7 +260,9 @@ fn spill_checked(
     checked: &mut Checked,
 ) -> SpillStats {
     let cfg = ControlFlowGraph::compute(f);
-    spill_to_k_observed(f, k, strategy, |g, live| {
+    let mut before: Vec<BlockView> = Vec::new();
+    let mut am = AnalysisManager::new();
+    spill_to_k_observed(f, k, strategy, &mut am, |g, live, marked| {
         assert_eq!(
             cfg,
             ControlFlowGraph::compute(g),
@@ -239,6 +270,16 @@ fn spill_checked(
             g.name
         );
         assert_same_sets(g, &cfg, live, &Liveness::compute(g, &cfg));
+        let now = block_views(g, &cfg, live);
+        for b in g.blocks().filter(|b| !marked.contains(b)) {
+            let i = b.index();
+            assert!(
+                before.is_empty() || before[i] == now[i],
+                "{}: {b} changed but the round left it unmarked",
+                g.name
+            );
+        }
+        before = now;
         checked.spill += 1;
     })
 }
